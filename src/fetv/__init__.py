@@ -22,8 +22,6 @@ from .metrics import NoiseSpec, add_noise, psnr
 from .operators import (
     DgFunction,
     GradJumpOperator,
-    assemble_lambda,
-    assemble_quadratic_solver,
     divergence,
     inner_y,
     inner_ystar,

@@ -1,6 +1,12 @@
 """The discrete gradient/jump operator, its adjoints and the quadratic
 subproblem solver.
 
+Every per-iteration kernel here is a sparse product on matrices built once:
+Lambda is applied in the factored form J * Lambda_ref (see
+:class:`GradJumpOperator`), its assembled product serves Lambda^T and the
+quadratic form Lambda^T W Lambda, and the PCG preconditioner is the
+block-diagonal CSR matrix of the inverted cell blocks.
+
 Dual vector fields never appear as pointwise functions here: an RT function
 is represented solely by its integral dof vector, laid out exactly like a
 Y vector (cell block of per-node 2-vectors, then edge block).  Divergences
@@ -18,7 +24,6 @@ __all__ = [
     "GradJumpOperator",
     "InnerSolveError",
     "QuadraticSolver",
-    "assemble_lambda",
     "pairing",
     "divergence",
     "lumped_zero_mask",
@@ -26,7 +31,6 @@ __all__ = [
     "riesz_inverse",
     "inner_y",
     "inner_ystar",
-    "assemble_quadratic_solver",
 ]
 
 
@@ -92,74 +96,55 @@ class GradJumpOperator:
     """Maps DG_r coefficients to the Y layout: per-cell gradient samples at
     the P_{r-1} nodes and scalar jumps at the edge Lagrange nodes.
 
-    Jumps are coefficient gathers (edge lattice nodes coincide with cell
-    lattice nodes), so constants are annihilated exactly.  Cell gradients
-    are computed in reference coordinates first and mapped by the
-    inverse-transposed Jacobian, which again kills constants exactly.
+    Lambda is kept factored as J * Lambda_ref, both sparse and built once on
+    first use.  Lambda_ref holds the exact reference gradients of the cell
+    basis at the P_{r-1} nodes and the +-1 jump gathers (edge lattice nodes
+    coincide with cell lattice nodes); its rows sum to exactly zero, so it
+    maps constants to exactly zero.  J applies the per-node inverse-transposed
+    Jacobian to the cell rows, which keeps that zero.  The assembled product
+    does not: its rows sum only to rounding noise.
     """
 
     def __init__(self, space):
         self.space = space
-        mesh = space.mesh
-        lay = space.layout
-        dofs = space.dofs
-        n_k = dofs.n_cell_basis
-        n_j = dofs.n_edge_basis
-
-        # facet-node lookup: (facet, orientation index) -> cell node ids
-        table = np.empty((3, 2, n_j), dtype=np.int64)
-        for f in range(3):
-            table[f, 0] = lay.facet_node_ids(f, -1)
-            table[f, 1] = lay.facet_node_ids(f, +1)
-
-        oi_plus = (mesh.edge_orientations[:, 0] + 1) // 2
-        oi_minus = (mesh.edge_orientations[:, 1] + 1) // 2
-        local_plus = table[mesh.edge_facets[:, 0], oi_plus]
-        local_minus = table[mesh.edge_facets[:, 1], oi_minus]
-        self.jump_plus_cols = mesh.edge_cells[:, [0]] * n_k + local_plus
-        self.jump_minus_cols = mesh.edge_cells[:, [1]] * n_k + local_minus
-
+        self._factors = None
         self._matrix = None
-
-    # -- application ---------------------------------------------------------
 
     def apply(self, coeffs):
         """Lambda u as a flat Y vector."""
-        space = self.space
-        out = space.new_y()
-        u = np.asarray(coeffs).ravel()
-        if space.dofs.n_sub_basis:
-            U = space.cell_matrix(u)
-            gref = np.einsum("ikd,tk->tid", space.layout.grad_at_sub, U)
-            np.einsum("tcd,tid->tic", space.mesh.inv_jacobian_t, gref,
-                      out=space.y_cell_view(out))
-        space.y_edge_view(out)[:] = u[self.jump_plus_cols] - u[self.jump_minus_cols]
-        return out
+        jac, ref = self.factors
+        y = ref.dot(np.asarray(coeffs).ravel())
+        if jac is not None:
+            cell = y[:jac.shape[0]]
+            cell[:] = jac.dot(cell)
+        return y
 
-    def apply_transpose(self, y):
-        """Lambda^T applied to a flat Y vector (plain transpose, no weights)."""
-        space = self.space
-        out = np.zeros(space.dim_dg)
-        if space.dofs.n_sub_basis:
-            g = space.y_cell_view(y)
-            z = np.einsum("tcd,tic->tid", space.mesh.inv_jacobian_t, g)
-            out += np.einsum("ikd,tid->tk", space.layout.grad_at_sub, z).ravel()
-        ye = space.y_edge_view(y)
-        np.add.at(out, self.jump_plus_cols, ye)
-        np.subtract.at(out, self.jump_minus_cols, ye)
-        return out
+    @property
+    def factors(self):
+        """(J, Lambda_ref) as CSR matrices.  J covers only the cell rows, the
+        edge rows of Lambda_ref are final; J is None when there are no cell
+        rows (r = 0)."""
+        if self._factors is None:
+            self._factors = self._assemble()
+        return self._factors
 
     @property
     def matrix(self):
-        """Assembled sparse Lambda (dim_y x dim_dg), used for the quadratic
-        forms Lambda^T W Lambda."""
+        """Assembled sparse Lambda = J * Lambda_ref (dim_y x dim_dg), used for
+        the quadratic forms Lambda^T W Lambda and the divergence."""
         if self._matrix is None:
-            self._matrix = self._assemble()
+            jac, ref = self.factors
+            if jac is None:
+                self._matrix = ref
+            else:
+                edge = sp.identity(ref.shape[0] - jac.shape[0])
+                self._matrix = (sp.block_diag([jac, edge]) @ ref).tocsr()
         return self._matrix
 
     def _assemble(self):
         space = self.space
         mesh = space.mesh
+        lay = space.layout
         dofs = space.dofs
         n_k = dofs.n_cell_basis
         n_i = dofs.n_sub_basis
@@ -167,34 +152,48 @@ class GradJumpOperator:
         n_t = dofs.num_cells
         n_e = dofs.num_edges
 
-        rows = []
-        cols = []
-        data = []
-        if n_i:
-            vals = np.einsum("tcd,ikd->tick",
-                             mesh.inv_jacobian_t, space.layout.grad_at_sub)
-            t_idx, i_idx, c_idx, k_idx = np.meshgrid(
-                np.arange(n_t), np.arange(n_i), np.arange(2), np.arange(n_k),
-                indexing="ij")
-            rows.append(((t_idx * n_i + i_idx) * 2 + c_idx).ravel())
-            cols.append((t_idx * n_k + k_idx).ravel())
-            data.append(vals.ravel())
+        # facet-node lookup: (facet, orientation index) -> cell node ids
+        table = np.empty((3, 2, n_j), dtype=np.int64)
+        for f in range(3):
+            table[f, 0] = lay.facet_node_ids(f, -1)
+            table[f, 1] = lay.facet_node_ids(f, +1)
+        oi_plus = (mesh.edge_orientations[:, 0] + 1) // 2
+        oi_minus = (mesh.edge_orientations[:, 1] + 1) // 2
+        plus = mesh.edge_cells[:, [0]] * n_k + table[mesh.edge_facets[:, 0], oi_plus]
+        minus = mesh.edge_cells[:, [1]] * n_k + table[mesh.edge_facets[:, 1], oi_minus]
 
-        base = dofs.dim_y_cell
-        erows = base + np.arange(n_e * n_j)
-        rows += [erows, erows]
-        cols += [self.jump_plus_cols.ravel(), self.jump_minus_cols.ravel()]
-        data += [np.ones(n_e * n_j), -np.ones(n_e * n_j)]
+        # Lambda_ref: per cell, the nonzero reference gradient entries of row
+        # (node i, component d); per edge row, the gather pair (+1, -1)
+        n_rows = n_e * n_j
+        grad = lay.grad_at_sub.transpose(0, 2, 1).reshape(2 * n_i, n_k)
+        grad_row, grad_k = np.nonzero(grad)
+        ref = _csr_from_rows(
+            np.concatenate([np.tile(grad[grad_row, grad_k], n_t),
+                            np.tile([1.0, -1.0], n_rows)]),
+            np.concatenate([((np.arange(n_t) * n_k)[:, None] + grad_k).ravel(),
+                            np.column_stack([plus.ravel(), minus.ravel()]).ravel()]),
+            np.concatenate([np.tile(np.bincount(grad_row, minlength=2 * n_i), n_t),
+                            np.full(n_rows, 2)]),
+            n_cols=dofs.dim_dg)
+        if not n_i:
+            return None, ref
 
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dofs.dim_y, dofs.dim_dg),
-        )
-        return mat.tocsr()
+        # J: inv_jacobian_t[t] on the row pair of each cell node
+        pairs = (np.arange(n_t * n_i) * 2)[:, None, None] + np.arange(2)
+        jac = _csr_from_rows(
+            np.repeat(mesh.inv_jacobian_t, n_i, axis=0).ravel(),
+            np.broadcast_to(pairs, (n_t * n_i, 2, 2)).ravel(),
+            np.full(dofs.dim_y_cell, 2),
+            n_cols=dofs.dim_y_cell)
+        return jac, ref
 
 
-def assemble_lambda(space) -> GradJumpOperator:
-    return GradJumpOperator(space)
+def _csr_from_rows(data, cols, row_nnz, n_cols):
+    """CSR matrix whose row m holds the next row_nnz[m] entries of (data,
+    cols), in order."""
+    indptr = np.zeros(len(row_nnz) + 1, dtype=np.int64)
+    np.cumsum(row_nnz, out=indptr[1:])
+    return sp.csr_matrix((data, cols, indptr), shape=(len(row_nnz), n_cols))
 
 
 def pairing(p, d):
@@ -209,7 +208,7 @@ def divergence(op, p, lumped=False):
 
     ``lumped`` selects the lumped DG inner product; entries whose lumped
     weight C_{T,k} vanishes (degree-2 vertex nodes) are set to zero, see
-    :attr:`GradJumpOperator.lumped_zero_mask` of the space weights.
+    :func:`lumped_zero_mask`.
     """
     space = op.space
     w = -op.matrix.T.dot(np.asarray(p).ravel())
@@ -260,13 +259,12 @@ class QuadraticSolver:
     The fidelity block M_fid is the plain DG mass matrix restricted to the
     data cells, or the fully lumped diagonal lam*scale*C_{T,k} when
     ``lumped_fidelity`` is set.  The system is SPD and solved by
-    preconditioned CG with a cell-block Jacobi preconditioner; a block
-    Gauss-Seidel sweep solver is available as an alternative.
+    preconditioned CG; the preconditioner is block Jacobi on the cell blocks,
+    stored as the block-diagonal CSR matrix of their inverses.
     """
 
     def __init__(self, space, grad_op, lam, scale, mask=None,
-                 lumped_fidelity=False, tol=1e-8, max_iter=2000,
-                 method="pcg"):
+                 lumped_fidelity=False, tol=1e-8, max_iter=2000):
         if lam < 0:
             raise ValueError("lam must be nonnegative")
         mesh = space.mesh
@@ -280,14 +278,11 @@ class QuadraticSolver:
             )
         if lam == 0 and not mask.all():
             raise ValueError("lam = 0 requires data on every cell")
-        if method not in ("pcg", "gauss-seidel"):
-            raise ValueError(f"unknown inner solver {method!r}")
         self.space = space
         self.mask = mask
         self.lam = lam
         self.tol = tol
         self.max_iter = max_iter
-        self.method = method
 
         n_t = mesh.num_cells
         n_k = space.dofs.n_cell_basis
@@ -307,37 +302,26 @@ class QuadraticSolver:
             w = space.y_weight_vector(scale)
             self.matrix = (self.matrix
                            + lam * (lmat.T @ lmat.multiply(w[:, None]))).tocsr()
-        self._build_preconditioner(n_t, n_k)
 
-    def _build_preconditioner(self, n_t, n_k):
-        bsr = self.matrix.tobsr(blocksize=(n_k, n_k))
-        bsr.sort_indices()
-        blocks = np.zeros((n_t, n_k, n_k))
-        indptr, indices, data = bsr.indptr, bsr.indices, bsr.data
-        for t in range(n_t):
-            lo, hi = indptr[t], indptr[t + 1]
-            pos = lo + np.searchsorted(indices[lo:hi], t)
-            if pos < hi and indices[pos] == t:
-                blocks[t] = data[pos]
+        # cell blocks: entry (k, l) of block t sits at (t*n_k + k, t*n_k + l)
+        dof = np.arange(space.dim_dg).reshape(n_t, n_k)
+        rows = np.broadcast_to(dof[:, :, None], (n_t, n_k, n_k)).ravel()
+        cols = np.broadcast_to(dof[:, None, :], (n_t, n_k, n_k)).ravel()
+        blocks = np.asarray(self.matrix[rows, cols]).reshape(n_t, n_k, n_k)
         try:
-            self._block_inv = np.linalg.inv(blocks)
+            block_inv = np.linalg.inv(blocks)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise RuntimeError("singular cell block in preconditioner") from exc
-        self._bsr = bsr
+        self._block_inv = sp.bsr_matrix(
+            (block_inv, np.arange(n_t), np.arange(n_t + 1)),
+            shape=self.matrix.shape).tocsr()
 
     def _precondition(self, r):
-        n_t, n_k = self._block_inv.shape[0], self._block_inv.shape[1]
-        return np.einsum("tkl,tl->tk",
-                         self._block_inv, r.reshape(n_t, n_k)).ravel()
+        return self._block_inv.dot(r)
 
     def solve(self, rhs, x0=None):
-        """Solve to relative residual <= tol; raises InnerSolveError on
-        stagnation."""
-        if self.method == "gauss-seidel":
-            return self._solve_gauss_seidel(rhs, x0)
-        return self._solve_pcg(rhs, x0)
-
-    def _solve_pcg(self, rhs, x0):
+        """Solve to relative residual <= tol by preconditioned CG; raises
+        InnerSolveError on stagnation."""
         b = np.asarray(rhs).ravel()
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
@@ -358,41 +342,10 @@ class QuadraticSolver:
             r -= alpha * ap
             z = self._precondition(r)
             rz_new = r @ z
-            p = z + (rz_new / rz) * p
+            p *= rz_new / rz
+            p += z
             rz = rz_new
         res = np.linalg.norm(b - a.dot(x)) / bnorm
         if res <= self.tol:
             return x
         raise InnerSolveError(res, self.max_iter)
-
-    def _solve_gauss_seidel(self, rhs, x0):
-        b = np.asarray(rhs).ravel()
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros_like(b)
-        bsr = self._bsr
-        n_t, n_k = self._block_inv.shape[0], self._block_inv.shape[1]
-        x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-        indptr, indices, data = bsr.indptr, bsr.indices, bsr.data
-        for _ in range(self.max_iter):
-            xb = x.reshape(n_t, n_k)
-            for t in range(n_t):
-                lo, hi = indptr[t], indptr[t + 1]
-                acc = b[t * n_k:(t + 1) * n_k].copy()
-                for ptr in range(lo, hi):
-                    j = indices[ptr]
-                    if j != t:
-                        acc -= data[ptr] @ xb[j]
-                xb[t] = self._block_inv[t] @ acc
-            if np.linalg.norm(b - self.matrix.dot(x)) / bnorm <= self.tol:
-                return x
-        res = np.linalg.norm(b - self.matrix.dot(x)) / bnorm
-        raise InnerSolveError(res, self.max_iter)
-
-
-def assemble_quadratic_solver(space, grad_op, lam, scale, mask=None,
-                              lumped_fidelity=False, tol=1e-8,
-                              max_iter=2000, method="pcg") -> QuadraticSolver:
-    return QuadraticSolver(space, grad_op, lam, scale, mask=mask,
-                           lumped_fidelity=lumped_fidelity, tol=tol,
-                           max_iter=max_iter, method=method)

@@ -128,7 +128,6 @@ class SolverParams:
     change_tol: float = 1e-6
     cg_tol: float = 1e-8
     cg_max_iter: int = 2000
-    inner_solver: str = "pcg"
     seed: int = 0
 
     def __post_init__(self):
@@ -374,8 +373,7 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     space = ctx.space
     lam = params.lam if params.lam is not None else 1e-3
     qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask,
-                         tol=params.cg_tol, max_iter=params.cg_max_iter,
-                         method=params.inner_solver)
+                         tol=params.cg_tol, max_iter=params.cg_max_iter)
 
     u = ctx.f.copy()
     d = space.new_y()
@@ -599,8 +597,7 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
     lam = params.lam if params.lam is not None else 1.0
     qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask,
                          lumped_fidelity=True, tol=params.cg_tol,
-                         max_iter=params.cg_max_iter,
-                         method=params.inner_solver)
+                         max_iter=params.cg_max_iter)
 
     u = ctx.f.copy()
     d = space.new_y()

@@ -8,6 +8,9 @@ unit interval are ordered by increasing parameter.
 
 All reference integrals (Newton-Cotes weights, mass matrices) are computed
 as exact rationals and only scaled by cell area / edge length at assembly.
+The DG mass and inverse mass are applied as one BLAS product of the
+(cells, n_k) coefficient view with the reference matrix, scaled by det B_T;
+no global mass matrix is stored.
 """
 
 from __future__ import annotations
@@ -436,17 +439,23 @@ class FeSpace:
         return np.asarray(coeffs).reshape(self.dofs.num_cells,
                                           self.dofs.n_cell_basis)
 
-    def apply_mass(self, coeffs, mask=None):
+    def _cell_product(self, coeffs, ref):
+        """ref @ u_T for every cell's coefficient block u_T: one BLAS product
+        on the (n_t, n_k) view, a plain scale when n_k = 1."""
         u = self.cell_matrix(coeffs)
-        out = np.einsum("kl,tl->tk", self.mass_ref, u)
+        if ref.shape[0] == 1:
+            return u * ref[0, 0]
+        return u @ ref.T
+
+    def apply_mass(self, coeffs, mask=None):
+        out = self._cell_product(coeffs, self.mass_ref)
         out *= self.mesh.det_jacobian[:, None]
         if mask is not None:
             out[~mask] = 0.0
         return out.reshape(-1)
 
     def apply_mass_inverse(self, coeffs):
-        u = self.cell_matrix(coeffs)
-        out = np.einsum("kl,tl->tk", self.mass_ref_inv, u)
+        out = self._cell_product(coeffs, self.mass_ref_inv)
         out /= self.mesh.det_jacobian[:, None]
         return out.reshape(-1)
 
@@ -475,9 +484,9 @@ class FeSpace:
     # -- operators --------------------------------------------------------------
 
     def grad_jump(self):
-        """The assembled gradient/jump operator for this space (cached)."""
+        """The gradient/jump operator for this space (cached)."""
         if self._grad_jump is None:
-            from .operators import assemble_lambda
+            from .operators import GradJumpOperator
 
-            self._grad_jump = assemble_lambda(self)
+            self._grad_jump = GradJumpOperator(self)
         return self._grad_jump

@@ -46,3 +46,11 @@ def spaces_unit(unit_crossed):
 @pytest.fixture(scope="session")
 def spaces_2x2(crossed_2x2):
     return {r: FeSpace(crossed_2x2, r) for r in (0, 1, 2)}
+
+
+@pytest.fixture(scope="session")
+def spaces_rotated():
+    """r = 0, 1, 2 on two-cell squares at rotations whose Jacobians are not
+    exact in floating point."""
+    return [FeSpace(build_diagonal_square(a), r)
+            for a in (0.3, 0.7, 1.1, 2.9) for r in (0, 1, 2)]

@@ -30,13 +30,13 @@ def test_conjugate_exponent():
     assert conjugate_exponent(2) == 2
 
 
-def test_dtv_of_constant_is_zero(spaces_2x2):
-    for space in spaces_2x2.values():
-        u = DgFunction(space, np.full(space.dim_dg, 0.8))
-        for s in ALL_S:
-            assert dtv(u, s) == 0.0
-            # the r = 2 cell quadrature sees the constant only to rounding
-            assert tv_exact(u, s) <= 1e-13
+def test_dtv_of_constant_is_zero(spaces_2x2, spaces_rotated):
+    for space in list(spaces_2x2.values()) + spaces_rotated:
+        for value in (0.8, 3.7, -1e3):
+            u = DgFunction(space, np.full(space.dim_dg, value))
+            for s in ALL_S:
+                assert dtv(u, s) == 0.0
+                assert tv_exact(u, s) == 0.0
 
 
 def test_step_function_values():
@@ -152,7 +152,9 @@ def test_r2_edge_splitting_exact():
         assert edge_part == pytest.approx(dense, abs=1e-8)
 
 
-def _cell_part_only(space, u):
+def _cell_part_only(space, u, s=2):
+    """The r = 2 cell integral of tv_exact from the reference gradients of
+    the P2 basis at the quadrature points, mapped by the Jacobian."""
     from fetv.dtv import _triangle_quadrature, vector_norm
 
     pts, wts = _triangle_quadrature()
@@ -160,8 +162,30 @@ def _cell_part_only(space, u):
     cu = space.cell_matrix(u.coeffs)
     gref = np.einsum("qkd,tk->tqd", gq, cu)
     gphys = np.einsum("tcd,tqd->tqc", space.mesh.inv_jacobian_t, gref)
-    vals = vector_norm(gphys, 2) @ wts
+    vals = vector_norm(gphys, s) @ wts
     return float((vals * space.mesh.det_jacobian).sum())
+
+
+def _edge_part_only(space, u, s):
+    """The r = 2 edge integral of tv_exact."""
+    from fetv.dtv import _edge_abs_integral_quadratic
+
+    jumps = space.y_edge_view(space.grad_jump().apply(u.coeffs))
+    integral = _edge_abs_integral_quadratic(jumps[:, 0], jumps[:, 1],
+                                            jumps[:, 2])
+    return float((integral * space.edge_normal_norms(s)
+                  * space.mesh.edge_lengths).sum())
+
+
+@pytest.mark.parametrize("s", ALL_S)
+def test_tv_exact_r2_cell_integral(s):
+    rng = np.random.default_rng(31)
+    for mesh in (build_diagonal_square(0.7), build_crossed_mesh(4, 4, 1.0, 1.0)):
+        space = FeSpace(mesh, 2)
+        for _ in range(5):
+            u = random_dg(space, rng)
+            cell = tv_exact(u, s) - _edge_part_only(space, u, s)
+            assert cell == pytest.approx(_cell_part_only(space, u, s), rel=1e-12)
 
 
 def test_error_decay_rate_dg2():

@@ -349,20 +349,6 @@ def test_anisotropic_s1_solvers_agree():
     assert rep_cp.infeasibility <= 1e-11
 
 
-def test_split_bregman_gauss_seidel_inner():
-    mesh, space, clean, noisy = _denoise_instance(n=4)
-    prob = ProblemSpec(mesh=mesh, degree=0, f=noisy.coeffs, beta=1e-3)
-    u_gs, _, rep_gs = split_bregman_l2(
-        prob, SolverParams(lam=1e-3, inner_solver="gauss-seidel",
-                           cg_max_iter=4000, eps_rel=1e-4, max_iter=2000),
-        space=space)
-    u_cg, _, rep_cg = split_bregman_l2(
-        prob, SolverParams(lam=1e-3, eps_rel=1e-4, max_iter=2000),
-        space=space)
-    assert rep_gs.converged and rep_cg.converged
-    assert np.abs(u_gs.coeffs - u_cg.coeffs).max() <= 1e-6
-
-
 def test_report_json_roundtrip():
     import json
 
