@@ -2,7 +2,8 @@
 generation and noise utilities.
 
 Exit codes: 0 success/converged, 1 usage or I/O error, 2 solver did not
-converge (outputs are still written so runs stay auditable).
+converge (outputs are still written so runs stay auditable) or its inner
+linear solve stalled (nothing is written).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import images, mesh as mesh_mod, metrics
 from .dtv import dtv, tv_exact
-from .operators import DgFunction
+from .operators import DgFunction, InnerSolveError
 from .solvers import ALGORITHMS, ProblemSpec, SolverParams, solve
 from .spaces import FeSpace
 
@@ -151,7 +152,7 @@ def _cmd_solver(args, inpaint):
     params = SolverParams(lam=args.lam, sigma=args.sigma, tau=args.tau,
                           theta=args.theta, scale=args.scale,
                           eps_rel=args.tol_rel, infeas_cap=args.infeas_cap,
-                          max_iter=args.max_iter, seed=args.seed)
+                          max_iter=args.max_iter)
     u, p, report = solve(prob, args.algorithm, params=params, space=space,
                          reference=clean)
 
@@ -239,6 +240,9 @@ def main(argv=None):
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"fetv: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except InnerSolveError as exc:
+        print(f"fetv: error: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
 
 
 if __name__ == "__main__":

@@ -3,9 +3,10 @@ subproblem solver.
 
 Every per-iteration kernel here is a sparse product on matrices built once:
 Lambda is applied in the factored form J * Lambda_ref (see
-:class:`GradJumpOperator`), its assembled product serves Lambda^T and the
-quadratic form Lambda^T W Lambda, and the PCG preconditioner is the
-block-diagonal CSR matrix of the inverted cell blocks.
+:class:`GradJumpOperator`), the assembled product is stored once, as the
+CSR matrix of Lambda^T, and serves the divergence and the quadratic form
+Lambda^T W Lambda, and the PCG preconditioner is the block-diagonal CSR
+matrix of the inverted cell blocks.
 
 Dual vector fields never appear as pointwise functions here: an RT function
 is represented solely by its integral dof vector, laid out exactly like a
@@ -102,13 +103,14 @@ class GradJumpOperator:
     coincide with cell lattice nodes); its rows sum to exactly zero, so it
     maps constants to exactly zero.  J applies the per-node inverse-transposed
     Jacobian to the cell rows, which keeps that zero.  The assembled product
-    does not: its rows sum only to rounding noise.
+    does not: its rows sum only to rounding noise.  It is stored once, as the
+    CSR matrix of Lambda^T (``transpose``); ``matrix`` is its transposed view.
     """
 
     def __init__(self, space):
         self.space = space
         self._factors = None
-        self._matrix = None
+        self._transpose = None
 
     def apply(self, coeffs):
         """Lambda u as a flat Y vector."""
@@ -121,25 +123,34 @@ class GradJumpOperator:
 
     @property
     def factors(self):
-        """(J, Lambda_ref) as CSR matrices.  J covers only the cell rows, the
-        edge rows of Lambda_ref are final; J is None when there are no cell
-        rows (r = 0)."""
+        """(J, Lambda_ref) as sparse matrices.  J covers only the cell rows,
+        the edge rows of Lambda_ref are final; J is None when there are no
+        cell rows (r = 0).  Then Lambda is Lambda_ref itself, kept once as
+        the CSR ``transpose`` and applied through its view."""
         if self._factors is None:
-            self._factors = self._assemble()
+            jac, ref = self._assemble()
+            if jac is None:
+                self._transpose = ref.T.tocsr()
+                ref = self._transpose.T
+            self._factors = jac, ref
         return self._factors
 
     @property
+    def transpose(self):
+        """Assembled sparse Lambda^T = (J * Lambda_ref)^T as CSR (dim_dg x
+        dim_y), the one stored assembled copy; serves the divergence and the
+        right-hand sides Lambda^T W (d - b)."""
+        jac, ref = self.factors
+        if self._transpose is None:
+            edge = sp.identity(ref.shape[0] - jac.shape[0])
+            self._transpose = (sp.block_diag([jac, edge]) @ ref).T.tocsr()
+        return self._transpose
+
+    @property
     def matrix(self):
-        """Assembled sparse Lambda = J * Lambda_ref (dim_y x dim_dg), used for
-        the quadratic forms Lambda^T W Lambda and the divergence."""
-        if self._matrix is None:
-            jac, ref = self.factors
-            if jac is None:
-                self._matrix = ref
-            else:
-                edge = sp.identity(ref.shape[0] - jac.shape[0])
-                self._matrix = (sp.block_diag([jac, edge]) @ ref).tocsr()
-        return self._matrix
+        """Assembled sparse Lambda (dim_y x dim_dg), the CSC view of
+        ``transpose``; used for the quadratic form Lambda^T W Lambda."""
+        return self.transpose.T
 
     def _assemble(self):
         space = self.space
@@ -211,7 +222,7 @@ def divergence(op, p, lumped=False):
     :func:`lumped_zero_mask`.
     """
     space = op.space
-    w = -op.matrix.T.dot(np.asarray(p).ravel())
+    w = -op.transpose.dot(np.asarray(p).ravel())
     if not lumped:
         return space.apply_mass_inverse(w)
     c = space.lumped_weights
@@ -302,6 +313,9 @@ class QuadraticSolver:
             w = space.y_weight_vector(scale)
             self.matrix = (self.matrix
                            + lam * (lmat.T @ lmat.multiply(w[:, None]))).tocsr()
+            # the CSC view of Lambda leaves the column indices unsorted;
+            # sorted rows keep the PCG matvec in a fixed summation order
+            self.matrix.sort_indices()
 
         # cell blocks: entry (k, l) of block t sits at (t*n_k + k, t*n_k + l)
         dof = np.arange(space.dim_dg).reshape(n_t, n_k)

@@ -128,7 +128,6 @@ class SolverParams:
     change_tol: float = 1e-6
     cg_tol: float = 1e-8
     cg_max_iter: int = 2000
-    seed: int = 0
 
     def __post_init__(self):
         for name in ("lam", "sigma", "tau", "scale"):
@@ -239,21 +238,33 @@ class _Context:
         return self.fidelity_value(u) + self.regularizer(y)
 
     def eta(self, u, p, y):
-        """Primal-dual gap used for stopping (Huber-adjusted if needed)."""
-        divp = divergence(self.op, p)
-        val = (0.5 * self.space.l2_norm_sq(u - self.f, mask=self.mask)
-               + 0.5 * self.space.l2_norm_sq(divp + self.f, mask=self.mask)
-               - 0.5 * self.f_norm_sq
-               + self.regularizer(y))
+        """(gap, objective): the primal-dual gap used for stopping
+        (Huber-adjusted if needed) and the primal objective, sharing one
+        evaluation of the fidelity and the regularizer."""
+        fid = self.fidelity_value(u)
+        reg = self.regularizer(y)
+        dual = 0.5 * self.space.l2_norm_sq(divergence(self.op, p) + self.f,
+                                           mask=self.mask)
+        val = ((fid + dual) - 0.5 * self.f_norm_sq) + reg
         if self.prob.huber_eps > 0:
             w = np.asarray(p).ravel()
             val += self.prob.huber_eps / (2.0 * self.prob.beta) \
                 * float(w @ (w / self.yw))
-        return val
+        return val, fid + reg
 
-    def l2_converged(self, eta_val, rho):
+    def l2_converged(self, eta_val, rho, p):
+        """Gap and infeasibility within tolerance.  With an inpainting
+        region, the dual is finite only where div p vanishes off the data
+        cells, so the signed gap may cross zero early; there the residual
+        0.5 ||div p||^2 over the masked cells must meet the gap tolerance
+        too."""
         tol = max(self.params.eps_rel * abs(self.eta0), self.gap_floor)
-        return abs(eta_val) <= tol and rho <= self.params.infeas_cap
+        if not (abs(eta_val) <= tol and rho <= self.params.infeas_cap):
+            return False
+        if self.mask.all():
+            return True
+        divp = divergence(self.op, p)
+        return 0.5 * self.space.l2_norm_sq(divp, mask=~self.mask) <= tol
 
     def lumped_div_bound(self, p):
         """max |lambda g| certificate, i.e. the sup-norm of the lumped
@@ -297,7 +308,7 @@ def estimate_operator_norm_sq(space, scale=1.0, iterations=60, seed=1):
     v = rng.standard_normal(space.dim_dg)
     lam = 0.0
     for _ in range(iterations):
-        kv = space.apply_mass_inverse(op.matrix.T.dot(w * op.apply(v)))
+        kv = space.apply_mass_inverse(op.transpose.dot(w * op.apply(v)))
         lam = space.l2_inner(v, kv) / space.l2_norm_sq(v)
         kv_norm = math.sqrt(space.l2_norm_sq(kv))
         if kv_norm == 0.0:
@@ -353,7 +364,7 @@ def gap(u: DgFunction, p, prob: ProblemSpec, context=None):
     ctx = context if context is not None else _Context(prob, SolverParams(),
                                                        space=u.space)
     y = ctx.op.apply(u.coeffs)
-    return ctx.eta(u.coeffs, p, y)
+    return ctx.eta(u.coeffs, p, y)[0]
 
 
 # -- split Bregman ---------------------------------------------------------------
@@ -379,7 +390,7 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     d = space.new_y()
     b = space.new_y()
     mf = space.apply_mass(ctx.f, mask=ctx.mask)
-    lmat = ctx.op.matrix
+    lmat_t = ctx.op.transpose
     edge_thr = prob.beta * ctx.edge_norms[:, None] / lam
     cell_thr = prob.beta / (lam * ctx.scale)
 
@@ -389,7 +400,7 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     start = time.perf_counter()
     p = space.new_y()
     for n in range(1, params.max_iter + 1):
-        rhs = mf + lam * lmat.T.dot(ctx.yw * (d - b))
+        rhs = mf + lam * lmat_t.dot(ctx.yw * (d - b))
         u = qs.solve(rhs, x0=u)
         y = ctx.op.apply(u)
         gb = y + b
@@ -400,10 +411,10 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
         b = gb - d
         p = lam * ctx.yw * b
 
-        eta_val = ctx.eta(u, p, y)
+        eta_val, objective = ctx.eta(u, p, y)
         rho = infeasibility(p, ctx.cs)
-        _record(report, ctx, u, y, eta_val, rho)
-        if ctx.l2_converged(eta_val, rho):
+        _record(report, objective, eta_val, rho)
+        if ctx.l2_converged(eta_val, rho, p):
             report.converged = True
             break
     _finish(report, ctx, u, start, reference)
@@ -451,10 +462,10 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
         p_bar = p_new + params.theta * (p_new - p)
         p = p_new
 
-        eta_val = ctx.eta(u, p, y)
+        eta_val, objective = ctx.eta(u, p, y)
         rho = infeasibility(p, ctx.cs)
-        _record(report, ctx, u, y, eta_val, rho)
-        if ctx.l2_converged(eta_val, rho):
+        _record(report, objective, eta_val, rho)
+        if ctx.l2_converged(eta_val, rho, p):
             report.converged = True
             break
     _finish(report, ctx, u, start, reference)
@@ -508,10 +519,10 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
 
         u = divergence(ctx.op, p) + ctx.f
         y = ctx.op.apply(u)
-        eta_val = ctx.eta(u, p, y)
+        eta_val, objective = ctx.eta(u, p, y)
         rho = infeasibility(p, ctx.cs)
-        _record(report, ctx, u, y, eta_val, rho)
-        if ctx.l2_converged(eta_val, rho):
+        _record(report, objective, eta_val, rho)
+        if ctx.l2_converged(eta_val, rho, p):
             report.converged = True
             break
     _finish(report, ctx, u, start, reference)
@@ -568,7 +579,7 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
         change = max(_relative_change(ctx, u, u_prev),
                      _relative_change_ystar(ctx, p, p_prev))
         stagnant = stagnant + 1 if change <= params.change_tol else 0
-        _record(report, ctx, u, y, None, rho,
+        _record(report, ctx.objective(u, y), None, rho,
                 extras={"change": change, "multiplier_bound": bound_on})
         if stagnant >= 5 and bound_on <= 1.01 and rho <= params.infeas_cap:
             report.converged = True
@@ -605,7 +616,7 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
     e = np.zeros(space.dim_dg)
     g = np.zeros(space.dim_dg)
     lumped = space.lumped_weights
-    lmat = ctx.op.matrix
+    lmat_t = ctx.op.transpose
     edge_thr = prob.beta * ctx.edge_norms[:, None] / lam
     cell_thr = prob.beta / (lam * ctx.scale)
     e_thr = 1.0 / (lam * ctx.scale)
@@ -618,7 +629,7 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
     p = space.new_y()
     for n in range(1, params.max_iter + 1):
         rhs = lam * ctx.scale * lumped * (e + ctx.f - g) \
-            + lam * lmat.T.dot(ctx.yw * (d - b))
+            + lam * lmat_t.dot(ctx.yw * (d - b))
         u_prev = u
         u = qs.solve(rhs, x0=u)
         y = ctx.op.apply(u)
@@ -642,7 +653,7 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
         change = max(_relative_change(ctx, u, u_prev),
                      _relative_change_ystar(ctx, p, p_prev))
         stagnant = stagnant + 1 if change <= params.change_tol else 0
-        _record(report, ctx, u, y, None, rho,
+        _record(report, ctx.objective(u, y), None, rho,
                 extras={"change": change, "multiplier_bound": bound_on})
         if stagnant >= 5 and bound_on <= 1.01 and rho <= params.infeas_cap:
             report.converged = True
@@ -686,9 +697,9 @@ def _relative_change_ystar(ctx, p, p_prev):
     return diff / max(ctx.ystar_norm(p), 1e-30)
 
 
-def _record(report, ctx, u, y, eta_val, rho, extras=None):
+def _record(report, objective, eta_val, rho, extras=None):
     entry = {
-        "objective": ctx.objective(u, y),
+        "objective": objective,
         "gap": eta_val,
         "infeasibility": rho,
     }
@@ -723,7 +734,6 @@ def _echo_params(prob, params, **resolved):
         "eps_rel": params.eps_rel,
         "infeas_cap": params.infeas_cap,
         "max_iter": params.max_iter,
-        "seed": params.seed,
     }
     out.update(resolved)
     return out

@@ -6,6 +6,7 @@ import pytest
 from fetv.cli import main
 from fetv.images import Raster, load_pgm, save_pgm
 from fetv.mesh import load_mesh
+from fetv.operators import InnerSolveError, QuadraticSolver
 
 from conftest import smooth_disc
 
@@ -77,6 +78,20 @@ def test_non_convergence_exit_code(tmp_path, disc_image):
     assert code == 2
     assert json.loads(report.read_text())["converged"] is False
     assert out.exists()
+
+
+def test_stalled_inner_solve_exit_code(tmp_path, disc_image, monkeypatch,
+                                      capsys):
+    def stall(self, rhs, x0=None):
+        raise InnerSolveError(0.5, 7)
+
+    monkeypatch.setattr(QuadraticSolver, "solve", stall)
+    code = main(["denoise", "--input", str(disc_image),
+                 "--algorithm", "split-bregman", "--degree", "0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("fetv: error: inner solver stalled")
+    assert err.count("\n") == 1
 
 
 def test_inpaint_with_mask(tmp_path, disc_image):

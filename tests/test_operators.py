@@ -207,6 +207,32 @@ def test_rotation_equivariance():
             assert val == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
+def test_transpose_is_the_one_assembled_copy(spaces_2x2, spaces_rotated):
+    """Lambda^T is stored once as CSR; ``matrix`` is a view of it, and the
+    divergence is exactly M^{-1} of -Lambda^T p through either."""
+    rng = np.random.default_rng(4)
+    for space in list(spaces_2x2.values()) + spaces_rotated:
+        op = space.grad_jump()
+        assert op.transpose.format == "csr"
+        assert np.shares_memory(op.matrix.data, op.transpose.data)
+        jac, ref = op.factors
+        if jac is None:
+            assert np.shares_memory(ref.data, op.transpose.data)
+        p = rng.standard_normal(space.dim_y)
+        assert np.array_equal(divergence(op, p),
+                              space.apply_mass_inverse(-op.matrix.T.dot(p)))
+        u = rng.standard_normal(space.dim_dg)
+        assert np.allclose(op.matrix.dot(u), op.apply(u), rtol=0, atol=1e-12)
+
+
+def test_quadratic_solver_sorted_indices(spaces_2x2):
+    for space in spaces_2x2.values():
+        for mask in (None, np.arange(space.mesh.num_cells) % 3 > 0):
+            qs = QuadraticSolver(space, space.grad_jump(), 1e-2, 1e-2,
+                                 mask=mask)
+            assert qs.matrix.has_sorted_indices
+
+
 def test_quadratic_solver_manufactured(spaces_2x2):
     space = spaces_2x2[1]
     rng = np.random.default_rng(17)
