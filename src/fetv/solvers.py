@@ -2,9 +2,14 @@
 
 All five algorithms share the same discrete ingredients: the gradient/jump
 operator, the diagonal Riesz map between gradient samples and RT dofs, and
-per-dof prox/projection kernels.  TV-L2 runs stop on the primal-dual gap
-plus a feasibility cap; TV-L1 runs stop on iterate stagnation plus the
-dual-constraint certificate |lambda g| <= 1.
+per-dof prox/projection kernels.  Each solver sets up its operators and a
+``step(u, p) -> (u, p, y, bounds)`` closure with y = Lambda u; the one
+loop ``_iterate`` runs it from u = f, p = 0 and owns the timer, the
+monitor, the trace and the stop test.  The stop rule follows from the
+problem: TV-L2 steps return ``bounds = None`` and stop on the primal-dual
+gap plus a feasibility cap; TV-L1 steps return the certificate
+max |lambda g| over the data and the masked dofs and stop on iterate
+stagnation plus |lambda g| <= 1 on the data dofs.
 """
 
 from __future__ import annotations
@@ -196,6 +201,8 @@ class _Context:
         if f.size != self.space.dim_dg:
             raise ValueError("data vector does not match the DG space")
         self.f = np.where(self.mask_dof, f, 0.0)
+        if not np.isfinite(self.f).all():
+            raise ValueError("data holds NaN or infinite values on data cells")
 
         self.scale = (params.scale if params.scale is not None
                       else DEFAULT_SCALE[prob.degree])
@@ -266,10 +273,10 @@ class _Context:
         divp = divergence(self.op, p)
         return 0.5 * self.space.l2_norm_sq(divp, mask=~self.mask) <= tol
 
-    def lumped_div_bound(self, p):
-        """max |lambda g| certificate, i.e. the sup-norm of the lumped
-        divergence over the data dofs (and over the masked dofs)."""
-        v = np.abs(divergence(self.op, p, lumped=True))
+    def multiplier_bounds(self, g):
+        """max |lambda g| certificate of the TV-L1 runs over the data dofs
+        (and over the masked dofs), from the multiplier lambda g."""
+        v = np.abs(g)
         on = float(v[self.mask_dof].max()) if self.mask_dof.any() else 0.0
         off = float(v[~self.mask_dof].max()) if (~self.mask_dof).any() else 0.0
         return on, off
@@ -279,23 +286,30 @@ class _Context:
         return math.sqrt(p @ (p / self.yw))
 
 
+def _power_iteration(apply, inner, n, seed, iterations):
+    """Rayleigh-quotient estimate of the largest eigenvalue of ``apply``,
+    self-adjoint in ``inner``, from a seeded random start in R^n."""
+    v = np.random.default_rng(seed).standard_normal(n)
+    lam = 0.0
+    for _ in range(iterations):
+        kv = apply(v)
+        lam = inner(v, kv) / inner(v, v)
+        kv_norm = math.sqrt(inner(kv, kv))
+        if kv_norm == 0.0:
+            return 0.0
+        v = kv / kv_norm
+    return float(lam)
+
+
 def estimate_dual_hessian_norm(space, scale=1.0, iterations=60, seed=1):
     """Power-iteration estimate of sup ||div p||_{L2}^2 / ||p||_{Y*}^2, the
     Lipschitz constant of the dual-objective gradient; the projection
     iteration is stable for steps below its inverse."""
     op = space.grad_jump()
     w = space.y_weight_vector(scale)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(space.dim_y)
-    lam = 0.0
-    for _ in range(iterations):
-        kv = -w * op.apply(divergence(op, v))
-        lam = (v @ (kv / w)) / (v @ (v / w))
-        kv_norm = math.sqrt(kv @ (kv / w))
-        if kv_norm == 0.0:
-            return 0.0
-        v = kv / kv_norm
-    return float(lam)
+    return _power_iteration(lambda v: -w * op.apply(divergence(op, v)),
+                            lambda a, b: a @ (b / w), space.dim_y, seed,
+                            iterations)
 
 
 def estimate_operator_norm_sq(space, scale=1.0, iterations=60, seed=1):
@@ -304,17 +318,9 @@ def estimate_operator_norm_sq(space, scale=1.0, iterations=60, seed=1):
     inverse."""
     op = space.grad_jump()
     w = space.y_weight_vector(scale)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(space.dim_dg)
-    lam = 0.0
-    for _ in range(iterations):
-        kv = space.apply_mass_inverse(op.transpose.dot(w * op.apply(v)))
-        lam = space.l2_inner(v, kv) / space.l2_norm_sq(v)
-        kv_norm = math.sqrt(space.l2_norm_sq(kv))
-        if kv_norm == 0.0:
-            return 0.0
-        v = kv / kv_norm
-    return float(lam)
+    return _power_iteration(
+        lambda v: space.apply_mass_inverse(op.transpose.dot(w * op.apply(v))),
+        space.l2_inner, space.dim_dg, seed, iterations)
 
 
 def huber_regularizer(space, y, eps):
@@ -367,6 +373,47 @@ def gap(u: DgFunction, p, prob: ProblemSpec, context=None):
     return ctx.eta(u.coeffs, p, y)[0]
 
 
+# -- shared setup, dual step and shrink ------------------------------------------
+
+
+def _setup(prob, params, space, fidelity, name, huber=False):
+    """Check that solver ``name`` handles the problem's fidelity (and the
+    Huber variant) and build its context."""
+    if prob.fidelity != fidelity:
+        raise ValueError(f"{name} expects the {fidelity} fidelity")
+    if prob.huber_eps > 0 and not huber:
+        raise ValueError("the Huber variant is implemented for the "
+                         "Chambolle-Pock solvers")
+    return _Context(prob, params or SolverParams(), space=space)
+
+
+def _cp_dual_step(ctx, p, y, tau):
+    """Chambolle-Pock dual step from y = Lambda u: the projection of
+    p + tau W y onto beta*P (after the prox of tau*(beta*G_eps)^*, whose
+    quadratic weight transports to tau*eps/beta ahead of the projection),
+    and its theta-extrapolation.  Returns (p_new, p_bar)."""
+    candidate = p + tau * (ctx.yw * y)
+    if ctx.prob.huber_eps > 0:
+        candidate = candidate * (1.0 / (1.0 + tau * ctx.prob.huber_eps
+                                        / ctx.prob.beta))
+    p_new = project_feasible(candidate, ctx.cs)
+    return p_new, p_new + ctx.params.theta * (p_new - p)
+
+
+def _bregman_shrink(ctx, d, gb, lam):
+    """Split Bregman/ADMM update of d = shrink(gb) in place, gb = Lambda u
+    + b: edge jumps by beta |n|_s / lam, cell gradients through the |.|_s
+    prox by beta / (lam * scale).  Returns the new multiplier b = gb - d."""
+    space, prob = ctx.space, ctx.prob
+    space.y_edge_view(d)[:] = shrink(space.y_edge_view(gb),
+                                     prob.beta * ctx.edge_norms[:, None] / lam)
+    if space.dofs.n_sub_basis:
+        space.y_cell_view(d)[:] = prox_vector(space.y_cell_view(gb),
+                                              prob.beta / (lam * ctx.scale),
+                                              prob.s)
+    return gb - d
+
+
 # -- split Bregman ---------------------------------------------------------------
 
 
@@ -374,51 +421,26 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
                      space=None, reference=None):
     """Split Bregman iteration for the TV-L2 problem (any mask, s in {1,2});
     the dual variable is recovered from the Bregman multipliers."""
-    if prob.fidelity != "l2":
-        raise ValueError("split_bregman_l2 expects the l2 fidelity")
-    if prob.huber_eps > 0:
-        raise ValueError("the Huber variant is implemented for the "
-                         "Chambolle-Pock solvers")
-    params = params or SolverParams()
-    ctx = _Context(prob, params, space=space)
-    space = ctx.space
+    ctx = _setup(prob, params, space, "l2", "split_bregman_l2")
+    params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1e-3
     qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask,
                          tol=params.cg_tol, max_iter=params.cg_max_iter)
-
-    u = ctx.f.copy()
     d = space.new_y()
     b = space.new_y()
     mf = space.apply_mass(ctx.f, mask=ctx.mask)
-    lmat_t = ctx.op.transpose
-    edge_thr = prob.beta * ctx.edge_norms[:, None] / lam
-    cell_thr = prob.beta / (lam * ctx.scale)
 
-    report = SolverReport(algorithm="split-bregman",
-                          params=_echo_params(prob, params, lam=lam,
-                                              scale=ctx.scale))
-    start = time.perf_counter()
-    p = space.new_y()
-    for n in range(1, params.max_iter + 1):
-        rhs = mf + lam * lmat_t.dot(ctx.yw * (d - b))
+    def step(u, p):
+        nonlocal b
+        rhs = mf + lam * ctx.op.transpose.dot(ctx.yw * (d - b))
         u = qs.solve(rhs, x0=u)
         y = ctx.op.apply(u)
-        gb = y + b
-        space.y_edge_view(d)[:] = shrink(space.y_edge_view(gb), edge_thr)
-        if space.dofs.n_sub_basis:
-            space.y_cell_view(d)[:] = prox_vector(space.y_cell_view(gb),
-                                                  cell_thr, prob.s)
-        b = gb - d
-        p = lam * ctx.yw * b
+        b = _bregman_shrink(ctx, d, y + b, lam)
+        return u, lam * ctx.yw * b, y, None
 
-        eta_val, objective = ctx.eta(u, p, y)
-        rho = infeasibility(p, ctx.cs)
-        _record(report, objective, eta_val, rho)
-        if ctx.l2_converged(eta_val, rho, p):
-            report.converged = True
-            break
-    _finish(report, ctx, u, start, reference)
-    return DgFunction(space, u), p, report
+    report = SolverReport(algorithm="split-bregman",
+                          params=_echo_params(ctx, lam=lam))
+    return _iterate(ctx, report, step, reference)
 
 
 # -- Chambolle-Pock (TV-L2) -------------------------------------------------------
@@ -428,48 +450,25 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
                       space=None, reference=None):
     """Primal-dual extragradient iteration for TV-L2 (supports masks and the
     Huber variant through `huber_eps`)."""
-    if prob.fidelity != "l2":
-        raise ValueError("chambolle_pock_l2 expects the l2 fidelity")
-    params = params or SolverParams()
-    ctx = _Context(prob, params, space=space)
-    space = ctx.space
+    ctx = _setup(prob, params, space, "l2", "chambolle_pock_l2", huber=True)
+    params = ctx.params
     defaults = CP_STEP_DEFAULTS[prob.degree]
     sigma = params.sigma if params.sigma is not None else defaults[0]
     tau = params.tau if params.tau is not None else defaults[1]
-    huber = prob.huber_eps
-
-    u = ctx.f.copy()
-    p = space.new_y()
-    p_bar = space.new_y()
     sigma_dof = np.where(ctx.mask_dof, sigma, 0.0)
-    # prox of tau*(beta*G_eps)^*: the quadratic weight transports to
-    # tau*eps/beta ahead of the projection onto beta*P
-    huber_factor = 1.0 / (1.0 + tau * huber / prob.beta)
+    p_bar = ctx.space.new_y()
 
-    report = SolverReport(algorithm="chambolle-pock",
-                          params=_echo_params(prob, params, sigma=sigma,
-                                              tau=tau, scale=ctx.scale))
-    start = time.perf_counter()
-    for n in range(1, params.max_iter + 1):
+    def step(u, p):
+        nonlocal p_bar
         v = divergence(ctx.op, p_bar)
         u = (u + sigma * v + sigma_dof * ctx.f) / (1.0 + sigma_dof)
         y = ctx.op.apply(u)
-        q = ctx.yw * y
-        candidate = p + tau * q
-        if huber > 0:
-            candidate = candidate * huber_factor
-        p_new = project_feasible(candidate, ctx.cs)
-        p_bar = p_new + params.theta * (p_new - p)
-        p = p_new
+        p, p_bar = _cp_dual_step(ctx, p, y, tau)
+        return u, p, y, None
 
-        eta_val, objective = ctx.eta(u, p, y)
-        rho = infeasibility(p, ctx.cs)
-        _record(report, objective, eta_val, rho)
-        if ctx.l2_converged(eta_val, rho, p):
-            report.converged = True
-            break
-    _finish(report, ctx, u, start, reference)
-    return DgFunction(space, u), p, report
+    report = SolverReport(algorithm="chambolle-pock",
+                          params=_echo_params(ctx, sigma=sigma, tau=tau))
+    return _iterate(ctx, report, step, reference)
 
 
 # -- Chambolle projection (TV-L2, s = 2, full data) ---------------------------------
@@ -479,33 +478,22 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
                             space=None, reference=None):
     """Semi-implicit dual projection iteration; requires s = 2 and data on
     every cell, and recovers u = div p + f at each step."""
-    if prob.fidelity != "l2":
-        raise ValueError("chambolle_projection_l2 expects the l2 fidelity")
     if prob.s != 2:
         raise ValueError("the projection algorithm is defined for s = 2")
     if prob.omega0 is not None and not prob.omega0.all():
         raise ValueError("the projection algorithm requires data on every cell")
-    if prob.huber_eps > 0:
-        raise ValueError("the Huber variant is implemented for the "
-                         "Chambolle-Pock solvers")
-    params = params or SolverParams()
-    ctx = _Context(prob, params, space=space)
-    space = ctx.space
+    ctx = _setup(prob, params, space, "l2", "chambolle_projection_l2")
+    params, space = ctx.params, ctx.space
     if params.tau is not None:
         tau = params.tau
     else:
         # stable default: just below the inverse dual Hessian norm in the
         # (unscaled) Y* metric the update is written in
         tau = 0.9 / estimate_dual_hessian_norm(space, scale=1.0)
+    y = ctx.op.apply(ctx.f)                # Lambda u at u = div p + f, p = 0
 
-    p = space.new_y()
-    report = SolverReport(algorithm="chambolle-projection",
-                          params=_echo_params(prob, params, tau=tau,
-                                              scale=ctx.scale))
-    start = time.perf_counter()
-    u = ctx.f.copy()                       # = div p + f at p = 0
-    y = ctx.op.apply(u)
-    for n in range(1, params.max_iter + 1):
+    def step(u, p):
+        nonlocal y
         jumps = space.y_edge_view(y)
         gamma_e = np.abs(jumps) / prob.beta
         pe = space.y_edge_view(p)
@@ -516,17 +504,13 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
             pc = space.y_cell_view(p)
             pc[:] = ((pc + tau * space.cell_weights[..., None] * grads)
                      / (1.0 + tau * gamma_t)[..., None])
-
         u = divergence(ctx.op, p) + ctx.f
         y = ctx.op.apply(u)
-        eta_val, objective = ctx.eta(u, p, y)
-        rho = infeasibility(p, ctx.cs)
-        _record(report, objective, eta_val, rho)
-        if ctx.l2_converged(eta_val, rho, p):
-            report.converged = True
-            break
-    _finish(report, ctx, u, start, reference)
-    return DgFunction(space, u), p, report
+        return u, p, y, None
+
+    report = SolverReport(algorithm="chambolle-projection",
+                          params=_echo_params(ctx, tau=tau))
+    return _iterate(ctx, report, step, reference)
 
 
 # -- Chambolle-Pock (TV-L1) ----------------------------------------------------------
@@ -537,56 +521,25 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
     """Primal-dual iteration for TV-L1: DG_r is identified with its dual via
     the lumped inner product, so the divergence step is lumped and the data
     prox is a per-dof shrink toward f."""
-    if prob.fidelity != "l1":
-        raise ValueError("chambolle_pock_l1 expects the l1 fidelity")
-    params = params or SolverParams()
-    ctx = _Context(prob, params, space=space)
-    space = ctx.space
+    ctx = _setup(prob, params, space, "l1", "chambolle_pock_l1", huber=True)
+    params = ctx.params
     defaults = CP_STEP_DEFAULTS[prob.degree]
     sigma = params.sigma if params.sigma is not None else defaults[0]
     tau = params.tau if params.tau is not None else defaults[1]
-    huber = prob.huber_eps
+    p_bar = ctx.space.new_y()
 
-    u = ctx.f.copy()
-    p = space.new_y()
-    p_bar = space.new_y()
-    huber_factor = 1.0 / (1.0 + tau * huber / prob.beta)
+    def step(u, p):
+        nonlocal p_bar
+        u_bar = u + sigma * divergence(ctx.op, p_bar, lumped=True)
+        u = np.where(ctx.mask_dof, ctx.f + shrink(u_bar - ctx.f, sigma), u_bar)
+        y = ctx.op.apply(u)
+        p, p_bar = _cp_dual_step(ctx, p, y, tau)
+        return u, p, y, ctx.multiplier_bounds(
+            divergence(ctx.op, p, lumped=True))
 
     report = SolverReport(algorithm="cp-l1",
-                          params=_echo_params(prob, params, sigma=sigma,
-                                              tau=tau, scale=ctx.scale))
-    start = time.perf_counter()
-    stagnant = 0
-    for n in range(1, params.max_iter + 1):
-        v = divergence(ctx.op, p_bar, lumped=True)
-        u_prev = u
-        u_bar = u + sigma * v
-        u = np.where(ctx.mask_dof,
-                     ctx.f + shrink(u_bar - ctx.f, sigma),
-                     u_bar)
-        y = ctx.op.apply(u)
-        q = ctx.yw * y
-        candidate = p + tau * q
-        if huber > 0:
-            candidate = candidate * huber_factor
-        p_prev = p
-        p_new = project_feasible(candidate, ctx.cs)
-        p_bar = p_new + params.theta * (p_new - p)
-        p = p_new
-
-        rho = infeasibility(p, ctx.cs)
-        bound_on, _ = ctx.lumped_div_bound(p)
-        change = max(_relative_change(ctx, u, u_prev),
-                     _relative_change_ystar(ctx, p, p_prev))
-        stagnant = stagnant + 1 if change <= params.change_tol else 0
-        _record(report, ctx.objective(u, y), None, rho,
-                extras={"change": change, "multiplier_bound": bound_on})
-        if stagnant >= 5 and bound_on <= 1.01 and rho <= params.infeas_cap:
-            report.converged = True
-            break
-    report.extras["multiplier_bound"] = report.trace[-1]["multiplier_bound"]
-    _finish(report, ctx, u, start, reference)
-    return DgFunction(space, u), p, report
+                          params=_echo_params(ctx, sigma=sigma, tau=tau))
+    return _iterate(ctx, report, step, reference)
 
 
 # -- ADMM (TV-L1) ----------------------------------------------------------------------
@@ -597,71 +550,33 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
     """ADMM for TV-L1 with the double splitting d = Lambda u, e = u - f;
     the dual variable is recovered from the Bregman multipliers and the
     certificate max |lambda g| is reported."""
-    if prob.fidelity != "l1":
-        raise ValueError("admm_l1 expects the l1 fidelity")
-    if prob.huber_eps > 0:
-        raise ValueError("the Huber variant is implemented for the "
-                         "Chambolle-Pock solvers")
-    params = params or SolverParams()
-    ctx = _Context(prob, params, space=space)
-    space = ctx.space
+    ctx = _setup(prob, params, space, "l1", "admm_l1")
+    params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1.0
     qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask,
                          lumped_fidelity=True, tol=params.cg_tol,
                          max_iter=params.cg_max_iter)
-
-    u = ctx.f.copy()
     d = space.new_y()
     b = space.new_y()
     e = np.zeros(space.dim_dg)
     g = np.zeros(space.dim_dg)
-    lumped = space.lumped_weights
-    lmat_t = ctx.op.transpose
-    edge_thr = prob.beta * ctx.edge_norms[:, None] / lam
-    cell_thr = prob.beta / (lam * ctx.scale)
     e_thr = 1.0 / (lam * ctx.scale)
 
-    report = SolverReport(algorithm="admm-l1",
-                          params=_echo_params(prob, params, lam=lam,
-                                              scale=ctx.scale))
-    start = time.perf_counter()
-    stagnant = 0
-    p = space.new_y()
-    for n in range(1, params.max_iter + 1):
-        rhs = lam * ctx.scale * lumped * (e + ctx.f - g) \
-            + lam * lmat_t.dot(ctx.yw * (d - b))
-        u_prev = u
+    def step(u, p):
+        nonlocal b, e, g
+        rhs = lam * ctx.scale * space.lumped_weights * (e + ctx.f - g) \
+            + lam * ctx.op.transpose.dot(ctx.yw * (d - b))
         u = qs.solve(rhs, x0=u)
         y = ctx.op.apply(u)
-        gb = y + b
-        space.y_edge_view(d)[:] = shrink(space.y_edge_view(gb), edge_thr)
-        if space.dofs.n_sub_basis:
-            space.y_cell_view(d)[:] = prox_vector(space.y_cell_view(gb),
-                                                  cell_thr, prob.s)
+        b = _bregman_shrink(ctx, d, y + b, lam)
         z = u - ctx.f + g
         e = np.where(ctx.mask_dof, shrink(z, e_thr), z)
-        b = gb - d
         g = g + u - ctx.f - e
-        p_prev = p
-        p = lam * ctx.yw * b
+        return u, lam * ctx.yw * b, y, ctx.multiplier_bounds(lam * g)
 
-        rho = infeasibility(p, ctx.cs)
-        lam_g = np.abs(lam * g)
-        bound_on = float(lam_g[ctx.mask_dof].max())
-        bound_off = (float(lam_g[~ctx.mask_dof].max())
-                     if (~ctx.mask_dof).any() else 0.0)
-        change = max(_relative_change(ctx, u, u_prev),
-                     _relative_change_ystar(ctx, p, p_prev))
-        stagnant = stagnant + 1 if change <= params.change_tol else 0
-        _record(report, ctx.objective(u, y), None, rho,
-                extras={"change": change, "multiplier_bound": bound_on})
-        if stagnant >= 5 and bound_on <= 1.01 and rho <= params.infeas_cap:
-            report.converged = True
-            break
-    report.extras["multiplier_bound"] = bound_on
-    report.extras["multiplier_bound_masked"] = bound_off
-    _finish(report, ctx, u, start, reference)
-    return DgFunction(space, u), p, report
+    report = SolverReport(algorithm="admm-l1",
+                          params=_echo_params(ctx, lam=lam))
+    return _iterate(ctx, report, step, reference)
 
 
 ALGORITHMS = {
@@ -683,18 +598,52 @@ def solve(prob: ProblemSpec, algorithm, params: SolverParams = None,
     return fn(prob, params=params, space=space, reference=reference)
 
 
-# -- shared bookkeeping ------------------------------------------------------------
+# -- the shared loop and its bookkeeping ---------------------------------------------
 
 
-def _relative_change(ctx, u, u_prev):
-    num = math.sqrt(ctx.space.l2_norm_sq(u - u_prev))
-    den = math.sqrt(ctx.f_norm_sq) + 1e-300
-    return num / den
+def _iterate(ctx, report, step, reference):
+    """Run ``step`` from u = f, p = 0 until the stop rule holds or
+    ``max_iter`` steps are made; returns (DgFunction u, p, report).  TV-L2
+    stops on ``_Context.l2_converged``; TV-L1 after 5 consecutive relative
+    changes of u (in L2) and p (in Y*) of at most ``change_tol``, with the
+    data multiplier bound at most 1.01 and the infeasibility under its cap."""
+    params, space = ctx.params, ctx.space
+    u = ctx.f.copy()
+    p = space.new_y()
+    stagnant = 0
+    start = time.perf_counter()
+    for _ in range(params.max_iter):
+        u_prev, p_prev = u, p
+        u, p, y, bounds = step(u, p)
+        rho = infeasibility(p, ctx.cs)
+        if bounds is None:
+            eta_val, objective = ctx.eta(u, p, y)
+            _record(report, objective, eta_val, rho)
+            done = ctx.l2_converged(eta_val, rho, p)
+        else:
+            change = max(math.sqrt(space.l2_norm_sq(u - u_prev))
+                         / (math.sqrt(ctx.f_norm_sq) + 1e-300),
+                         ctx.ystar_norm(p - p_prev)
+                         / max(ctx.ystar_norm(p), 1e-30))
+            stagnant = stagnant + 1 if change <= params.change_tol else 0
+            _record(report, ctx.objective(u, y), None, rho,
+                    extras={"change": change, "multiplier_bound": bounds[0]})
+            done = (stagnant >= 5 and bounds[0] <= 1.01
+                    and rho <= params.infeas_cap)
+        if done:
+            report.converged = True
+            break
+    if bounds is not None:
+        report.extras["multiplier_bound"] = bounds[0]
+        report.extras["multiplier_bound_masked"] = bounds[1]
+    report.seconds = time.perf_counter() - start
+    if reference is not None:
+        from .metrics import psnr
 
-
-def _relative_change_ystar(ctx, p, p_prev):
-    diff = ctx.ystar_norm(np.asarray(p) - np.asarray(p_prev))
-    return diff / max(ctx.ystar_norm(p), 1e-30)
+        ref = reference.coeffs if isinstance(reference, DgFunction) else reference
+        report.psnr = psnr(DgFunction(space, u),
+                           DgFunction(space, np.asarray(ref, dtype=float)))
+    return DgFunction(space, u), p, report
 
 
 def _record(report, objective, eta_val, rho, extras=None):
@@ -713,17 +662,8 @@ def _record(report, objective, eta_val, rho, extras=None):
     report.infeasibility = rho
 
 
-def _finish(report, ctx, u, start, reference):
-    report.seconds = time.perf_counter() - start
-    if reference is not None:
-        from .metrics import psnr
-
-        ref = reference.coeffs if isinstance(reference, DgFunction) else reference
-        report.psnr = psnr(DgFunction(ctx.space, u),
-                           DgFunction(ctx.space, np.asarray(ref, dtype=float)))
-
-
-def _echo_params(prob, params, **resolved):
+def _echo_params(ctx, **resolved):
+    prob, params = ctx.prob, ctx.params
     out = {
         "beta": prob.beta,
         "s": prob.s,
@@ -735,5 +675,5 @@ def _echo_params(prob, params, **resolved):
         "infeas_cap": params.infeas_cap,
         "max_iter": params.max_iter,
     }
-    out.update(resolved)
+    out.update(resolved, scale=ctx.scale)
     return out

@@ -8,6 +8,7 @@ from fetv.mesh import build_crossed_mesh
 from fetv.metrics import NoiseSpec, add_noise, psnr
 from fetv.operators import DgFunction, divergence
 from fetv.solvers import (
+    ALGORITHMS,
     ProblemSpec,
     SolverParams,
     admm_l1,
@@ -329,24 +330,67 @@ def test_cp_inpainting_r0_does_not_stop_early():
 
 def test_trace_objective_is_primal_objective():
     """The monitor's shared fidelity/regularizer evaluation gives the
-    primal objective bit for bit."""
+    primal objective bit for bit, in all five algorithms; cp-l1 also
+    reports the multiplier bound on the masked dofs."""
     mesh, space, clean, noisy = _denoise_instance(n=8, r=1)
     omega0 = np.random.default_rng(6).random(mesh.num_cells) < 0.7
     ksq = estimate_operator_norm_sq(space, scale=1e-2)
     for mask in (None, omega0):
         prob = ProblemSpec(mesh=mesh, degree=1, f=noisy.coeffs, omega0=mask,
                            beta=1e-3)
+        l1 = ProblemSpec(mesh=mesh, degree=1, f=noisy.coeffs, omega0=mask,
+                         beta=1e-3, fidelity="l1")
+        cp_l1 = chambolle_pock_l1(l1, SolverParams(sigma=0.5,
+                                                   tau=0.9 / (0.5 * ksq),
+                                                   scale=1e-2, max_iter=300),
+                                  space=space)
         runs = [
-            split_bregman_l2(prob, SolverParams(lam=1e-3, scale=1e-2),
-                             space=space),
-            chambolle_pock_l2(prob, SolverParams(sigma=0.5,
-                                                 tau=0.9 / (0.5 * ksq),
-                                                 scale=1e-2),
-                              space=space),
+            (prob, split_bregman_l2(prob, SolverParams(lam=1e-3, scale=1e-2),
+                                    space=space)),
+            (prob, chambolle_pock_l2(prob, SolverParams(sigma=0.5,
+                                                        tau=0.9 / (0.5 * ksq),
+                                                        scale=1e-2),
+                                     space=space)),
+            (l1, cp_l1),
+            (l1, admm_l1(l1, SolverParams(scale=1e-2, max_iter=300),
+                         space=space)),
         ]
-        for u, p, rep in runs:
-            assert rep.trace[-1]["objective"] == primal_objective(u, prob)
+        if mask is None:
+            runs.append((prob, chambolle_projection_l2(
+                prob, SolverParams(max_iter=300), space=space)))
+        for pr, (u, p, rep) in runs:
+            assert rep.trace[-1]["objective"] == primal_objective(u, pr)
             assert rep.objective == rep.trace[-1]["objective"]
+            assert len(rep.trace) == rep.iterations
+        if mask is not None:
+            _, p, rep = cp_l1
+            off = ~np.repeat(mask, space.dofs.n_cell_basis)
+            div = np.abs(divergence(space.grad_jump(), p, lumped=True))
+            assert rep.extras["multiplier_bound_masked"] == div[off].max()
+            assert rep.extras["multiplier_bound"] \
+                == rep.trace[-1]["multiplier_bound"]
+
+
+def test_non_finite_data_rejected():
+    """NaN or inf on a data cell is refused before any iteration; NaN on a
+    masked cell is ignored like any other value there."""
+    mesh, space, clean, noisy = _denoise_instance(n=8, r=1)
+    omega0 = np.ones(mesh.num_cells, dtype=bool)
+    omega0[5] = False
+    params = SolverParams(max_iter=20)
+    for bad in (np.nan, np.inf, -np.inf):
+        f = noisy.coeffs.copy()
+        f[0] = bad
+        for algorithm in ALGORITHMS:
+            prob = ProblemSpec(mesh=mesh, degree=1, f=f, beta=1e-3,
+                               fidelity="l1" if "l1" in algorithm else "l2")
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                solve(prob, algorithm, params, space=space)
+    f = noisy.coeffs.copy()
+    f[5 * space.dofs.n_cell_basis] = np.nan
+    prob = ProblemSpec(mesh=mesh, degree=1, f=f, omega0=omega0, beta=1e-3)
+    u, p, rep = split_bregman_l2(prob, params, space=space)
+    assert np.isfinite(u.coeffs).all() and np.isfinite(rep.gap)
 
 
 def test_solver_input_validation(spaces_2x2):
