@@ -3,9 +3,11 @@ constraint set with its projection, and duality witness/oracle machinery.
 
 The seminorm interpolates |grad u|_s at the P_{r-1} cell nodes and the jump
 magnitude at the edge Lagrange nodes and integrates the interpolants with
-the positive Newton-Cotes weights.  Its value equals the maximum of
-<p, Lambda u> over RT dof vectors p in the constraint set P (unit box/ball
-bounds per dof), which is what the solvers exploit.
+the positive Newton-Cotes weights.  That sum is the maximum of <p, Lambda u>
+over RT dof vectors p in the constraint set P (unit box/ball bounds per
+dof), so it is computed in one place, ``support``: the support function of
+P at y = Lambda u, whose bounds ``ConstraintSetSpec`` holds.  The solvers'
+regularizer and its Huber variant are the same function of beta*P.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ __all__ = [
     "conjugate_exponent",
     "vector_norm",
     "dtv",
+    "support",
     "tv_exact",
     "ConstraintSetSpec",
     "project_feasible",
@@ -61,18 +64,26 @@ def vector_norm(vecs, s):
 
 def dtv(u: DgFunction, s=2):
     """Discrete TV seminorm: nodal-quadrature value of the TV integrals."""
-    _check_s(s)
     space = u.space
-    y = space.grad_jump().apply(u.coeffs)
-    total = float(
-        (space.edge_normal_norms(s)[:, None] * space.edge_weights
-         * np.abs(space.y_edge_view(y))).sum()
-    )
-    if space.dofs.n_sub_basis:
-        total += float(
-            (space.cell_weights * vector_norm(space.y_cell_view(y), s)).sum()
-        )
-    return total
+    return support(ConstraintSetSpec(space, 1.0, s),
+                   space.grad_jump().apply(u.coeffs))
+
+
+def support(spec, y, eps=0.0):
+    """The support function max <p, y> over p in beta*P, i.e.
+    sum_E edge_bounds * h(|y_E|) + sum_T cell_bounds * h(|y_T|_s) with h
+    the identity; eps > 0 huberizes it, h being |d|^2/(2 eps) below eps
+    and |d| - eps/2 above.  At y = Lambda u it is beta * dtv(u, s)."""
+    def h(mag):
+        if eps == 0:
+            return mag
+        return np.where(mag <= eps, mag * mag / (2.0 * eps), mag - 0.5 * eps)
+
+    space = spec.space
+    edges = np.abs(space.y_edge_view(y))
+    cells = vector_norm(space.y_cell_view(y), spec.s)
+    return (float((spec.edge_bounds * h(edges)).sum())
+            + float((spec.cell_bounds * h(cells)).sum()))
 
 
 # -- exact TV ----------------------------------------------------------------
@@ -157,25 +168,20 @@ def tv_exact(u: DgFunction, s=2):
     space = u.space
     r = space.degree
     y = space.grad_jump().apply(u.coeffs)
-    jumps = space.y_edge_view(y)
-    norms = space.edge_normal_norms(s)
-    lengths = space.mesh.edge_lengths
+    j = space.y_edge_view(y)
+    norms = vector_norm(space.mesh.edge_normals, s)
 
-    if r == 0:
-        edge_total = float((np.abs(jumps[:, 0]) * norms * lengths).sum())
-    elif r == 1:
-        integral = _edge_abs_integral_affine(jumps[:, 0], jumps[:, 1])
-        edge_total = float((integral * norms * lengths).sum())
+    # a constant (r = 0) jump is affine with equal ends: the integral is |j|
+    if r <= 1:
+        integral = _edge_abs_integral_affine(j[:, 0], j[:, -1])
     else:
-        integral = _edge_abs_integral_quadratic(
-            jumps[:, 0], jumps[:, 1], jumps[:, 2])
-        edge_total = float((integral * norms * lengths).sum())
+        integral = _edge_abs_integral_quadratic(j[:, 0], j[:, 1], j[:, 2])
+    edge_total = float((integral * norms * space.mesh.edge_lengths).sum())
 
-    if r == 0:
-        cell_total = 0.0
-    elif r == 1:
-        grads = space.y_cell_view(y)[:, 0, :]
-        cell_total = float((vector_norm(grads, s) * space.mesh.cell_areas).sum())
+    if r <= 1:
+        # constant gradient per cell: one P_0 node at r = 1, none at r = 0
+        grads = vector_norm(space.y_cell_view(y), s).sum(axis=1)
+        cell_total = float((grads * space.mesh.cell_areas).sum())
     else:
         # grad u is P1 on each cell and Lambda u holds it exactly at the P1
         # nodes, so the P1 basis carries it to the quadrature points
@@ -211,7 +217,8 @@ class ConstraintSetSpec:
             raise ValueError("beta must be positive")
         _check_s(self.s)
         space = self.space
-        self.edge_bounds = (self.beta * space.edge_normal_norms(self.s)[:, None]
+        self.edge_bounds = (self.beta
+                            * vector_norm(space.mesh.edge_normals, self.s)[:, None]
                             * space.edge_weights)
         self.cell_bounds = self.beta * space.cell_weights
 
@@ -250,14 +257,13 @@ def project_feasible(p, spec: ConstraintSetSpec):
     out = np.array(p, dtype=float)
     edge = space.y_edge_view(out)
     np.clip(edge, -spec.edge_bounds, spec.edge_bounds, out=edge)
-    if space.dofs.n_sub_basis:
-        cell = space.y_cell_view(out)
-        if spec.s == 2:
-            cell[:] = _project_l2_ball(cell, spec.cell_bounds)
-        elif spec.s == 1:
-            cell[:] = _project_linf_ball(cell, spec.cell_bounds)
-        else:
-            cell[:] = _project_l1_ball(cell, spec.cell_bounds)
+    cell = space.y_cell_view(out)
+    if spec.s == 2:
+        cell[:] = _project_l2_ball(cell, spec.cell_bounds)
+    elif spec.s == 1:
+        cell[:] = _project_linf_ball(cell, spec.cell_bounds)
+    else:
+        cell[:] = _project_l1_ball(cell, spec.cell_bounds)
     return out
 
 
@@ -270,15 +276,14 @@ def infeasibility(p, spec: ConstraintSetSpec):
     edge = space.y_edge_view(np.asarray(p))
     viol = np.maximum(np.abs(edge) - spec.edge_bounds, 0.0)
     total = float((viol ** 2 / space.edge_weights).sum())
-    if space.dofs.n_sub_basis:
-        cell = space.y_cell_view(np.asarray(p))
-        w = spec.scale * space.cell_weights
-        if spec.s == 2:
-            hinge = np.maximum(vector_norm(cell, 2) - spec.cell_bounds, 0.0)
-            total += float((hinge ** 2 / w).sum())
-        else:
-            hinge = np.maximum(np.abs(cell) - spec.cell_bounds[..., None], 0.0)
-            total += float(((hinge ** 2).sum(axis=-1) / w).sum())
+    cell = space.y_cell_view(np.asarray(p))
+    w = spec.scale * space.cell_weights
+    if spec.s == 2:
+        hinge = np.maximum(vector_norm(cell, 2) - spec.cell_bounds, 0.0)
+        total += float((hinge ** 2 / w).sum())
+    else:
+        hinge = np.maximum(np.abs(cell) - spec.cell_bounds[..., None], 0.0)
+        total += float(((hinge ** 2).sum(axis=-1) / w).sum())
     return total
 
 
@@ -288,32 +293,27 @@ def infeasibility(p, spec: ConstraintSetSpec):
 def dual_witness(u: DgFunction, s=2):
     """The maximizer of <p, Lambda u> over the unit constraint set P:
     pairing it with Lambda u reproduces dtv(u, s) exactly."""
-    _check_s(s)
     space = u.space
+    spec = ConstraintSetSpec(space, 1.0, s)
     y = space.grad_jump().apply(u.coeffs)
     p = space.new_y()
+    space.y_edge_view(p)[:] = np.sign(space.y_edge_view(y)) * spec.edge_bounds
 
-    jumps = space.y_edge_view(y)
-    space.y_edge_view(p)[:] = (np.sign(jumps)
-                               * space.edge_normal_norms(s)[:, None]
-                               * space.edge_weights)
-
-    if space.dofs.n_sub_basis:
-        w = space.y_cell_view(y)
-        c = space.cell_weights
-        cell = space.y_cell_view(p)
-        if s == math.inf:
-            lead = np.argmax(np.abs(w), axis=-1)
-            picked = np.take_along_axis(w, lead[..., None], axis=-1)[..., 0]
-            vals = np.sign(picked) * c
-            cell[:] = 0.0
-            np.put_along_axis(cell, lead[..., None], vals[..., None], axis=-1)
-        else:
-            norms = vector_norm(w, s)
-            safe = np.where(norms > 0, norms, 1.0)
-            scale = c / safe ** (s - 1)
-            cell[:] = (np.sign(w) * np.abs(w) ** (s - 1)
-                       * np.where(norms > 0, scale, 0.0)[..., None])
+    w = space.y_cell_view(y)
+    c = spec.cell_bounds
+    cell = space.y_cell_view(p)
+    if s == math.inf:
+        lead = np.argmax(np.abs(w), axis=-1)
+        picked = np.take_along_axis(w, lead[..., None], axis=-1)[..., 0]
+        vals = np.sign(picked) * c
+        cell[:] = 0.0
+        np.put_along_axis(cell, lead[..., None], vals[..., None], axis=-1)
+    else:
+        norms = vector_norm(w, s)
+        safe = np.where(norms > 0, norms, 1.0)
+        scale = c / safe ** (s - 1)
+        cell[:] = (np.sign(w) * np.abs(w) ** (s - 1)
+                   * np.where(norms > 0, scale, 0.0)[..., None])
     return p
 
 
@@ -332,19 +332,16 @@ def dual_max_bruteforce(u: DgFunction, s=2, n_samples=10000, seed=0,
 
     eb = spec.edge_bounds.ravel()
     edges = rng.uniform(-1.0, 1.0, size=(n_samples, eb.size)) * eb
-    parts = []
-    if space.dofs.n_sub_basis:
-        cb = spec.cell_bounds.reshape(-1)
-        cells = rng.uniform(-1.0, 1.0,
-                            size=(n_samples, cb.size, 2)) * cb[None, :, None]
-        if s == 2:
-            cells = _project_l2_ball(cells, np.broadcast_to(cb, cells.shape[:2]))
-        elif s == math.inf:
-            cells = _project_l1_ball(cells, np.broadcast_to(cb, cells.shape[:2]))
-        # s = 1: the conjugate ball is the box itself
-        parts.append(cells.reshape(n_samples, -1))
-    parts.append(edges)
-    samples = np.concatenate(parts, axis=1)
+    cb = spec.cell_bounds.reshape(-1)
+    cells = rng.uniform(-1.0, 1.0,
+                        size=(n_samples, cb.size, 2)) * cb[None, :, None]
+    if s == 2:
+        cells = _project_l2_ball(cells, np.broadcast_to(cb, cells.shape[:2]))
+    elif s == math.inf:
+        cells = _project_l1_ball(cells, np.broadcast_to(cb, cells.shape[:2]))
+    # s = 1: the conjugate ball is the box itself
+    samples = np.concatenate([cells.reshape(n_samples, 2 * cb.size), edges],
+                             axis=1)
     values = samples @ y
     best = float(values.max()) if n_samples else -math.inf
     if include_witness:

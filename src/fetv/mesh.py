@@ -470,21 +470,29 @@ def load_mesh(path):
         pos += 1
         return item
 
+    def count(keyword):
+        """The count of a '<keyword> <n>' line, checked against the lines
+        left so that a bad header cannot ask for a huge array."""
+        no, text = take(f"{keyword} count")
+        parts = text.split()
+        if len(parts) != 2 or parts[0] != keyword:
+            raise MeshFormatError(f"expected '{keyword} <count>'", line=no)
+        try:
+            n = int(parts[1])
+        except ValueError:
+            raise MeshFormatError(f"bad {keyword} count {parts[1]!r}",
+                                  line=no) from None
+        if not 0 <= n <= len(lines) - pos:
+            raise MeshFormatError(f"{keyword} count {n} is negative or exceeds "
+                                  f"the {len(lines) - pos} lines left", line=no)
+        return n
+
     no, text = take("header")
     if text != MESH_MAGIC:
         raise MeshFormatError(f"bad header {text!r}", line=no)
 
-    no, text = take("vertex count")
-    parts = text.split()
-    if len(parts) != 2 or parts[0] != "vertices":
-        raise MeshFormatError("expected 'vertices <count>'", line=no)
-    try:
-        n_v = int(parts[1])
-    except ValueError:
-        raise MeshFormatError(f"bad vertex count {parts[1]!r}", line=no) from None
-
-    vertices = np.empty((n_v, 2))
-    for i in range(n_v):
+    vertices = np.empty((count("vertices"), 2))
+    for i in range(len(vertices)):
         no, text = take("vertex")
         parts = text.split()
         if len(parts) != 2:
@@ -493,18 +501,11 @@ def load_mesh(path):
             vertices[i] = [float(parts[0]), float(parts[1])]
         except ValueError:
             raise MeshFormatError(f"bad coordinate in {text!r}", line=no) from None
+        if not np.isfinite(vertices[i]).all():
+            raise MeshFormatError(f"non-finite coordinate in {text!r}", line=no)
 
-    no, text = take("cell count")
-    parts = text.split()
-    if len(parts) != 2 or parts[0] != "cells":
-        raise MeshFormatError("expected 'cells <count>'", line=no)
-    try:
-        n_t = int(parts[1])
-    except ValueError:
-        raise MeshFormatError(f"bad cell count {parts[1]!r}", line=no) from None
-
-    cells = np.empty((n_t, 3), dtype=np.int64)
-    for i in range(n_t):
+    cells = np.empty((count("cells"), 3), dtype=np.int64)
+    for i in range(len(cells)):
         no, text = take("cell")
         parts = text.split()
         if len(parts) != 3:

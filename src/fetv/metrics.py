@@ -139,7 +139,10 @@ def load_noise_vector(path):
         magic = fh.read(8)
         if magic != _NOISE_MAGIC:
             raise ValueError(f"bad noise vector magic {magic!r}")
-        (count,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError("truncated noise vector header")
+        (count,) = struct.unpack("<Q", header)
         data = np.frombuffer(fh.read(8 * count), dtype="<f8")
         if data.size != count:
             raise ValueError("truncated noise vector payload")

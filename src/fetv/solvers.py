@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dtv import ConstraintSetSpec, infeasibility, project_feasible, vector_norm
+from .dtv import (ConstraintSetSpec, infeasibility, project_feasible, support,
+                  vector_norm)
 from .operators import DgFunction, QuadraticSolver, divergence
 from .spaces import FeSpace
 
@@ -209,7 +210,7 @@ class _Context:
         self.cs = ConstraintSetSpec(self.space, beta=prob.beta, s=prob.s,
                                     scale=self.scale)
         self.yw = self.space.y_weight_vector(self.scale)
-        self.edge_norms = self.space.edge_normal_norms(prob.s)
+        self.edge_norms = vector_norm(self.space.mesh.edge_normals, prob.s)
         self.f_norm_sq = self.space.l2_norm_sq(self.f, mask=self.mask)
         self.gap_floor = 1e-13 * (1.0 + self.f_norm_sq)
 
@@ -222,18 +223,9 @@ class _Context:
     # -- objective pieces --------------------------------------------------
 
     def regularizer(self, y):
-        """beta * G(Lambda u) (Huberized when requested) from y = Lambda u."""
-        if self.prob.huber_eps > 0:
-            return self.prob.beta * huber_regularizer(self.space, y,
-                                                      self.prob.huber_eps)
-        space = self.space
-        total = float((self.edge_norms[:, None] * space.edge_weights
-                       * np.abs(space.y_edge_view(y))).sum())
-        if space.dofs.n_sub_basis:
-            total += float((space.cell_weights
-                            * vector_norm(space.y_cell_view(y),
-                                          self.prob.s)).sum())
-        return self.prob.beta * total
+        """beta * G(Lambda u) (Huberized when requested) from y = Lambda u:
+        the support function of beta*P, whose bounds carry beta."""
+        return support(self.cs, y, self.prob.huber_eps)
 
     def fidelity_value(self, u):
         if self.prob.fidelity == "l2":
@@ -327,18 +319,7 @@ def huber_regularizer(space, y, eps):
     """G_eps(d): the s = 2 regularizer with the magnitude huberized, i.e.
     quadratic |d|^2/(2 eps) below |d| = eps and |d| - eps/2 above (the
     Moreau envelope of the absolute value; eps = 0 gives the plain sum)."""
-    cell = space.y_cell_view(y)
-    edge = space.y_edge_view(y)
-
-    def branch(mag):
-        if eps == 0:
-            return mag
-        return np.where(mag <= eps, mag * mag / (2.0 * eps), mag - 0.5 * eps)
-
-    total = float((space.edge_weights * branch(np.abs(edge))).sum())
-    if space.dofs.n_sub_basis:
-        total += float((space.cell_weights * branch(vector_norm(cell, 2))).sum())
-    return total
+    return support(ConstraintSetSpec(space, 1.0, 2), y, eps)
 
 
 # -- objectives and gap --------------------------------------------------------
@@ -407,10 +388,8 @@ def _bregman_shrink(ctx, d, gb, lam):
     space, prob = ctx.space, ctx.prob
     space.y_edge_view(d)[:] = shrink(space.y_edge_view(gb),
                                      prob.beta * ctx.edge_norms[:, None] / lam)
-    if space.dofs.n_sub_basis:
-        space.y_cell_view(d)[:] = prox_vector(space.y_cell_view(gb),
-                                              prob.beta / (lam * ctx.scale),
-                                              prob.s)
+    space.y_cell_view(d)[:] = prox_vector(space.y_cell_view(gb),
+                                          prob.beta / (lam * ctx.scale), prob.s)
     return gb - d
 
 
@@ -498,12 +477,11 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
         gamma_e = np.abs(jumps) / prob.beta
         pe = space.y_edge_view(p)
         pe[:] = (pe + tau * space.edge_weights * jumps) / (1.0 + tau * gamma_e)
-        if space.dofs.n_sub_basis:
-            grads = space.y_cell_view(y)
-            gamma_t = vector_norm(grads, 2) / prob.beta
-            pc = space.y_cell_view(p)
-            pc[:] = ((pc + tau * space.cell_weights[..., None] * grads)
-                     / (1.0 + tau * gamma_t)[..., None])
+        grads = space.y_cell_view(y)
+        gamma_t = vector_norm(grads, 2) / prob.beta
+        pc = space.y_cell_view(p)
+        pc[:] = ((pc + tau * space.cell_weights[..., None] * grads)
+                 / (1.0 + tau * gamma_t)[..., None])
         u = divergence(ctx.op, p) + ctx.f
         y = ctx.op.apply(u)
         return u, p, y, None

@@ -352,15 +352,6 @@ class DofMap:
 
     dim_rt = dim_y
 
-    def dg_index(self, cell, k):
-        return cell * self.n_cell_basis + k
-
-    def y_cell_index(self, cell, i, comp):
-        return (cell * self.n_sub_basis + i) * 2 + comp
-
-    def y_edge_index(self, edge, j):
-        return self.dim_y_cell + edge * self.n_edge_basis + j
-
 
 def build_dofmaps(mesh, r) -> DofMap:
     _check_degree(r)
@@ -421,17 +412,6 @@ class FeSpace:
         self.y_cell_view(w)[:] = (scale * self.cell_weights)[:, :, None]
         self.y_edge_view(w)[:] = self.edge_weights
         return w
-
-    def edge_normal_norms(self, s):
-        """|n_E|_s per interior edge."""
-        n = self.mesh.edge_normals
-        if s == 1:
-            return np.abs(n).sum(axis=1)
-        if s == 2:
-            return np.hypot(n[:, 0], n[:, 1])
-        if s == np.inf or s == "inf":
-            return np.abs(n).max(axis=1)
-        raise ValueError(f"unsupported anisotropy s={s!r}")
 
     # -- DG mass operations ----------------------------------------------------
 

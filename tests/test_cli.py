@@ -146,6 +146,15 @@ def test_dtv_command_mesh_coeffs(tmp_path, capsys):
 
     assert main(["dtv"]) == 1  # neither image nor mesh+coeffs
 
+    # a count past the end of the file is a format error, not a MemoryError
+    capsys.readouterr()
+    huge = tmp_path / "huge.mesh"
+    huge.write_text("fetv-mesh 1\nvertices 100000000000000\n0 0\ncells 0\n")
+    code = main(["dtv", "--mesh", str(huge), "--coeffs", str(coeffs)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("fetv: error:")
+
 
 def test_add_noise_command(tmp_path, disc_image):
     a = tmp_path / "noisy_a.pgm"

@@ -11,12 +11,15 @@ from fetv.dtv import (
     dual_witness,
     infeasibility,
     project_feasible,
+    support,
     tv_exact,
+    vector_norm,
     _project_l1_ball,
     _project_l2_ball,
 )
 from fetv.mesh import build_crossed_mesh, build_diagonal_square
 from fetv.operators import DgFunction, pairing
+from fetv.solvers import huber_regularizer
 from fetv.spaces import FeSpace
 
 from conftest import random_dg
@@ -155,7 +158,7 @@ def test_r2_edge_splitting_exact():
 def _cell_part_only(space, u, s=2):
     """The r = 2 cell integral of tv_exact from the reference gradients of
     the P2 basis at the quadrature points, mapped by the Jacobian."""
-    from fetv.dtv import _triangle_quadrature, vector_norm
+    from fetv.dtv import _triangle_quadrature
 
     pts, wts = _triangle_quadrature()
     gq = space.layout.eval_cell_grad(pts)
@@ -173,7 +176,7 @@ def _edge_part_only(space, u, s):
     jumps = space.y_edge_view(space.grad_jump().apply(u.coeffs))
     integral = _edge_abs_integral_quadratic(jumps[:, 0], jumps[:, 1],
                                             jumps[:, 2])
-    return float((integral * space.edge_normal_norms(s)
+    return float((integral * vector_norm(space.mesh.edge_normals, s)
                   * space.mesh.edge_lengths).sum())
 
 
@@ -269,9 +272,14 @@ def test_dual_witness_attains_dtv(r, s, spaces_unit, spaces_2x2):
         for _ in range(25):
             u = random_dg(space, rng)
             p = dual_witness(u, s)
-            value = pairing(p, op.apply(u.coeffs))
+            y = op.apply(u.coeffs)
+            value = pairing(p, y)
             target = dtv(u, s)
             assert value == pytest.approx(target, rel=1e-10, abs=1e-12)
+            # one weighted sum: the seminorm is the support function of P
+            assert support(ConstraintSetSpec(space, 1.0, s), y) == target
+            if s == 2:
+                assert huber_regularizer(space, y, 0.0) == target
             if s in (1, 2):
                 assert infeasibility(p, ConstraintSetSpec(space, 1.0, s=s)) \
                     <= 1e-20
@@ -293,6 +301,10 @@ def test_bruteforce_bounded_by_dtv(spaces_unit):
             with_witness = dual_max_bruteforce(u, s, n_samples=100, seed=5,
                                                include_witness=True)
             assert with_witness == pytest.approx(dtv(u, s), rel=1e-10)
+            # no samples leaves the witness alone, at every degree
+            assert dual_max_bruteforce(u, s, n_samples=0,
+                                       include_witness=True) \
+                == pytest.approx(dtv(u, s), rel=1e-10)
 
 
 def test_bruteforce_two_cell_near_optimal(diag_square):

@@ -136,6 +136,23 @@ def test_load_mesh_parse_errors(tmp_path):
         load_mesh(badnum)
     assert err.value.line == 3
 
+    # counts are checked against the lines left before any allocation
+    counts = tmp_path / "counts.mesh"
+    for body, line in (("vertices 100000000000000\n0 0\ncells 0\n", 2),
+                       ("vertices -1\ncells 0\n", 2),
+                       ("vertices 1\n0 0\ncells -1\n", 4)):
+        counts.write_text("fetv-mesh 1\n" + body)
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(counts)
+        assert err.value.line == line
+    for value in ("nan", "inf", "-inf"):
+        nonfinite = tmp_path / "nonfinite.mesh"
+        nonfinite.write_text(f"fetv-mesh 1\nvertices 3\n0 0\n1 {value}\n0 1\n"
+                             "cells 1\n0 1 2\n")
+        with pytest.raises(MeshFormatError) as err:
+            load_mesh(nonfinite)
+        assert err.value.line == 4
+
 
 def test_repeated_vertex_is_degenerate(tmp_path):
     path = tmp_path / "degen.mesh"

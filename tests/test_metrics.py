@@ -123,6 +123,10 @@ def test_noise_vector_errors(tmp_path):
     trunc.write_bytes(b"FETVNOI1" + (100).to_bytes(8, "little") + b"\0" * 8)
     with pytest.raises(ValueError):
         load_noise_vector(trunc)
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"FETVNOI1\x01")
+    with pytest.raises(ValueError, match="header"):
+        load_noise_vector(short)
 
 
 def test_golden_noise_field_file(tmp_path):
