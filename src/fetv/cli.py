@@ -44,7 +44,9 @@ def _solver_arguments(sub):
                      help="anisotropy exponent of the TV integrand")
     sub.add_argument("--beta", type=float, default=1e-3)
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
-                     help="augmented Lagrangian weight (split Bregman / ADMM)")
+                     help="augmented Lagrangian weight (split Bregman / ADMM; "
+                          "split Bregman starts from it and balances it on "
+                          "the residuals)")
     sub.add_argument("--sigma-step", dest="sigma", type=float, default=None,
                      help="primal step of the Chambolle-Pock iterations")
     sub.add_argument("--tau", type=float, default=None,
@@ -171,6 +173,8 @@ def _cmd_solver(args, inpaint):
             fh.write(report.to_json())
     print(f"algorithm={report.algorithm}")
     print(f"iterations={report.iterations}")
+    if "lam_final" in report.extras:
+        print(f"lambda={report.extras['lam_final']:.10g}")
     print(f"converged={str(report.converged).lower()}")
     print(f"objective={report.objective:.10g}")
     if report.psnr is not None:

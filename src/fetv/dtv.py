@@ -250,6 +250,17 @@ def _project_l1_ball(vecs, radius):
     return np.where(inside[..., None], vecs, shrunk)
 
 
+def _project_cell_ball(cells, radius, s):
+    """Euclidean projection of (..., 2) cell vectors onto the conjugate
+    ball of |.|_s with the given radii: the l2 ball for s = 2, the box for
+    s = 1 and the l1 ball for s = inf."""
+    if s == 2:
+        return _project_l2_ball(cells, radius)
+    if s == 1:
+        return _project_linf_ball(cells, radius)
+    return _project_l1_ball(cells, radius)
+
+
 def project_feasible(p, spec: ConstraintSetSpec):
     """Project an RT dof vector onto beta*P (componentwise clip on edge
     dofs; conjugate-norm ball projection on each cell dof pair)."""
@@ -258,12 +269,7 @@ def project_feasible(p, spec: ConstraintSetSpec):
     edge = space.y_edge_view(out)
     np.clip(edge, -spec.edge_bounds, spec.edge_bounds, out=edge)
     cell = space.y_cell_view(out)
-    if spec.s == 2:
-        cell[:] = _project_l2_ball(cell, spec.cell_bounds)
-    elif spec.s == 1:
-        cell[:] = _project_linf_ball(cell, spec.cell_bounds)
-    else:
-        cell[:] = _project_l1_ball(cell, spec.cell_bounds)
+    cell[:] = _project_cell_ball(cell, spec.cell_bounds, spec.s)
     return out
 
 
@@ -335,11 +341,7 @@ def dual_max_bruteforce(u: DgFunction, s=2, n_samples=10000, seed=0,
     cb = spec.cell_bounds.reshape(-1)
     cells = rng.uniform(-1.0, 1.0,
                         size=(n_samples, cb.size, 2)) * cb[None, :, None]
-    if s == 2:
-        cells = _project_l2_ball(cells, np.broadcast_to(cb, cells.shape[:2]))
-    elif s == math.inf:
-        cells = _project_l1_ball(cells, np.broadcast_to(cb, cells.shape[:2]))
-    # s = 1: the conjugate ball is the box itself
+    cells = _project_cell_ball(cells, np.broadcast_to(cb, cells.shape[:2]), s)
     samples = np.concatenate([cells.reshape(n_samples, 2 * cb.size), edges],
                              axis=1)
     values = samples @ y

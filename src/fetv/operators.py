@@ -271,8 +271,11 @@ class QuadraticSolver:
     data cells, or the fully lumped diagonal lam*scale*C_{T,k} when
     ``lumped_fidelity`` is set.  The system is SPD and solved by
     preconditioned CG; the preconditioner is block Jacobi on the cell blocks,
-    stored as the block-diagonal CSR matrix of their inverses.
+    stored as the block-diagonal CSR matrix of their inverses.  ``set_lam``
+    changes the penalty in place.
     """
+
+    _CHUNK = 2048   # cells per pass over the blocks; bounds the temporaries
 
     def __init__(self, space, grad_op, lam, scale, mask=None,
                  lumped_fidelity=False, tol=1e-8, max_iter=2000):
@@ -294,17 +297,16 @@ class QuadraticSolver:
         self.lam = lam
         self.tol = tol
         self.max_iter = max_iter
+        self._lumped = lumped_fidelity
 
         n_t = mesh.num_cells
         n_k = space.dofs.n_cell_basis
         if lumped_fidelity:
             fid = sp.diags(lam * scale * space.lumped_weights)
         else:
-            blocks = np.where(mask[:, None, None],
-                              space.mass_ref[None] * mesh.det_jacobian[:, None, None],
-                              0.0)
             fid = sp.bsr_matrix(
-                (blocks, np.arange(n_t), np.arange(n_t + 1)),
+                (self._mass_blocks(slice(None)), np.arange(n_t),
+                 np.arange(n_t + 1)),
                 shape=(space.dim_dg, space.dim_dg),
             )
         self.matrix = fid.tocsr()
@@ -317,18 +319,80 @@ class QuadraticSolver:
             # sorted rows keep the PCG matvec in a fixed summation order
             self.matrix.sort_indices()
 
-        # cell blocks: entry (k, l) of block t sits at (t*n_k + k, t*n_k + l)
-        dof = np.arange(space.dim_dg).reshape(n_t, n_k)
-        rows = np.broadcast_to(dof[:, :, None], (n_t, n_k, n_k)).ravel()
-        cols = np.broadcast_to(dof[:, None, :], (n_t, n_k, n_k)).ravel()
-        blocks = np.asarray(self.matrix[rows, cols]).reshape(n_t, n_k, n_k)
-        try:
-            block_inv = np.linalg.inv(blocks)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise RuntimeError("singular cell block in preconditioner") from exc
+        self._block_pos = self._cell_block_positions()
         self._block_inv = sp.bsr_matrix(
-            (block_inv, np.arange(n_t), np.arange(n_t + 1)),
+            (np.zeros((n_t, n_k, n_k)), np.arange(n_t), np.arange(n_t + 1)),
             shape=self.matrix.shape).tocsr()
+        self._invert_blocks()
+
+    def set_lam(self, lam):
+        """Change the penalty to ``lam`` in place: ``matrix.data`` is scaled
+        by lam / self.lam, the lam-free mass blocks are put back on the cell
+        blocks (the lumped fidelity scales with lam itself), and the block
+        inverses are rewritten into the preconditioner's storage."""
+        if not lam > 0 or self.lam == 0:
+            raise ValueError("set_lam needs a positive penalty before and "
+                             "after")
+        ratio = lam / self.lam
+        data = self.matrix.data
+        data *= ratio
+        if not self._lumped:
+            for cells in self._chunks():
+                pos = self._block_pos[cells]
+                hit = pos >= 0
+                data[pos[hit]] += (1.0 - ratio) * self._mass_blocks(cells)[hit]
+        self.lam = lam
+        self._invert_blocks()
+
+    def _chunks(self):
+        n_t = self.space.mesh.num_cells
+        return (slice(t, min(t + self._CHUNK, n_t))
+                for t in range(0, n_t, self._CHUNK))
+
+    def _mass_blocks(self, cells):
+        """The mass blocks of ``cells`` restricted to the data cells."""
+        space = self.space
+        return np.where(self.mask[cells, None, None],
+                        space.mass_ref[None]
+                        * space.mesh.det_jacobian[cells, None, None], 0.0)
+
+    def _cell_block_positions(self):
+        """Index in ``matrix.data`` of entry (k, l) of every cell block, at
+        (t*n_k + k, t*n_k + l), or -1 where it is not stored: sparse sums
+        and products drop exact zeros, so masked cells and the lumped
+        fidelity leave holes in the blocks."""
+        a = self.matrix
+        n = a.shape[1]
+        n_k = self.space.dofs.n_cell_basis
+        pos = np.empty((self.space.mesh.num_cells, n_k, n_k),
+                       dtype=a.indptr.dtype)
+        for cells in self._chunks():
+            rows = np.arange(cells.start * n_k, cells.stop * n_k,
+                             dtype=np.int64)
+            ptr = a.indptr[rows[0]:rows[-1] + 2]
+            keys = (np.repeat(rows, np.diff(ptr)) * n
+                    + a.indices[ptr[0]:ptr[-1]])
+            want = ((rows * n + rows // n_k * n_k)[:, None]
+                    + np.arange(n_k)).reshape(-1, n_k, n_k)
+            at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+            pos[cells] = np.where(keys[at] == want, ptr[0] + at, -1)
+        return pos
+
+    def _invert_blocks(self):
+        """Write the inverses of the cell blocks of ``matrix`` into the
+        block-diagonal CSR preconditioner, whose data is the row-major
+        (n_t, n_k, n_k) stack of its blocks."""
+        data = self.matrix.data
+        n_k = self.space.dofs.n_cell_basis
+        out = self._block_inv.data.reshape(-1, n_k, n_k)
+        for cells in self._chunks():
+            pos = self._block_pos[cells]
+            blocks = np.where(pos >= 0, data[pos], 0.0)
+            try:
+                out[cells] = np.linalg.inv(blocks)
+            except np.linalg.LinAlgError as exc:  # pragma: no cover
+                raise RuntimeError("singular cell block in preconditioner") \
+                    from exc
 
     def _precondition(self, r):
         return self._block_inv.dot(r)

@@ -50,6 +50,10 @@ __all__ = [
 DEFAULT_SCALE = {0: 1.0, 1: 1e-2, 2: 1e-2}
 # denoising step sizes per degree (sigma, tau) for the Chambolle-Pock runs
 CP_STEP_DEFAULTS = {0: (0.016, 0.1), 1: (0.025, 1e-2), 2: (0.03, 1e-3)}
+# split Bregman residual balancing: lam moves by a factor 2 when one
+# residual exceeds the other this many times, at most this many times
+_BALANCE_RATIO = 10.0
+_PENALTY_CHANGES = 10
 
 
 def shrink(xi, gamma):
@@ -399,7 +403,18 @@ def _bregman_shrink(ctx, d, gb, lam):
 def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
                      space=None, reference=None):
     """Split Bregman iteration for the TV-L2 problem (any mask, s in {1,2});
-    the dual variable is recovered from the Bregman multipliers."""
+    the dual variable is recovered from the Bregman multipliers.
+
+    ``params.lam`` is the starting penalty, balanced on the residuals (He,
+    Yang & Wang, JOTA 106, 2000; Boyd et al., ADMM, 2011, sec. 3.4.1):
+    after each step the primal residual ||Lambda u - d||_W and the dual
+    residual lam ||Lambda^T W (d - d_prev)||_{M^-1} are compared, and when
+    one exceeds ``_BALANCE_RATIO`` (10) times the other, lam is doubled or
+    halved, the scaled multiplier b is divided by the same factor (so p =
+    lam W b is kept) and the u-system is rescaled in place.  After
+    ``_PENALTY_CHANGES`` (10) changes lam is frozen, so the fixed-penalty
+    convergence argument holds from then on; with a budget of 0 this is the
+    paper's fixed-lam iteration."""
     ctx = _setup(prob, params, space, "l2", "split_bregman_l2")
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1e-3
@@ -408,18 +423,43 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     d = space.new_y()
     b = space.new_y()
     mf = space.apply_mass(ctx.f, mask=ctx.mask)
+    report = SolverReport(algorithm="split-bregman",
+                          params=_echo_params(ctx, lam=lam),
+                          extras={"lam_final": lam, "penalty_changes": 0})
 
     def step(u, p):
-        nonlocal b
+        nonlocal b, lam
         rhs = mf + lam * ctx.op.transpose.dot(ctx.yw * (d - b))
         u = qs.solve(rhs, x0=u)
         y = ctx.op.apply(u)
+        adapt = report.extras["penalty_changes"] < _PENALTY_CHANGES
+        d_prev = d.copy() if adapt else None
         b = _bregman_shrink(ctx, d, y + b, lam)
-        return u, lam * ctx.yw * b, y, None
+        p = lam * ctx.yw * b
+        factor = _balance_factor(ctx, y - d, d - d_prev, lam) if adapt else 1
+        if factor != 1:
+            lam *= factor
+            b /= factor
+            qs.set_lam(lam)
+            report.extras["lam_final"] = lam
+            report.extras["penalty_changes"] += 1
+        return u, p, y, None
 
-    report = SolverReport(algorithm="split-bregman",
-                          params=_echo_params(ctx, lam=lam))
     return _iterate(ctx, report, step, reference)
+
+
+def _balance_factor(ctx, primal, dual_step, lam):
+    """2 when the primal residual ||primal||_W exceeds ``_BALANCE_RATIO``
+    times the dual residual lam ||Lambda^T W dual_step||_{M^-1}, 1/2 in the
+    opposite case, else 1."""
+    r_primal = math.sqrt(primal @ (ctx.yw * primal))
+    v = ctx.op.transpose.dot(ctx.yw * dual_step)
+    r_dual = lam * math.sqrt(v @ ctx.space.apply_mass_inverse(v))
+    if r_primal > _BALANCE_RATIO * r_dual:
+        return 2.0
+    if r_dual > _BALANCE_RATIO * r_primal:
+        return 0.5
+    return 1.0
 
 
 # -- Chambolle-Pock (TV-L2) -------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -37,6 +38,18 @@ def test_denoise_runs_and_reports(tmp_path, disc_image):
     assert data["algorithm"] == "split-bregman"
     assert data["psnr"] > 20.0
     assert load_pgm(out).width == 16
+
+
+def test_denoise_prints_final_lambda(tmp_path, disc_image, capsys):
+    report = tmp_path / "report.json"
+    code = main(["denoise", "--input", str(disc_image),
+                 "--report", str(report), "--degree", "1",
+                 "--lambda", "1e-4", "--noise-sigma", "0.1"])
+    assert code == 0
+    data = json.loads(report.read_text())
+    out = capsys.readouterr().out
+    assert f"lambda={data['lam_final']:.10g}" in out.splitlines()
+    assert data["lam_final"] != 1e-4 and data["penalty_changes"] >= 1
 
 
 def test_denoise_deterministic(tmp_path, disc_image):
@@ -188,11 +201,27 @@ def test_preset_loading(tmp_path, disc_image):
 
 
 def test_shipped_presets_parse():
-    import pathlib
-
     root = pathlib.Path(__file__).resolve().parents[1] / "presets"
     files = sorted(root.glob("*.json"))
     assert len(files) >= 12
     for f in files:
         data = json.loads(f.read_text())
         assert "algorithm" in data and "degree" in data and "beta" in data
+
+
+@pytest.mark.parametrize("preset", sorted(
+    p.name for p in (pathlib.Path(__file__).resolve().parents[1]
+                     / "presets").glob("*_sb_*.json")))
+def test_shipped_sb_presets_converge(tmp_path, preset):
+    n = 32
+    xs = (np.arange(n) + 0.5) / n
+    xx, yy = np.meshgrid(xs, xs[::-1], indexing="xy")
+    values = smooth_disc(np.column_stack([xx.ravel(), yy.ravel()]))
+    image = tmp_path / "disc.pgm"
+    save_pgm(Raster(n, n, values.reshape(n, n)), image)
+    report = tmp_path / "report.json"
+    root = pathlib.Path(__file__).resolve().parents[1] / "presets"
+    code = main(["denoise", "--input", str(image), "--preset",
+                 str(root / preset), "--report", str(report)])
+    assert code == 0
+    assert json.loads(report.read_text())["converged"] is True

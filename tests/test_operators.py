@@ -272,6 +272,70 @@ def test_quadratic_solver_masked_and_errors(spaces_2x2):
         <= 1e-7 * np.linalg.norm(rhs)
 
 
+def _solver_variants(spaces_2x2):
+    """(space, scale, mask, lumped) over r = 0, 1, 2, with and without a
+    mask, and the lumped fidelity where its weights are positive."""
+    for r, space in spaces_2x2.items():
+        scale = 1e-2 if r else 1.0
+        for mask in (None, np.arange(space.mesh.num_cells) % 3 > 0):
+            for lumped in ((False, True) if r < 2 else (False,)):
+                yield space, scale, mask, lumped
+
+
+def test_quadratic_solver_blocks_match_fancy_indexing(spaces_2x2):
+    """The preconditioner read through the stored block positions is the
+    inverse of the cell blocks picked out of the matrix, bit for bit, and
+    the masked and lumped systems do have unstored block entries."""
+    holes = 0
+    for space, scale, mask, lumped in _solver_variants(spaces_2x2):
+        qs = QuadraticSolver(space, space.grad_jump(), 1e-3, scale,
+                             mask=mask, lumped_fidelity=lumped)
+        n_t, n_k = space.mesh.num_cells, space.dofs.n_cell_basis
+        dof = np.arange(space.dim_dg).reshape(n_t, n_k)
+        rows = np.broadcast_to(dof[:, :, None], (n_t, n_k, n_k)).ravel()
+        cols = np.broadcast_to(dof[:, None, :], (n_t, n_k, n_k)).ravel()
+        blocks = np.asarray(qs.matrix[rows, cols]).reshape(n_t, n_k, n_k)
+        expected = np.linalg.inv(blocks)
+        assert np.array_equal(qs._block_inv.data,
+                              expected.ravel()), (space.degree, mask, lumped)
+        holes += int((qs._block_pos < 0).sum())
+    assert holes > 0
+
+
+@pytest.mark.parametrize("factors", [(2.0, 2.0, 0.5, 2.0, 2.0, 0.5, 2.0),
+                                     (2.0, 2.0, 0.5, 3.0, 0.7)])
+def test_set_lam_matches_fresh_build(spaces_2x2, factors):
+    """Rescaling the penalty in place leaves the matrix and the block
+    inverses of a solver built afresh at the final lam, to rounding."""
+    for space, scale, mask, lumped in _solver_variants(spaces_2x2):
+        op = space.grad_jump()
+        qs = QuadraticSolver(space, op, 1e-3, scale, mask=mask,
+                             lumped_fidelity=lumped)
+        block_inv = qs._block_inv.data
+        lam = 1e-3
+        for f in factors:
+            lam *= f
+            qs.set_lam(lam)
+        assert qs.lam == lam
+        assert qs._block_inv.data is block_inv
+        fresh = QuadraticSolver(space, op, lam, scale, mask=mask,
+                                lumped_fidelity=lumped)
+        for got, want in ((qs.matrix, fresh.matrix),
+                          (qs._block_inv, fresh._block_inv)):
+            got, want = got.toarray(), want.toarray()
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_set_lam_rejects_zero(spaces_2x2):
+    space = spaces_2x2[1]
+    qs = QuadraticSolver(space, space.grad_jump(), 1e-3, 1e-2)
+    with pytest.raises(ValueError):
+        qs.set_lam(0.0)
+    mass_only = QuadraticSolver(space, space.grad_jump(), 0.0, 1e-2)
+    with pytest.raises(ValueError):
+        mass_only.set_lam(1e-3)
+
+
 def test_large_lambda_shrinks_gradient(spaces_2x2):
     """The quadratic solve damps Lambda u monotonically as lam grows."""
     space = spaces_2x2[1]
