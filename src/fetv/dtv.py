@@ -50,13 +50,18 @@ def _check_s(s, allowed=_PRIMAL_S):
 
 
 def vector_norm(vecs, s):
-    """|.|_s of an (..., 2) array of vectors."""
+    """|.|_s of an (..., 2) array of vectors.
+
+    s = 2 is sqrt(x*x + y*y), at most 1 ulp from ``np.hypot`` and several
+    times faster, for components of magnitude in [1e-150, 1e150]; beyond
+    that range the squares overflow or underflow."""
     vecs = np.asarray(vecs)
     # componentwise, since reductions over a length-2 axis are slow
     if s == 1:
         return np.abs(vecs[..., 0]) + np.abs(vecs[..., 1])
     if s == 2:
-        return np.hypot(vecs[..., 0], vecs[..., 1])
+        x, y = vecs[..., 0], vecs[..., 1]
+        return np.sqrt(x * x + y * y)
     if s == math.inf:
         return np.maximum(np.abs(vecs[..., 0]), np.abs(vecs[..., 1]))
     raise ValueError(f"unsupported anisotropy s={s!r}")
@@ -108,6 +113,7 @@ def _duffy_rule(n):
 
 
 _TRI_QUAD = None
+_CELL_BLOCK = 1024      # cells per block of quadrature-point gradients
 
 
 def _triangle_quadrature():
@@ -184,10 +190,15 @@ def tv_exact(u: DgFunction, s=2):
         cell_total = float((grads * space.mesh.cell_areas).sum())
     else:
         # grad u is P1 on each cell and Lambda u holds it exactly at the P1
-        # nodes, so the P1 basis carries it to the quadrature points
+        # nodes, so the P1 basis carries it to the quadrature points; in
+        # blocks of cells, since the (n_t, nq, 2) samples of a whole mesh
+        # and their norm temporaries would set the peak memory
         pts, wts = _triangle_quadrature()
-        gphys = space.layout.eval_sub(pts) @ space.y_cell_view(y)  # (n_t, nq, 2)
-        vals = vector_norm(gphys, s) @ wts               # per cell, ref measure
+        basis = space.layout.eval_sub(pts)
+        grads = space.y_cell_view(y)
+        vals = np.concatenate([                          # per cell, ref measure
+            vector_norm(basis @ grads[i:i + _CELL_BLOCK], s) @ wts
+            for i in range(0, len(grads), _CELL_BLOCK)])
         cell_total = float((vals * space.mesh.det_jacobian).sum())
     return edge_total + cell_total
 
@@ -228,10 +239,8 @@ def _project_linf_ball(vecs, radius):
 
 
 def _project_l2_ball(vecs, radius):
-    norms = np.hypot(vecs[..., 0], vecs[..., 1])
-    factor = np.ones_like(norms)
-    over = norms > radius
-    factor[over] = radius[over] / norms[over]
+    # the factor is exactly 1 inside the ball (positive radii)
+    factor = radius / np.maximum(vector_norm(vecs, 2), radius)
     return vecs * factor[..., None]
 
 

@@ -3,13 +3,18 @@
 All five algorithms share the same discrete ingredients: the gradient/jump
 operator, the diagonal Riesz map between gradient samples and RT dofs, and
 per-dof prox/projection kernels.  Each solver sets up its operators and a
-``step(u, p) -> (u, p, y, bounds)`` closure with y = Lambda u; the one
-loop ``_iterate`` runs it from u = f, p = 0 and owns the timer, the
+``step(u, p) -> (u, p, y, divp, bounds)`` closure with y = Lambda u; the
+one loop ``_iterate`` runs it from u = f, p = 0 and owns the timer, the
 monitor, the trace and the stop test.  The stop rule follows from the
 problem: TV-L2 steps return ``bounds = None`` and stop on the primal-dual
 gap plus a feasibility cap; TV-L1 steps return the certificate
 max |lambda g| over the data and the masked dofs and stop on iterate
 stagnation plus |lambda g| <= 1 on the data dofs.
+
+Each Chambolle-Pock iteration computes one divergence (Lambda^T, then
+M^-1 or the lumped weights), of the new dual iterate: the next primal
+step forms div p_bar from it by linearity, and a TV-L2 step returns it as
+``divp`` for the gap monitor (``None`` lets the loop compute it).
 """
 
 from __future__ import annotations
@@ -48,8 +53,11 @@ __all__ = [
 ]
 
 DEFAULT_SCALE = {0: 1.0, 1: 1e-2, 2: 1e-2}
-# denoising step sizes per degree (sigma, tau) for the Chambolle-Pock runs
-CP_STEP_DEFAULTS = {0: (0.016, 0.1), 1: (0.025, 1e-2), 2: (0.03, 1e-3)}
+# denoising step sizes per degree (sigma, tau) for the Chambolle-Pock runs,
+# the shipped presets' values: tau = 0.9 / (sigma * L) on the 64x64 crossed
+# mesh at the default scale (L = estimate_operator_norm_sq grows as h^-2)
+CP_STEP_DEFAULTS = {0: (0.016, 0.0459), 1: (0.025, 0.00478),
+                    2: (0.03, 0.00059)}
 # split Bregman residual balancing: lam moves by a factor 2 when one
 # residual exceeds the other this many times, at most this many times
 _BALANCE_RATIO = 10.0
@@ -240,14 +248,14 @@ class _Context:
     def objective(self, u, y):
         return self.fidelity_value(u) + self.regularizer(y)
 
-    def eta(self, u, p, y):
+    def eta(self, u, p, y, divp):
         """(gap, objective): the primal-dual gap used for stopping
         (Huber-adjusted if needed) and the primal objective, sharing one
-        evaluation of the fidelity and the regularizer."""
+        evaluation of the fidelity and the regularizer; y = Lambda u and
+        divp = div p."""
         fid = self.fidelity_value(u)
         reg = self.regularizer(y)
-        dual = 0.5 * self.space.l2_norm_sq(divergence(self.op, p) + self.f,
-                                           mask=self.mask)
+        dual = 0.5 * self.space.l2_norm_sq(divp + self.f, mask=self.mask)
         val = ((fid + dual) - 0.5 * self.f_norm_sq) + reg
         if self.prob.huber_eps > 0:
             w = np.asarray(p).ravel()
@@ -255,7 +263,7 @@ class _Context:
                 * float(w @ (w / self.yw))
         return val, fid + reg
 
-    def l2_converged(self, eta_val, rho, p):
+    def l2_converged(self, eta_val, rho, divp):
         """Gap and infeasibility within tolerance.  With an inpainting
         region, the dual is finite only where div p vanishes off the data
         cells, so the signed gap may cross zero early; there the residual
@@ -266,7 +274,6 @@ class _Context:
             return False
         if self.mask.all():
             return True
-        divp = divergence(self.op, p)
         return 0.5 * self.space.l2_norm_sq(divp, mask=~self.mask) <= tol
 
     def multiplier_bounds(self, g):
@@ -355,7 +362,7 @@ def gap(u: DgFunction, p, prob: ProblemSpec, context=None):
     ctx = context if context is not None else _Context(prob, SolverParams(),
                                                        space=u.space)
     y = ctx.op.apply(u.coeffs)
-    return ctx.eta(u.coeffs, p, y)[0]
+    return ctx.eta(u.coeffs, p, y, divergence(ctx.op, p))[0]
 
 
 # -- shared setup, dual step and shrink ------------------------------------------
@@ -375,14 +382,12 @@ def _setup(prob, params, space, fidelity, name, huber=False):
 def _cp_dual_step(ctx, p, y, tau):
     """Chambolle-Pock dual step from y = Lambda u: the projection of
     p + tau W y onto beta*P (after the prox of tau*(beta*G_eps)^*, whose
-    quadratic weight transports to tau*eps/beta ahead of the projection),
-    and its theta-extrapolation.  Returns (p_new, p_bar)."""
+    quadratic weight transports to tau*eps/beta ahead of the projection)."""
     candidate = p + tau * (ctx.yw * y)
     if ctx.prob.huber_eps > 0:
         candidate = candidate * (1.0 / (1.0 + tau * ctx.prob.huber_eps
                                         / ctx.prob.beta))
-    p_new = project_feasible(candidate, ctx.cs)
-    return p_new, p_new + ctx.params.theta * (p_new - p)
+    return project_feasible(candidate, ctx.cs)
 
 
 def _bregman_shrink(ctx, d, gb, lam):
@@ -443,7 +448,7 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
             qs.set_lam(lam)
             report.extras["lam_final"] = lam
             report.extras["penalty_changes"] += 1
-        return u, p, y, None
+        return u, p, y, None, None
 
     return _iterate(ctx, report, step, reference)
 
@@ -468,22 +473,24 @@ def _balance_factor(ctx, primal, dual_step, lam):
 def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
                       space=None, reference=None):
     """Primal-dual extragradient iteration for TV-L2 (supports masks and the
-    Huber variant through `huber_eps`)."""
+    Huber variant through `huber_eps`).  One divergence per iteration: with
+    d_k = div p_k, div p_bar = d_k + theta (d_k - d_{k-1})."""
     ctx = _setup(prob, params, space, "l2", "chambolle_pock_l2", huber=True)
     params = ctx.params
     defaults = CP_STEP_DEFAULTS[prob.degree]
     sigma = params.sigma if params.sigma is not None else defaults[0]
     tau = params.tau if params.tau is not None else defaults[1]
     sigma_dof = np.where(ctx.mask_dof, sigma, 0.0)
-    p_bar = ctx.space.new_y()
+    divp = divp_prev = np.zeros(ctx.space.dim_dg)
 
     def step(u, p):
-        nonlocal p_bar
-        v = divergence(ctx.op, p_bar)
+        nonlocal divp, divp_prev
+        v = divp + params.theta * (divp - divp_prev)
         u = (u + sigma * v + sigma_dof * ctx.f) / (1.0 + sigma_dof)
         y = ctx.op.apply(u)
-        p, p_bar = _cp_dual_step(ctx, p, y, tau)
-        return u, p, y, None
+        p = _cp_dual_step(ctx, p, y, tau)
+        divp_prev, divp = divp, divergence(ctx.op, p)
+        return u, p, y, divp, None
 
     report = SolverReport(algorithm="chambolle-pock",
                           params=_echo_params(ctx, sigma=sigma, tau=tau))
@@ -522,9 +529,10 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
         pc = space.y_cell_view(p)
         pc[:] = ((pc + tau * space.cell_weights[..., None] * grads)
                  / (1.0 + tau * gamma_t)[..., None])
-        u = divergence(ctx.op, p) + ctx.f
+        divp = divergence(ctx.op, p)
+        u = divp + ctx.f
         y = ctx.op.apply(u)
-        return u, p, y, None
+        return u, p, y, divp, None
 
     report = SolverReport(algorithm="chambolle-projection",
                           params=_echo_params(ctx, tau=tau))
@@ -538,22 +546,23 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
                       space=None, reference=None):
     """Primal-dual iteration for TV-L1: DG_r is identified with its dual via
     the lumped inner product, so the divergence step is lumped and the data
-    prox is a per-dof shrink toward f."""
+    prox is a per-dof shrink toward f.  The lumped div p of each new dual
+    iterate serves both the certificate and the next primal step."""
     ctx = _setup(prob, params, space, "l1", "chambolle_pock_l1", huber=True)
     params = ctx.params
     defaults = CP_STEP_DEFAULTS[prob.degree]
     sigma = params.sigma if params.sigma is not None else defaults[0]
     tau = params.tau if params.tau is not None else defaults[1]
-    p_bar = ctx.space.new_y()
+    divp = divp_prev = np.zeros(ctx.space.dim_dg)
 
     def step(u, p):
-        nonlocal p_bar
-        u_bar = u + sigma * divergence(ctx.op, p_bar, lumped=True)
+        nonlocal divp, divp_prev
+        u_bar = u + sigma * (divp + params.theta * (divp - divp_prev))
         u = np.where(ctx.mask_dof, ctx.f + shrink(u_bar - ctx.f, sigma), u_bar)
         y = ctx.op.apply(u)
-        p, p_bar = _cp_dual_step(ctx, p, y, tau)
-        return u, p, y, ctx.multiplier_bounds(
-            divergence(ctx.op, p, lumped=True))
+        p = _cp_dual_step(ctx, p, y, tau)
+        divp_prev, divp = divp, divergence(ctx.op, p, lumped=True)
+        return u, p, y, None, ctx.multiplier_bounds(divp)
 
     report = SolverReport(algorithm="cp-l1",
                           params=_echo_params(ctx, sigma=sigma, tau=tau))
@@ -590,7 +599,7 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
         z = u - ctx.f + g
         e = np.where(ctx.mask_dof, shrink(z, e_thr), z)
         g = g + u - ctx.f - e
-        return u, lam * ctx.yw * b, y, ctx.multiplier_bounds(lam * g)
+        return u, lam * ctx.yw * b, y, None, ctx.multiplier_bounds(lam * g)
 
     report = SolverReport(algorithm="admm-l1",
                           params=_echo_params(ctx, lam=lam))
@@ -632,12 +641,14 @@ def _iterate(ctx, report, step, reference):
     start = time.perf_counter()
     for _ in range(params.max_iter):
         u_prev, p_prev = u, p
-        u, p, y, bounds = step(u, p)
+        u, p, y, divp, bounds = step(u, p)
         rho = infeasibility(p, ctx.cs)
         if bounds is None:
-            eta_val, objective = ctx.eta(u, p, y)
+            if divp is None:
+                divp = divergence(ctx.op, p)
+            eta_val, objective = ctx.eta(u, p, y, divp)
             _record(report, objective, eta_val, rho)
-            done = ctx.l2_converged(eta_val, rho, p)
+            done = ctx.l2_converged(eta_val, rho, divp)
         else:
             change = max(math.sqrt(space.l2_norm_sq(u - u_prev))
                          / (math.sqrt(ctx.f_norm_sq) + 1e-300),

@@ -12,6 +12,9 @@ from fetv.operators import InnerSolveError, QuadraticSolver
 from conftest import smooth_disc
 
 
+PRESETS = pathlib.Path(__file__).resolve().parents[1] / "presets"
+
+
 @pytest.fixture()
 def disc_image(tmp_path):
     n = 16
@@ -201,18 +204,16 @@ def test_preset_loading(tmp_path, disc_image):
 
 
 def test_shipped_presets_parse():
-    root = pathlib.Path(__file__).resolve().parents[1] / "presets"
-    files = sorted(root.glob("*.json"))
+    files = sorted(PRESETS.glob("*.json"))
     assert len(files) >= 12
     for f in files:
         data = json.loads(f.read_text())
         assert "algorithm" in data and "degree" in data and "beta" in data
 
 
-@pytest.mark.parametrize("preset", sorted(
-    p.name for p in (pathlib.Path(__file__).resolve().parents[1]
-                     / "presets").glob("*_sb_*.json")))
-def test_shipped_sb_presets_converge(tmp_path, preset):
+def _converges_on_disc(tmp_path, preset):
+    """``fetv denoise --preset`` on a 32x32 smooth disc exits 0 and
+    reports a converged run."""
     n = 32
     xs = (np.arange(n) + 0.5) / n
     xx, yy = np.meshgrid(xs, xs[::-1], indexing="xy")
@@ -220,8 +221,19 @@ def test_shipped_sb_presets_converge(tmp_path, preset):
     image = tmp_path / "disc.pgm"
     save_pgm(Raster(n, n, values.reshape(n, n)), image)
     report = tmp_path / "report.json"
-    root = pathlib.Path(__file__).resolve().parents[1] / "presets"
     code = main(["denoise", "--input", str(image), "--preset",
-                 str(root / preset), "--report", str(report)])
+                 str(PRESETS / preset), "--report", str(report)])
     assert code == 0
     assert json.loads(report.read_text())["converged"] is True
+
+
+@pytest.mark.parametrize("preset", sorted(
+    p.name for p in PRESETS.glob("*_sb_*.json")))
+def test_shipped_sb_presets_converge(tmp_path, preset):
+    _converges_on_disc(tmp_path, preset)
+
+
+@pytest.mark.parametrize("preset", sorted(
+    p.name for p in PRESETS.glob("denoise_ball_cp_*.json")))
+def test_shipped_cp_denoise_presets_converge(tmp_path, preset):
+    _converges_on_disc(tmp_path, preset)

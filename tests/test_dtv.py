@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -191,6 +192,18 @@ def test_tv_exact_r2_cell_integral(s):
             assert cell == pytest.approx(_cell_part_only(space, u, s), rel=1e-12)
 
 
+@pytest.mark.parametrize("s", ALL_S)
+def test_tv_exact_r2_cell_blocks(s, monkeypatch):
+    """The r = 2 cell integral summed block by block (a block size that
+    leaves a ragged last block) equals the one-block sum."""
+    space = FeSpace(build_crossed_mesh(5, 5, 1.0, 1.0), 2)
+    u = random_dg(space, np.random.default_rng(33))
+    whole = tv_exact(u, s)
+    # the package's dtv function shadows the module of the same name
+    monkeypatch.setattr(sys.modules["fetv.dtv"], "_CELL_BLOCK", 7)
+    assert tv_exact(u, s) == pytest.approx(whole, rel=1e-14)
+
+
 def test_error_decay_rate_dg2():
     """Interpolate a smooth function into DG_2 on refined meshes: the gap
     between the seminorm and the exact TV decays at first order."""
@@ -217,6 +230,41 @@ def test_projection_kernels():
                        [[0.55, -0.45]])
     assert np.allclose(_project_l1_ball(np.array([[0.3, -0.4]]), r),
                        [[0.3, -0.4]])
+
+
+def test_vector_norm_l2_within_an_ulp_of_hypot():
+    """sqrt(x*x + y*y) against np.hypot over the documented component range
+    [1e-150, 1e150], mixed scales and signs included."""
+    rng = np.random.default_rng(31)
+    mags = 10.0 ** rng.uniform(-150, 150, size=(20000, 2))
+    vecs = mags * rng.choice([-1.0, 1.0], size=mags.shape)
+    vecs[:50, 1] = 0.0
+    vecs[50:100] = [1e-150, 1e150]
+    ref = np.hypot(vecs[:, 0], vecs[:, 1])
+    got = vector_norm(vecs, 2)
+    assert (np.abs(got - ref) <= 2.3e-16 * ref).all()
+    assert (np.abs(got - ref) <= np.spacing(ref)).all()
+    assert np.array_equal(got[:50], np.abs(vecs[:50, 0]))
+
+
+def test_l2_ball_projection_matches_masked_assignment():
+    """The branch-free factor radius / max(|v|, radius) equals the masked
+    assignment of radius / |v| where |v| > radius, bit for bit, on zero
+    vectors, vectors exactly at the radius, inside and outside."""
+    rng = np.random.default_rng(32)
+    vecs = rng.standard_normal((40, 6, 2)) * 10.0 ** rng.uniform(
+        -3, 3, size=(40, 6, 1))
+    norms = vector_norm(vecs, 2)
+    radius = norms * rng.uniform(0.5, 1.5, size=norms.shape)
+    radius[:10] = norms[:10]                    # exactly on the sphere
+    vecs[10:15] = 0.0                           # zero vectors
+    norms = vector_norm(vecs, 2)
+    factor = np.ones_like(norms)
+    over = norms > radius
+    factor[over] = radius[over] / norms[over]
+    assert over.any() and (~over).any()
+    assert np.array_equal(_project_l2_ball(vecs, radius),
+                          vecs * factor[..., None])
 
 
 def test_l1_ball_projection_is_nearest_point():

@@ -1,4 +1,6 @@
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -474,7 +476,7 @@ def _fixed_penalty_reference(prob, params, space):
         u = qs.solve(rhs, x0=u)
         y = ctx.op.apply(u)
         state["b"] = solvers._bregman_shrink(ctx, d, y + state["b"], lam)
-        return u, lam * ctx.yw * state["b"], y, None
+        return u, lam * ctx.yw * state["b"], y, None, None
 
     return solvers._iterate(ctx, SolverReport(algorithm="reference"), step,
                             None)
@@ -532,3 +534,140 @@ def test_adaptive_penalty_inpainting(r):
                                  space=space, reference=clean)
     assert rep.converged and rep.iterations <= 100
     assert rep.psnr >= psnr(DgFunction(space, f), clean) + 5.0
+
+
+def _cp_p_bar_reference(prob, params, space):
+    """The Chambolle-Pock step with the extrapolated dual iterate p_bar kept
+    as state and div p_bar formed directly (two divergences per step), run
+    through the shared loop: the reference for the one-divergence step."""
+    ctx = solvers._Context(prob, params, space=space)
+    sigma, tau, theta = params.sigma, params.tau, params.theta
+    lumped = prob.fidelity == "l1"
+    sigma_dof = np.where(ctx.mask_dof, sigma, 0.0)
+    state = {"p_bar": space.new_y()}
+
+    def step(u, p):
+        v = divergence(ctx.op, state["p_bar"], lumped=lumped)
+        if lumped:
+            u_bar = u + sigma * v
+            u = np.where(ctx.mask_dof, ctx.f + shrink(u_bar - ctx.f, sigma),
+                         u_bar)
+        else:
+            u = (u + sigma * v + sigma_dof * ctx.f) / (1.0 + sigma_dof)
+        y = ctx.op.apply(u)
+        p_new = solvers._cp_dual_step(ctx, p, y, tau)
+        state["p_bar"] = p_new + theta * (p_new - p)
+        bounds = (ctx.multiplier_bounds(divergence(ctx.op, p_new, lumped=True))
+                  if lumped else None)
+        return u, p_new, y, None, bounds
+
+    return solvers._iterate(ctx, SolverReport(algorithm="reference"), step,
+                            None)
+
+
+def _relative(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("case, r", [
+    (case, r) for case in ("plain", "mask", "huber", "l1")
+    for r in (0, 1, 2) if not (case == "l1" and r == 2)])
+def test_cp_shared_divergence_matches_p_bar_step(case, r):
+    """div p_bar = d_k + theta (d_k - d_{k-1}) is exact up to rounding:
+    after 200 steps the iterates agree to 1e-12, and a converging run stops
+    at the same iteration."""
+    mesh, space, clean, noisy = _denoise_instance(n=16, r=r)
+    # l1 runs masked: with data everywhere u = f is optimal here, every
+    # step lands in the shrink's dead zone and div p never reaches u
+    masked = case in ("mask", "l1")
+    prob = ProblemSpec(
+        mesh=mesh, degree=r, f=noisy.coeffs, beta=1e-3,
+        omega0=np.arange(mesh.num_cells) % 4 > 0 if masked else None,
+        huber_eps=1e-4 if case == "huber" else 0.0,
+        fidelity="l1" if case == "l1" else "l2")
+    solver = chambolle_pock_l1 if case == "l1" else chambolle_pock_l2
+    sigma = solvers.CP_STEP_DEFAULTS[r][0]
+    tau = 0.9 / (sigma * estimate_operator_norm_sq(
+        space, solvers.DEFAULT_SCALE[r]))
+    capped = SolverParams(sigma=sigma, tau=tau, eps_rel=0.0, max_iter=200)
+    u, p, rep = solver(prob, capped, space=space)
+    u_ref, p_ref, rep_ref = _cp_p_bar_reference(prob, capped, space)
+    assert rep.iterations == rep_ref.iterations == 200
+    assert _relative(u.coeffs, u_ref.coeffs) <= 1e-12
+    assert _relative(p, p_ref) <= 1e-12
+
+    params = SolverParams(sigma=sigma, tau=tau, max_iter=10000)
+    _, _, rep = solver(prob, params, space=space)
+    _, _, rep_ref = _cp_p_bar_reference(prob, params, space)
+    assert rep.converged and rep_ref.converged
+    assert rep.iterations == rep_ref.iterations
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_projection_hands_its_divergence_to_the_monitor(r, monkeypatch):
+    """The div p that u = div p + f is built from is the one the gap
+    monitor would compute: dropping it changes nothing, bit for bit, after
+    200 steps and (r <= 1; r = 2 needs over 12000 steps here) to
+    convergence."""
+    mesh, space, clean, noisy = _denoise_instance(n=16, r=r)
+    prob = ProblemSpec(mesh=mesh, degree=r, f=noisy.coeffs, beta=1e-3)
+    settings = [SolverParams(eps_rel=0.0, max_iter=200)]
+    if r < 2:
+        settings.append(SolverParams(eps_rel=1e-2, max_iter=2000))
+    runs = [chambolle_projection_l2(prob, params, space=space)
+            for params in settings]
+    assert runs[0][2].iterations == 200
+    assert all(rep.converged for _, _, rep in runs[1:])
+    iterate = solvers._iterate
+
+    def monitor_divergence(ctx, report, step, reference):
+        def own(u, p):
+            u, p, y, _, bounds = step(u, p)
+            return u, p, y, None, bounds
+        return iterate(ctx, report, own, reference)
+
+    monkeypatch.setattr(solvers, "_iterate", monitor_divergence)
+    for params, (u, p, rep) in zip(settings, runs):
+        u_ref, p_ref, rep_ref = chambolle_projection_l2(prob, params,
+                                                        space=space)
+        assert np.array_equal(u.coeffs, u_ref.coeffs)
+        assert np.array_equal(p, p_ref)
+        assert rep.trace == rep_ref.trace
+
+
+PRESETS = pathlib.Path(__file__).resolve().parents[1] / "presets"
+
+
+@pytest.mark.parametrize("path", sorted(PRESETS.glob("*_cp_*.json")),
+                         ids=lambda p: p.stem)
+def test_cp_presets_within_step_bound(path):
+    """sigma * tau * L <= 0.95 on the 64x64 protocol mesh, L being the
+    operator norm estimate at the preset's scale."""
+    preset = json.loads(path.read_text())
+    r = preset["degree"]
+    space = FeSpace(build_crossed_mesh(64, 64, 1.0, 1.0), r)
+    norm_sq = estimate_operator_norm_sq(
+        space, preset.get("scale", solvers.DEFAULT_SCALE[r]))
+    assert preset["sigma-step"] * preset["tau"] * norm_sq <= 0.95
+
+
+def test_cp_default_steps_are_the_denoising_presets():
+    """So the bound the presets are checked against holds for the defaults
+    too (the presets' scales are the default ones)."""
+    for r, steps in solvers.CP_STEP_DEFAULTS.items():
+        preset = json.loads(
+            (PRESETS / f"denoise_ball_cp_dg{r}.json").read_text())
+        assert (preset["sigma-step"], preset["tau"]) == steps
+        assert preset.get("scale", solvers.DEFAULT_SCALE[r]) \
+            == solvers.DEFAULT_SCALE[r]
+
+
+def test_cp_default_steps_converge_at_protocol_size():
+    """Chambolle-Pock denoising on the 64x64 protocol mesh at r = 1 with the
+    default steps converges (steps over the bound used to stall the gap)."""
+    mesh, space, clean, noisy = _denoise_instance(n=64, r=1, seed=3)
+    prob = ProblemSpec(mesh=mesh, degree=1, f=noisy.coeffs, beta=1e-3)
+    _, _, rep = chambolle_pock_l2(prob, SolverParams(max_iter=2000),
+                                  space=space, reference=clean)
+    assert rep.converged
+    assert rep.psnr >= psnr(noisy, clean) + 8.0
