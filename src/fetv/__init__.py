@@ -23,11 +23,7 @@ from .operators import (
     DgFunction,
     GradJumpOperator,
     divergence,
-    inner_y,
-    inner_ystar,
     pairing,
-    riesz,
-    riesz_inverse,
 )
 from .solvers import (
     ProblemSpec,
@@ -45,6 +41,6 @@ from .solvers import (
     solve,
     split_bregman_l2,
 )
-from .spaces import FeSpace, build_dofmaps, eval_basis, eval_basis_grad, reference_weights
+from .spaces import FeSpace, reference_weights
 
 __version__ = "0.1.0"

@@ -108,26 +108,34 @@ def build_parser():
     return parser
 
 
-_PRESET_DESTS = {"lambda": "lam", "sigma_step": "sigma"}
-
-
 def _apply_preset(argv, parser):
-    """Load --preset JSON as defaults; explicit flags still win.  Keys use
-    the CLI flag names (e.g. "lambda", "sigma-step")."""
+    """Load --preset JSON as defaults; explicit flags still win.  The preset
+    is an object whose keys are long flag names ("lambda", "sigma-step";
+    "_" may stand for "-"); each subcommand takes the keys it defines, and
+    a key no subcommand defines is an error."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--preset", default=None)
     known, _ = probe.parse_known_args(argv[1:])
-    if known.preset:
-        with open(known.preset, "r", encoding="utf-8") as fh:
-            preset = json.load(fh)
-        defaults = {}
-        for key, value in preset.items():
-            dest = key.replace("-", "_")
-            defaults[_PRESET_DESTS.get(dest, dest)] = value
-        for sub in parser._subparsers._group_actions[0].choices.values():
-            known_dests = {a.dest for a in sub._actions}
-            sub.set_defaults(**{k: v for k, v in defaults.items()
-                                if k in known_dests})
+    if not known.preset:
+        return
+    with open(known.preset, "r", encoding="utf-8") as fh:
+        preset = json.load(fh)
+    if not isinstance(preset, dict):
+        raise ValueError(f"preset {known.preset} is not a JSON object")
+    preset = {key.replace("_", "-"): value for key, value in preset.items()}
+    subs = parser._subparsers._group_actions[0].choices.values()
+    flags = [{opt[2:]: a.dest for a in sub._actions
+              for opt in a.option_strings if opt.startswith("--")}
+             for sub in subs]
+    unknown = [key for key in preset if not any(key in f for f in flags)]
+    if unknown:
+        raise ValueError(f"preset {known.preset}: unknown option "
+                         f"{', '.join(map(repr, unknown))}")
+    # as strings, which argparse passes through each option's type, so a
+    # value of the wrong type is a usage error like a bad flag
+    for sub, dests in zip(subs, flags):
+        sub.set_defaults(**{dests[key]: None if value is None else str(value)
+                            for key, value in preset.items() if key in dests})
 
 
 def _cmd_solver(args, inpaint):

@@ -20,7 +20,6 @@ import numpy as np
 from .operators import DgFunction
 
 __all__ = [
-    "conjugate_exponent",
     "vector_norm",
     "dtv",
     "support",
@@ -33,15 +32,6 @@ __all__ = [
 ]
 
 _PRIMAL_S = (1, 2, math.inf)
-
-
-def conjugate_exponent(s):
-    """Hoelder conjugate with the conventions 1* = inf and inf* = 1."""
-    if s == 1:
-        return math.inf
-    if s == math.inf:
-        return 1
-    return s / (s - 1)
 
 
 def _check_s(s, allowed=_PRIMAL_S):

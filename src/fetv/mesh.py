@@ -10,14 +10,11 @@ the lower-indexed adjacent cell (``cell_plus``) into the higher-indexed one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "Mesh",
-    "CellGeometry",
-    "InteriorEdge",
     "MeshFormatError",
     "MeshTopologyError",
     "build_crossed_mesh",
@@ -28,7 +25,7 @@ __all__ = [
 
 MESH_MAGIC = "fetv-mesh 1"
 
-# barycentric containment slack used by locate_point / locate_points
+# barycentric containment slack used by locate_points
 _LOCATE_TOL = 1e-12
 
 
@@ -44,36 +41,6 @@ class MeshFormatError(ValueError):
 
 class MeshTopologyError(ValueError):
     """Raised for degenerate cells, hanging nodes or non-manifold edges."""
-
-
-@dataclass(frozen=True)
-class CellGeometry:
-    """Record view of one cell's affine geometry (see :meth:`Mesh.cell_geometry`).
-
-    The affine map sends the reference triangle with vertices (0,0), (1,0),
-    (0,1) onto the cell: x = jacobian @ x_ref + shift.
-    """
-
-    jacobian: np.ndarray         # B_T, columns are the two edge vectors
-    shift: np.ndarray            # b_T, the first vertex
-    det: float                   # det B_T > 0 after construction
-    inv_jacobian_t: np.ndarray   # B_T^{-T}, maps reference gradients
-    area: float
-
-
-@dataclass(frozen=True)
-class InteriorEdge:
-    """Record view of one interior edge (see :meth:`Mesh.interior_edge`)."""
-
-    vertices: tuple          # global vertex pair (g0, g1), g0 < g1
-    cell_plus: int           # lower adjacent cell index
-    cell_minus: int          # higher adjacent cell index
-    facet_plus: int          # local facet index in cell_plus
-    facet_minus: int         # local facet index in cell_minus
-    orient_plus: int         # +1 if the local facet runs g0 -> g1, else -1
-    orient_minus: int
-    normal: np.ndarray       # unit normal, points from cell_plus into cell_minus
-    length: float
 
 
 class Mesh:
@@ -273,31 +240,6 @@ class Mesh:
     def num_interior_edges(self):
         return len(self.edge_vertices)
 
-    def cell_geometry(self, t) -> CellGeometry:
-        return CellGeometry(
-            jacobian=self.jacobian[t].copy(),
-            shift=self.shift[t].copy(),
-            det=float(self.det_jacobian[t]),
-            inv_jacobian_t=self.inv_jacobian_t[t].copy(),
-            area=float(self.cell_areas[t]),
-        )
-
-    def interior_edge(self, e) -> InteriorEdge:
-        return InteriorEdge(
-            vertices=(int(self.edge_vertices[e, 0]), int(self.edge_vertices[e, 1])),
-            cell_plus=int(self.edge_cells[e, 0]),
-            cell_minus=int(self.edge_cells[e, 1]),
-            facet_plus=int(self.edge_facets[e, 0]),
-            facet_minus=int(self.edge_facets[e, 1]),
-            orient_plus=int(self.edge_orientations[e, 0]),
-            orient_minus=int(self.edge_orientations[e, 1]),
-            normal=self.edge_normals[e].copy(),
-            length=float(self.edge_lengths[e]),
-        )
-
-    def cell_centroids(self):
-        return self.vertices[self.cells].mean(axis=1)
-
     def bounding_box(self):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
@@ -366,11 +308,6 @@ class Mesh:
         np.minimum.at(result, pt_ids[ok], cand[ok])
         result[result == self.num_cells] = -1
         return result
-
-    def locate_point(self, point):
-        """Return the index of a cell containing ``point``, or None if outside."""
-        hit = int(self.locate_points(np.asarray(point, dtype=float)[None, :])[0])
-        return None if hit < 0 else hit
 
     def reference_coords(self, cell_ids, points):
         """Map physical points to reference coordinates of the given cells."""

@@ -15,6 +15,7 @@ reproduced bit-for-bit in any language:
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -143,7 +144,11 @@ def load_noise_vector(path):
         if len(header) != 8:
             raise ValueError("truncated noise vector header")
         (count,) = struct.unpack("<Q", header)
+        # checked against the bytes left so that a bad header cannot ask
+        # for a huge read
+        left = (os.fstat(fh.fileno()).st_size - fh.tell()) // 8
+        if count > left:
+            raise ValueError(f"truncated noise vector payload: count {count} "
+                             f"exceeds the {left} values left")
         data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        if data.size != count:
-            raise ValueError("truncated noise vector payload")
     return data.astype(np.float64)

@@ -27,11 +27,6 @@ __all__ = [
     "QuadraticSolver",
     "pairing",
     "divergence",
-    "lumped_zero_mask",
-    "riesz",
-    "riesz_inverse",
-    "inner_y",
-    "inner_ystar",
 ]
 
 
@@ -218,8 +213,7 @@ def divergence(op, p, lumped=False):
     identity (u, div p)_inner = -<p, Lambda u> for all u.
 
     ``lumped`` selects the lumped DG inner product; entries whose lumped
-    weight C_{T,k} vanishes (degree-2 vertex nodes) are set to zero, see
-    :func:`lumped_zero_mask`.
+    weight C_{T,k} vanishes (degree-2 vertex nodes) are set to zero.
     """
     space = op.space
     w = -op.transpose.dot(np.asarray(p).ravel())
@@ -230,38 +224,6 @@ def divergence(op, p, lumped=False):
     out = np.zeros_like(w)
     np.divide(w, c, out=out, where=~zero)
     return out
-
-
-def lumped_zero_mask(space):
-    """Flat DG mask of dofs with vanishing lumped weight (flagged entries of
-    the lumped divergence)."""
-    return space.lumped_weights == 0.0
-
-
-def riesz(space, d, scale):
-    """Riesz map Y -> Y*: N_{T,i}(p) = scale*c_{T,i}*d_{T,i},
-    N_{E,j}(p) = c_{E,j}*d_{E,j}."""
-    return space.y_weight_vector(scale) * np.asarray(d).ravel()
-
-
-def riesz_inverse(space, p, scale):
-    w = space.y_weight_vector(scale)
-    if (w == 0.0).any():
-        raise ZeroDivisionError("zero quadrature weight in Riesz inverse")
-    return np.asarray(p).ravel() / w
-
-
-def inner_y(space, d, e, scale):
-    """Lumped inner product on Y."""
-    return float(np.asarray(d).ravel()
-                 @ (space.y_weight_vector(scale) * np.asarray(e).ravel()))
-
-
-def inner_ystar(space, p, q, scale):
-    """Inner product on Y* induced by the Riesz map (diagonal weights
-    1/(scale*c_{T,i}) and 1/c_{E,j})."""
-    w = space.y_weight_vector(scale)
-    return float(np.asarray(p).ravel() @ (np.asarray(q).ravel() / w))
 
 
 class QuadraticSolver:

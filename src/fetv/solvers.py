@@ -47,7 +47,6 @@ __all__ = [
     "dual_objective",
     "gap",
     "huber_regularizer",
-    "estimate_dual_hessian_norm",
     "estimate_operator_norm_sq",
     "ALGORITHMS",
 ]
@@ -289,41 +288,25 @@ class _Context:
         return math.sqrt(p @ (p / self.yw))
 
 
-def _power_iteration(apply, inner, n, seed, iterations):
-    """Rayleigh-quotient estimate of the largest eigenvalue of ``apply``,
-    self-adjoint in ``inner``, from a seeded random start in R^n."""
-    v = np.random.default_rng(seed).standard_normal(n)
+def estimate_operator_norm_sq(space, scale=1.0, iterations=60, seed=1):
+    """Power-iteration estimate of L = sup ||Lambda u||_Y^2 / ||u||_{L2}^2,
+    the Rayleigh quotient of M^-1 Lambda^T W Lambda from a seeded random
+    start.  The Chambolle-Pock steps are stable when sigma * tau stays
+    below 1/L; the projection iteration is stable for steps below 1/L at
+    scale 1, since ||div||^2 from Y* to L2 is the squared norm of the
+    adjoint."""
+    op = space.grad_jump()
+    w = space.y_weight_vector(scale)
+    v = np.random.default_rng(seed).standard_normal(space.dim_dg)
     lam = 0.0
     for _ in range(iterations):
-        kv = apply(v)
-        lam = inner(v, kv) / inner(v, v)
-        kv_norm = math.sqrt(inner(kv, kv))
+        kv = space.apply_mass_inverse(op.transpose.dot(w * op.apply(v)))
+        lam = space.l2_inner(v, kv) / space.l2_inner(v, v)
+        kv_norm = math.sqrt(space.l2_inner(kv, kv))
         if kv_norm == 0.0:
             return 0.0
         v = kv / kv_norm
     return float(lam)
-
-
-def estimate_dual_hessian_norm(space, scale=1.0, iterations=60, seed=1):
-    """Power-iteration estimate of sup ||div p||_{L2}^2 / ||p||_{Y*}^2, the
-    Lipschitz constant of the dual-objective gradient; the projection
-    iteration is stable for steps below its inverse."""
-    op = space.grad_jump()
-    w = space.y_weight_vector(scale)
-    return _power_iteration(lambda v: -w * op.apply(divergence(op, v)),
-                            lambda a, b: a @ (b / w), space.dim_y, seed,
-                            iterations)
-
-
-def estimate_operator_norm_sq(space, scale=1.0, iterations=60, seed=1):
-    """Power-iteration estimate of sup ||Lambda u||_Y^2 / ||u||_{L2}^2; the
-    Chambolle-Pock steps are stable when sigma * tau stays below its
-    inverse."""
-    op = space.grad_jump()
-    w = space.y_weight_vector(scale)
-    return _power_iteration(
-        lambda v: space.apply_mass_inverse(op.transpose.dot(w * op.apply(v))),
-        space.l2_inner, space.dim_dg, seed, iterations)
 
 
 def huber_regularizer(space, y, eps):
@@ -510,12 +493,10 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
         raise ValueError("the projection algorithm requires data on every cell")
     ctx = _setup(prob, params, space, "l2", "chambolle_projection_l2")
     params, space = ctx.params, ctx.space
-    if params.tau is not None:
-        tau = params.tau
-    else:
-        # stable default: just below the inverse dual Hessian norm in the
-        # (unscaled) Y* metric the update is written in
-        tau = 0.9 / estimate_dual_hessian_norm(space, scale=1.0)
+    # stable default: just below 1/L in the (unscaled) Y* metric the update
+    # is written in
+    tau = (params.tau if params.tau is not None
+           else 0.9 / estimate_operator_norm_sq(space, scale=1.0))
     y = ctx.op.apply(ctx.f)                # Lambda u at u = div p + f, p = 0
 
     def step(u, p):

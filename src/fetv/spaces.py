@@ -29,9 +29,6 @@ __all__ = [
     "DofMap",
     "FeSpace",
     "reference_weights",
-    "eval_basis",
-    "eval_basis_grad",
-    "build_dofmaps",
 ]
 
 SUPPORTED_DEGREES = (0, 1, 2)
@@ -289,26 +286,6 @@ def _reference_mass_exact(r):
     return mass
 
 
-def eval_basis(r, domain, point):
-    """Nodal basis values of P_r at one reference point.
-
-    ``domain`` is 'cell' (point is (x, y) in the reference triangle) or
-    'edge' (point is a parameter t in [0, 1]).
-    """
-    lay = lagrange_layout(r)
-    if domain == "cell":
-        return lay.eval_cell(np.asarray(point, dtype=float)[None, :])[0]
-    if domain == "edge":
-        return lay.eval_edge(np.asarray([point], dtype=float))[0]
-    raise ValueError(f"unknown domain {domain!r}")
-
-
-def eval_basis_grad(r, point):
-    """Reference gradients of the P_r cell basis at one point, (n_cell, 2)."""
-    lay = lagrange_layout(r)
-    return lay.eval_cell_grad(np.asarray(point, dtype=float)[None, :])[0]
-
-
 @dataclass(frozen=True)
 class DofMap:
     """Flat index layout for DG_r coefficients and for Y / RT dof vectors.
@@ -350,14 +327,6 @@ class DofMap:
     def dim_y(self):
         return self.dim_y_cell + self.dim_y_edge
 
-    dim_rt = dim_y
-
-
-def build_dofmaps(mesh, r) -> DofMap:
-    _check_degree(r)
-    return DofMap(degree=r, num_cells=mesh.num_cells,
-                  num_edges=mesh.num_interior_edges)
-
 
 class FeSpace:
     """DG_r on a mesh together with the Y / RT dof layout and all weight
@@ -368,9 +337,9 @@ class FeSpace:
         self.mesh = mesh
         self.degree = r
         self.layout = lagrange_layout(r)
-        self.dofs = build_dofmaps(mesh, r)
+        self.dofs = DofMap(degree=r, num_cells=mesh.num_cells,
+                           num_edges=mesh.num_interior_edges)
         ref = reference_weights(r)
-        self.ref_weights = ref
 
         area = mesh.cell_areas
         self.cell_weights = area[:, None] * _to_float([ref.cell_interior])  # c_{T,i}

@@ -299,7 +299,7 @@ def test_criterion_11_isotropy():
         space = FeSpace(mesh, 0)
         u = DgFunction(space, np.array([0.0, 1.0]))
         values.append(dtv(u, 2))
-        n = mesh.interior_edge(0).normal
+        n = mesh.edge_normals[0]
         expected = math.sqrt(2.0) * float(np.abs(n).sum())
         assert dtv(u, 1) == pytest.approx(expected, abs=1e-12)
     assert max(values) - min(values) <= 1e-12

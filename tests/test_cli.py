@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from fetv.cli import main
+from fetv.cli import _apply_preset, build_parser, main
 from fetv.images import Raster, load_pgm, save_pgm
 from fetv.mesh import load_mesh
 from fetv.operators import InnerSolveError, QuadraticSolver
@@ -204,11 +204,66 @@ def test_preset_loading(tmp_path, disc_image):
 
 
 def test_shipped_presets_parse():
+    """Every shipped preset is accepted by the CLI and sets each of its
+    keys as the default of the matching denoise/inpaint option."""
     files = sorted(PRESETS.glob("*.json"))
-    assert len(files) >= 12
+    assert len(files) == 14
+    dests = {"lambda": "lam", "sigma-step": "sigma"}
     for f in files:
         data = json.loads(f.read_text())
         assert "algorithm" in data and "degree" in data and "beta" in data
+        for command in (["denoise"], ["inpaint", "--mask", "m.txt"]):
+            argv = ["fetv", *command, "--input", "x.pgm", "--preset", str(f)]
+            parser = build_parser()
+            _apply_preset(argv, parser)
+            args = parser.parse_args(argv[1:])
+            for key, value in data.items():
+                dest = dests.get(key, key).replace("-", "_")
+                assert getattr(args, dest) == value, (f.name, key)
+
+
+@pytest.mark.parametrize("body", ["[1, 2]", '"x"', "3", "null"])
+def test_preset_not_an_object(tmp_path, disc_image, capsys, body):
+    preset = tmp_path / "preset.json"
+    preset.write_text(body)
+    code = main(["denoise", "--input", str(disc_image),
+                 "--preset", str(preset)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("fetv: error: ")
+    assert "not a JSON object" in err[0]
+
+
+def test_preset_unknown_key(tmp_path, disc_image, capsys):
+    """A misspelt key is an error, not a silent run with the default."""
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps({"lamda": 0.01, "beta": 1e-3}))
+    report = tmp_path / "rep.json"
+    code = main(["denoise", "--input", str(disc_image),
+                 "--preset", str(preset), "--report", str(report)])
+    assert code == 1
+    assert not report.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("fetv: error: ")
+    assert "'lamda'" in err[0]
+    # a key that only another subcommand defines is not an error
+    preset.write_text(json.dumps({"mask": "m.txt", "lambda": 1e-3}))
+    code = main(["denoise", "--input", str(disc_image),
+                 "--preset", str(preset), "--max-iter", "2"])
+    assert code in (0, 2)
+
+
+def test_preset_value_of_wrong_type(tmp_path, disc_image, capsys):
+    """Preset values go through the option's type like a flag's value."""
+    preset = tmp_path / "preset.json"
+    for body, flag in (({"beta": [1]}, "--beta"), ({"theta": True}, "--theta"),
+                       ({"max-iter": 2.5}, "--max-iter")):
+        preset.write_text(json.dumps(body))
+        code = main(["denoise", "--input", str(disc_image),
+                     "--preset", str(preset)])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert f"error: argument {flag}: invalid" in err[-1]
 
 
 def _converges_on_disc(tmp_path, preset):

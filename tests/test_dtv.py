@@ -6,7 +6,6 @@ import pytest
 
 from fetv.dtv import (
     ConstraintSetSpec,
-    conjugate_exponent,
     dtv,
     dual_max_bruteforce,
     dual_witness,
@@ -28,12 +27,6 @@ from conftest import random_dg
 ALL_S = (1, 2, math.inf)
 
 
-def test_conjugate_exponent():
-    assert conjugate_exponent(1) == math.inf
-    assert conjugate_exponent(math.inf) == 1
-    assert conjugate_exponent(2) == 2
-
-
 def test_dtv_of_constant_is_zero(spaces_2x2, spaces_rotated):
     for space in list(spaces_2x2.values()) + spaces_rotated:
         for value in (0.8, 3.7, -1e3):
@@ -52,7 +45,7 @@ def test_step_function_values():
         space = FeSpace(mesh, 0)
         u = DgFunction(space, np.array([0.0, 1.0]))
         iso.append(dtv(u, 2))
-        n = mesh.interior_edge(0).normal
+        n = mesh.edge_normals[0]
         assert dtv(u, 1) == pytest.approx(
             math.sqrt(2.0) * np.abs(n).sum(), rel=1e-12)
     assert max(iso) - min(iso) <= 1e-12

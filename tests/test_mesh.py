@@ -51,7 +51,7 @@ def test_cell_areas_sum():
 def test_edge_normal_points_plus_to_minus():
     for m in (build_crossed_mesh(3, 3, 1.0, 1.0),
               build_diagonal_square(0.7)):
-        centroids = m.cell_centroids()
+        centroids = m.vertices[m.cells].mean(axis=1)
         delta = centroids[m.edge_cells[:, 1]] - centroids[m.edge_cells[:, 0]]
         assert ((delta * m.edge_normals).sum(axis=1) > 0).all()
         lens = np.hypot(m.edge_normals[:, 0], m.edge_normals[:, 1])
@@ -81,33 +81,29 @@ def test_diagonal_square_geometry():
     m = build_diagonal_square(0.0)
     assert m.num_cells == 2
     assert m.num_interior_edges == 1
-    e = m.interior_edge(0)
-    assert e.length == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    assert abs(abs(e.normal @ np.array([1.0, 1.0]) / math.sqrt(2)) - 1.0) <= 1e-14
+    assert m.edge_lengths[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    normal = m.edge_normals[0]
+    assert abs(abs(normal @ np.array([1.0, 1.0]) / math.sqrt(2)) - 1.0) <= 1e-14
 
     rot = build_diagonal_square(math.pi / 4)
     assert rot.num_cells == 2 and rot.num_interior_edges == 1
 
     quarter = build_diagonal_square(math.pi / 2)
-    n = quarter.interior_edge(0).normal
+    n = quarter.edge_normals[0]
     assert abs(np.abs(n).sum() - math.sqrt(2.0)) <= 1e-12
 
 
 def test_locate_centroids_and_outside():
     m = build_crossed_mesh(2, 2, 1.0, 1.0)
-    centroids = m.cell_centroids()
-    for t in range(m.num_cells):
-        assert m.locate_point(centroids[t]) == t
-    assert m.locate_point((5.0, 5.0)) is None
-    assert m.locate_point((-0.2, 0.5)) is None
+    centroids = m.vertices[m.cells].mean(axis=1)
+    assert (m.locate_points(centroids) == np.arange(m.num_cells)).all()
+    assert (m.locate_points([(5.0, 5.0), (-0.2, 0.5)]) == -1).all()
 
 
 def test_locate_edge_midpoint_tie():
     m = build_crossed_mesh(2, 2, 1.0, 1.0)
-    for e in range(m.num_interior_edges):
-        g0, g1 = m.edge_vertices[e]
-        mid = 0.5 * (m.vertices[g0] + m.vertices[g1])
-        assert m.locate_point(mid) == min(m.edge_cells[e, 0], m.edge_cells[e, 1])
+    mid = m.vertices[m.edge_vertices].mean(axis=1)
+    assert (m.locate_points(mid) == m.edge_cells.min(axis=1)).all()
 
 
 def test_save_load_roundtrip(tmp_path, unit_crossed):
@@ -180,14 +176,13 @@ def test_hanging_node_rejected():
 
 def test_cell_geometry_maps_reference_vertices():
     m = build_crossed_mesh(2, 1, 2.0, 1.0)
+    ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     for t in (0, 5):
-        geo = m.cell_geometry(t)
-        ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        mapped = ref @ geo.jacobian.T + geo.shift
+        mapped = ref @ m.jacobian[t].T + m.shift[t]
         assert np.allclose(mapped, m.vertices[m.cells[t]], atol=1e-15)
-        assert geo.det > 0
-        assert geo.area == pytest.approx(geo.det / 2.0)
-        assert np.allclose(geo.inv_jacobian_t @ geo.jacobian.T, np.eye(2),
+        assert m.det_jacobian[t] > 0
+        assert m.cell_areas[t] == pytest.approx(m.det_jacobian[t] / 2.0)
+        assert np.allclose(m.inv_jacobian_t[t] @ m.jacobian[t].T, np.eye(2),
                            atol=1e-14)
 
 

@@ -123,6 +123,11 @@ def test_noise_vector_errors(tmp_path):
     trunc.write_bytes(b"FETVNOI1" + (100).to_bytes(8, "little") + b"\0" * 8)
     with pytest.raises(ValueError):
         load_noise_vector(trunc)
+    # a count past the index range is a ValueError too, not an OverflowError
+    huge = tmp_path / "huge.bin"
+    huge.write_bytes(b"FETVNOI1" + b"\xff" * 8 + b"\0" * 8)
+    with pytest.raises(ValueError, match="exceeds"):
+        load_noise_vector(huge)
     short = tmp_path / "short.bin"
     short.write_bytes(b"FETVNOI1\x01")
     with pytest.raises(ValueError, match="header"):

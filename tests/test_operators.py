@@ -8,13 +8,9 @@ from fetv.operators import (
     DgFunction,
     QuadraticSolver,
     divergence,
-    inner_y,
-    inner_ystar,
-    lumped_zero_mask,
     pairing,
-    riesz,
-    riesz_inverse,
 )
+from fetv.solvers import ProblemSpec, SolverParams, _Context
 from fetv.spaces import FeSpace
 
 from rt_oracle import oracle_lumped_divergence, oracle_pairing, to_field_dofs
@@ -134,12 +130,13 @@ def test_lumped_divergence_is_quasi_interpolant(unit_crossed, r):
     ref = oracle_lumped_divergence(space, to_field_dofs(space, p))
     assert np.abs(mine - ref).max() <= 1e-9 * (1 + np.abs(ref).max())
     if r == 2:
-        zero = lumped_zero_mask(space)
+        zero = space.lumped_weights == 0.0
         assert zero.any()
         assert np.abs(mine[zero]).max() == 0.0
 
 
 def test_riesz_examples_and_inverse():
+    """The Riesz map Y -> Y* is the diagonal y_weight_vector(scale)."""
     # an interior edge of length 1/2: crossed square of side 1/sqrt(2)
     side = 1.0 / math.sqrt(2.0)
     mesh = build_crossed_mesh(1, 1, side, side)
@@ -147,37 +144,48 @@ def test_riesz_examples_and_inverse():
     assert space.edge_weights[0, 0] == pytest.approx(0.5, rel=1e-14)
     d = space.new_y()
     space.y_edge_view(d)[0, 0] = 2.0
-    p = riesz(space, d, 1.0)
+    p = space.y_weight_vector(1.0) * d
     assert space.y_edge_view(p)[0, 0] == pytest.approx(1.0, rel=1e-14)
 
     rng = np.random.default_rng(8)
     for r in (0, 1, 2):
         sp = FeSpace(mesh, r)
         for scale in (1.0, 1e-2):
+            w = sp.y_weight_vector(scale)
+            assert (w > 0).all()
             d = rng.standard_normal(sp.dim_y)
-            assert np.abs(riesz_inverse(sp, riesz(sp, d, scale), scale)
-                          - d).max() <= 1e-14 * np.abs(d).max()
-            assert np.abs(riesz(sp, sp.new_y(), scale)).max() == 0.0
+            assert np.abs((w * d) / w - d).max() <= 1e-14 * np.abs(d).max()
+            assert np.abs(w * sp.new_y()).max() == 0.0
 
 
 def test_inner_products_compatible(spaces_2x2):
+    """The solvers' Y* norm of a Riesz image equals the lumped Y norm, and
+    the Y* inner product (weights 1/w) of Riesz images equals the Y inner
+    product (weights w)."""
     rng = np.random.default_rng(11)
     for space in spaces_2x2.values():
+        prob = ProblemSpec(mesh=space.mesh, degree=space.degree,
+                           f=np.zeros(space.dim_dg))
         for scale in (1.0, 1e-2):
+            ctx = _Context(prob, SolverParams(scale=scale), space=space)
+            w = space.y_weight_vector(scale)
+            assert (ctx.yw == w).all()
             d = rng.standard_normal(space.dim_y)
             e = rng.standard_normal(space.dim_y)
-            left = inner_ystar(space, riesz(space, d, scale),
-                               riesz(space, e, scale), scale)
-            right = inner_y(space, d, e, scale)
+            left = float((w * d) @ ((w * e) / w))
+            right = float(d @ (w * e))
             assert left == pytest.approx(right, rel=1e-13)
-            assert inner_y(space, d, d, scale) > 0
+            assert float(d @ (w * d)) > 0
+            assert ctx.ystar_norm(w * d) ** 2 == pytest.approx(
+                float(d @ (w * d)), rel=1e-13)
 
 
 def test_inner_y_single_edge(diag_square):
     space = FeSpace(diag_square, 0)
     d = space.new_y()
     space.y_edge_view(d)[0, 0] = 1.0
-    assert inner_y(space, d, d, 7.3) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    w = space.y_weight_vector(7.3)
+    assert float(d @ (w * d)) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
 def test_rotation_equivariance():

@@ -108,6 +108,38 @@ def test_chambolle_projection_constant(spaces_2x2):
     assert np.abs(p).max() == 0.0
 
 
+def test_projection_default_tau_uses_the_operator_norm(spaces_2x2):
+    """The projection step's default is 0.9 / L with L the operator norm
+    estimate at scale 1, and L bounds that step: computed densely,
+    ||div||^2 from Y* (scale 1) to L2 equals ||Lambda||^2 from L2 to Y."""
+    import scipy.linalg
+
+    for r, space in spaces_2x2.items():
+        prob = ProblemSpec(mesh=space.mesh, degree=r,
+                           f=space.interpolate(smooth_disc), beta=1e-2)
+        _, _, rep = chambolle_projection_l2(
+            prob, SolverParams(max_iter=1), space=space)
+        norm_sq = estimate_operator_norm_sq(space, scale=1.0)
+        assert rep.params["tau"] == 0.9 / norm_sq
+
+        op = space.grad_jump()
+        w = space.y_weight_vector(1.0)
+        mass = np.column_stack([space.apply_mass(e)
+                                for e in np.eye(space.dim_dg)])
+        lam = op.matrix.toarray()
+        lambda_sq = scipy.linalg.eigh(lam.T @ (w[:, None] * lam), mass,
+                                      eigvals_only=True).max()
+        # ||div p||^2 / ||p||^2_{Y*}, a plain Rayleigh quotient in
+        # q = p / sqrt(w)
+        div = np.column_stack([divergence(op, e)
+                               for e in np.eye(space.dim_y)]) * np.sqrt(w)
+        div_sq = np.linalg.eigvalsh(div.T @ mass @ div).max()
+        assert div_sq == pytest.approx(lambda_sq, rel=1e-10)
+        # a Rayleigh quotient: from below, close enough that 0.9 / L holds
+        assert 0.95 * lambda_sq <= norm_sq <= lambda_sq * (1 + 1e-12)
+        assert rep.params["tau"] * div_sq < 1.0
+
+
 def test_split_bregman_large_beta_gives_mean():
     mesh, space, clean, noisy = _denoise_instance(n=8)
     prob = ProblemSpec(mesh=mesh, degree=0, f=noisy.coeffs, beta=1e3)

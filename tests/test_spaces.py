@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from fetv.mesh import build_crossed_mesh
-from fetv.spaces import (
-    build_dofmaps,
-    eval_basis,
-    eval_basis_grad,
-    lagrange_layout,
-    reference_weights,
-)
+from fetv.spaces import FeSpace, lagrange_layout, reference_weights
 
 F = Fraction
 
@@ -76,8 +70,9 @@ def test_nodal_duality():
 
 
 def test_eval_basis_examples():
-    assert np.allclose(eval_basis(1, "cell", (0.0, 0.0)), [1.0, 0.0, 0.0])
-    assert np.allclose(eval_basis(2, "edge", 0.5), [0.0, 1.0, 0.0])
+    assert np.allclose(lagrange_layout(1).eval_cell([(0.0, 0.0)])[0],
+                       [1.0, 0.0, 0.0])
+    assert np.allclose(lagrange_layout(2).eval_edge(0.5)[0], [0.0, 1.0, 0.0])
 
 
 def test_partition_of_unity_and_gradients():
@@ -90,7 +85,7 @@ def test_partition_of_unity_and_gradients():
         assert np.abs(grads.sum(axis=1)).max() <= 1e-13
         te = rng.random(17)
         assert np.abs(lay.eval_edge(te).sum(axis=1) - 1.0).max() <= 1e-13
-    g = eval_basis_grad(1, (0.3, 0.3))
+    g = lagrange_layout(1).eval_cell_grad([(0.3, 0.3)])[0]
     assert np.allclose(g, [[-1, -1], [1, 0], [0, 1]])
 
 
@@ -113,18 +108,18 @@ def test_quadrature_exact_on_own_space():
 
 
 def test_dofmap_dimensions(unit_crossed):
-    d0 = build_dofmaps(unit_crossed, 0)
-    assert d0.dim_dg == 4 and d0.dim_rt == 4          # N_E * (r+1), N_E = 4
-    d1 = build_dofmaps(unit_crossed, 1)
+    d0 = FeSpace(unit_crossed, 0).dofs
+    assert d0.dim_dg == 4 and d0.dim_y == 4           # N_E * (r+1), N_E = 4
+    d1 = FeSpace(unit_crossed, 1).dofs
     assert d1.dim_dg == 12
-    assert d1.dim_rt == 4 * 2 + 4 * 2                 # N_T r(r+1) + N_E (r+1)
-    d2 = build_dofmaps(unit_crossed, 2)
-    assert d2.dim_dg == 24 and d2.dim_rt == 4 * 6 + 4 * 3
+    assert d1.dim_y == 4 * 2 + 4 * 2                  # N_T r(r+1) + N_E (r+1)
+    d2 = FeSpace(unit_crossed, 2).dofs
+    assert d2.dim_dg == 24 and d2.dim_y == 4 * 6 + 4 * 3
 
 
 def test_dofmap_paper_scale():
     mesh = build_crossed_mesh(256, 256, 256.0, 256.0)
-    assert build_dofmaps(mesh, 1).dim_dg == 786432
+    assert FeSpace(mesh, 1).dofs.dim_dg == 786432
 
 
 def test_mass_matrix_row_sums(spaces_unit):
