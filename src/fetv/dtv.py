@@ -225,13 +225,16 @@ class ConstraintSetSpec:
 
 
 def _project_linf_ball(vecs, radius):
-    return np.clip(vecs, -radius[..., None], radius[..., None])
+    return np.clip(vecs, -radius[..., None], radius[..., None], out=vecs)
 
 
 def _project_l2_ball(vecs, radius):
     # the factor is exactly 1 inside the ball (positive radii)
-    factor = radius / np.maximum(vector_norm(vecs, 2), radius)
-    return vecs * factor[..., None]
+    factor = vector_norm(vecs, 2)
+    np.maximum(factor, radius, out=factor)
+    np.divide(radius, factor, out=factor)
+    vecs *= factor[..., None]
+    return vecs
 
 
 def _project_l1_ball(vecs, radius):
@@ -246,13 +249,15 @@ def _project_l1_ball(vecs, radius):
     theta = np.where(lo <= theta1, theta1, theta2)
     theta = np.where(inside, 0.0, np.maximum(theta, 0.0))
     shrunk = np.sign(vecs) * np.maximum(a - theta[..., None], 0.0)
-    return np.where(inside[..., None], vecs, shrunk)
+    vecs[:] = np.where(inside[..., None], vecs, shrunk)
+    return vecs
 
 
 def _project_cell_ball(cells, radius, s):
-    """Euclidean projection of (..., 2) cell vectors onto the conjugate
-    ball of |.|_s with the given radii: the l2 ball for s = 2, the box for
-    s = 1 and the l1 ball for s = inf."""
+    """Euclidean projection, in place, of (..., 2) cell vectors onto the
+    conjugate ball of |.|_s with the given radii: the l2 ball for s = 2,
+    the box for s = 1 and the l1 ball for s = inf.  Each ball kernel
+    overwrites its argument and returns it."""
     if s == 2:
         return _project_l2_ball(cells, radius)
     if s == 1:
@@ -260,16 +265,30 @@ def _project_cell_ball(cells, radius, s):
     return _project_l1_ball(cells, radius)
 
 
-def project_feasible(p, spec: ConstraintSetSpec):
-    """Project an RT dof vector onto beta*P (componentwise clip on edge
-    dofs; conjugate-norm ball projection on each cell dof pair)."""
+def _project_in_place(out, spec: ConstraintSetSpec):
+    """Overwrite the RT dof vector ``out`` (a float array) with its
+    projection onto beta*P and return it: the body of
+    ``project_feasible`` for callers that own a fresh candidate."""
     space = spec.space
-    out = np.array(p, dtype=float)
     edge = space.y_edge_view(out)
     np.clip(edge, -spec.edge_bounds, spec.edge_bounds, out=edge)
-    cell = space.y_cell_view(out)
-    cell[:] = _project_cell_ball(cell, spec.cell_bounds, spec.s)
+    _project_cell_ball(space.y_cell_view(out), spec.cell_bounds, spec.s)
     return out
+
+
+def project_feasible(p, spec: ConstraintSetSpec):
+    """Project an RT dof vector onto beta*P (componentwise clip on edge
+    dofs; conjugate-norm ball projection on each cell dof pair): a copy
+    of ``p`` projected by ``_project_in_place``; ``p`` is left as it is."""
+    return _project_in_place(np.array(p, dtype=float), spec)
+
+
+def _squared_hinge(mag, bound):
+    """max(mag - bound, 0)^2, computed in the buffer of ``mag``."""
+    mag -= bound
+    np.maximum(mag, 0.0, out=mag)
+    mag *= mag
+    return mag
 
 
 def infeasibility(p, spec: ConstraintSetSpec):
@@ -278,17 +297,19 @@ def infeasibility(p, spec: ConstraintSetSpec):
     if spec.s not in (1, 2):
         raise ValueError("infeasibility is defined for s in {1, 2}")
     space = spec.space
-    edge = space.y_edge_view(np.asarray(p))
-    viol = np.maximum(np.abs(edge) - spec.edge_bounds, 0.0)
-    total = float((viol ** 2 / space.edge_weights).sum())
-    cell = space.y_cell_view(np.asarray(p))
+    p = np.asarray(p, dtype=float)
+    viol = _squared_hinge(np.abs(space.y_edge_view(p)), spec.edge_bounds)
+    viol /= space.edge_weights
+    total = float(viol.sum())
+    cell = space.y_cell_view(p)
     w = spec.scale * space.cell_weights
     if spec.s == 2:
-        hinge = np.maximum(vector_norm(cell, 2) - spec.cell_bounds, 0.0)
-        total += float((hinge ** 2 / w).sum())
+        hinge = _squared_hinge(vector_norm(cell, 2), spec.cell_bounds)
+        hinge /= w
+        total += float(hinge.sum())
     else:
-        hinge = np.maximum(np.abs(cell) - spec.cell_bounds[..., None], 0.0)
-        total += float(((hinge ** 2).sum(axis=-1) / w).sum())
+        hinge = _squared_hinge(np.abs(cell), spec.cell_bounds[..., None])
+        total += float((hinge.sum(axis=-1) / w).sum())
     return total
 
 

@@ -146,9 +146,13 @@ def load_noise_vector(path):
         (count,) = struct.unpack("<Q", header)
         # checked against the bytes left so that a bad header cannot ask
         # for a huge read
-        left = (os.fstat(fh.fileno()).st_size - fh.tell()) // 8
+        left_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+        left = left_bytes // 8
         if count > left:
             raise ValueError(f"truncated noise vector payload: count {count} "
                              f"exceeds the {left} values left")
+        if left_bytes != 8 * count:
+            raise ValueError(f"{left_bytes - 8 * count} trailing bytes after "
+                             f"the {count} noise vector values")
         data = np.frombuffer(fh.read(8 * count), dtype="<f8")
     return data.astype(np.float64)

@@ -9,8 +9,11 @@ unit interval are ordered by increasing parameter.
 All reference integrals (Newton-Cotes weights, mass matrices) are computed
 as exact rationals and only scaled by cell area / edge length at assembly.
 The DG mass and inverse mass are applied as one BLAS product of the
-(cells, n_k) coefficient view with the reference matrix, scaled by det B_T;
-no global mass matrix is stored.
+(cells, n_k) coefficient view with the transposed reference matrix, stored
+C-contiguous once per space (the F-ordered view ``ref.T`` takes a slower
+BLAS path), scaled by det B_T; no global mass matrix is stored.  A cell
+mask restricts the mass by scaling with det B_T on the kept cells and 0 on
+the others, the same values as zeroing the masked rows afterwards.
 """
 
 from __future__ import annotations
@@ -349,6 +352,9 @@ class FeSpace:
         mass = _reference_mass_exact(r)
         self.mass_ref = _to_float(mass)              # per unit det B_T
         self.mass_ref_inv = np.linalg.inv(self.mass_ref)
+        # right factors of the cell products u_T @ ref^T, C-contiguous
+        self._mass_ref_t = np.ascontiguousarray(self.mass_ref.T)
+        self._mass_ref_inv_t = np.ascontiguousarray(self.mass_ref_inv.T)
         self._grad_jump = None
 
     # -- dimensions ----------------------------------------------------------
@@ -388,23 +394,27 @@ class FeSpace:
         return np.asarray(coeffs).reshape(self.dofs.num_cells,
                                           self.dofs.n_cell_basis)
 
-    def _cell_product(self, coeffs, ref):
-        """ref @ u_T for every cell's coefficient block u_T: one BLAS product
-        on the (n_t, n_k) view, a plain scale when n_k = 1."""
+    def _cell_product(self, coeffs, ref_t):
+        """ref @ u_T for every cell's coefficient block u_T, given ref_t =
+        ref^T: one BLAS product on the (n_t, n_k) view, a plain scale when
+        n_k = 1."""
         u = self.cell_matrix(coeffs)
-        if ref.shape[0] == 1:
-            return u * ref[0, 0]
-        return u @ ref.T
+        if ref_t.shape[0] == 1:
+            return u * ref_t[0, 0]
+        return u @ ref_t
 
     def apply_mass(self, coeffs, mask=None):
-        out = self._cell_product(coeffs, self.mass_ref)
-        out *= self.mesh.det_jacobian[:, None]
+        """M u; with a cell mask, the mass of the kept cells only (the rows
+        of masked cells are 0)."""
+        det = self.mesh.det_jacobian
         if mask is not None:
-            out[~mask] = 0.0
+            det = np.where(mask, det, 0.0)
+        out = self._cell_product(coeffs, self._mass_ref_t)
+        out *= det[:, None]
         return out.reshape(-1)
 
     def apply_mass_inverse(self, coeffs):
-        out = self._cell_product(coeffs, self.mass_ref_inv)
+        out = self._cell_product(coeffs, self._mass_ref_inv_t)
         out /= self.mesh.det_jacobian[:, None]
         return out.reshape(-1)
 

@@ -256,15 +256,17 @@ def test_l2_ball_projection_matches_masked_assignment():
     over = norms > radius
     factor[over] = radius[over] / norms[over]
     assert over.any() and (~over).any()
-    assert np.array_equal(_project_l2_ball(vecs, radius),
-                          vecs * factor[..., None])
+    expected = vecs * factor[..., None]
+    # the kernel projects in place and returns its argument
+    assert _project_l2_ball(vecs, radius) is vecs
+    assert np.array_equal(vecs, expected)
 
 
 def test_l1_ball_projection_is_nearest_point():
     rng = np.random.default_rng(30)
     x = rng.standard_normal((200, 2)) * 2.0
     radius = np.abs(rng.standard_normal(200)) + 0.1
-    y = _project_l1_ball(x, radius)
+    y = _project_l1_ball(x.copy(), radius)
     assert (np.abs(y).sum(axis=1) <= radius + 1e-12).all()
     for _ in range(200):
         z = rng.standard_normal((200, 2))

@@ -132,6 +132,16 @@ def test_noise_vector_errors(tmp_path):
     short.write_bytes(b"FETVNOI1\x01")
     with pytest.raises(ValueError, match="header"):
         load_noise_vector(short)
+    # bytes after the payload, whole values or not, are an error too
+    trailing = tmp_path / "trailing.bin"
+    save_noise_vector(trailing, np.arange(3.0))
+    payload = trailing.read_bytes()
+    for extra in (b"\0" * 40, b"\0"):
+        trailing.write_bytes(payload + extra)
+        with pytest.raises(ValueError, match="trailing"):
+            load_noise_vector(trailing)
+    trailing.write_bytes(payload)
+    assert np.array_equal(load_noise_vector(trailing), np.arange(3.0))
 
 
 def test_golden_noise_field_file(tmp_path):
