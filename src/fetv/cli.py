@@ -50,16 +50,13 @@ def _solver_arguments(sub):
     sub.add_argument("--sigma-step", dest="sigma", type=float, default=None,
                      help="primal step of the Chambolle-Pock iterations")
     sub.add_argument("--tau", type=float, default=None,
-                     help="dual step size")
+                     help="dual step size (default: 0.9 / (sigma * L))")
     sub.add_argument("--theta", type=float, default=1.0)
     sub.add_argument("--scale", type=float, default=None,
                      help="Y scaling parameter (default 1 for degree 0, "
                           "1e-2 otherwise)")
     sub.add_argument("--huber-eps", type=float, default=0.0)
-    sub.add_argument("--fidelity", default=None, choices=("l2", "l1"),
-                     help="default: l2, or l1 when an l1 algorithm is chosen")
     sub.add_argument("--tol-rel", type=float, default=1e-3)
-    sub.add_argument("--infeas-cap", type=float, default=1e-11)
     sub.add_argument("--max-iter", type=int, default=5000)
     sub.add_argument("--noise-sigma", type=float, default=0.0,
                      help="add Gaussian noise to the ingested coefficients")
@@ -153,16 +150,13 @@ def _cmd_solver(args, inpaint):
         masked = images.load_mask(args.mask, mesh)
     omega0 = None if masked is None else ~masked
 
-    fidelity = args.fidelity
-    if fidelity is None:
-        fidelity = "l1" if args.algorithm in ("cp-l1", "admm-l1") else "l2"
+    fidelity = "l1" if args.algorithm in ("cp-l1", "admm-l1") else "l2"
     prob = ProblemSpec(mesh=mesh, degree=args.degree, f=f.coeffs,
                        omega0=omega0, beta=args.beta, s=args.s,
                        fidelity=fidelity, huber_eps=args.huber_eps)
     params = SolverParams(lam=args.lam, sigma=args.sigma, tau=args.tau,
                           theta=args.theta, scale=args.scale,
-                          eps_rel=args.tol_rel, infeas_cap=args.infeas_cap,
-                          max_iter=args.max_iter)
+                          eps_rel=args.tol_rel, max_iter=args.max_iter)
     u, p, report = solve(prob, args.algorithm, params=params, space=space,
                          reference=clean)
 

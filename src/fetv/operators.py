@@ -238,9 +238,11 @@ class QuadraticSolver:
     """
 
     _CHUNK = 2048   # cells per pass over the blocks; bounds the temporaries
+    _TOL = 1e-8     # relative residual a solve must reach
+    _MAX_ITER = 2000
 
     def __init__(self, space, grad_op, lam, scale, mask=None,
-                 lumped_fidelity=False, tol=1e-8, max_iter=2000):
+                 lumped_fidelity=False):
         if lam < 0:
             raise ValueError("lam must be nonnegative")
         mesh = space.mesh
@@ -257,8 +259,6 @@ class QuadraticSolver:
         self.space = space
         self.mask = mask
         self.lam = lam
-        self.tol = tol
-        self.max_iter = max_iter
         self._lumped = lumped_fidelity
 
         n_t = mesh.num_cells
@@ -360,8 +360,8 @@ class QuadraticSolver:
         return self._block_inv.dot(r)
 
     def solve(self, rhs, x0=None):
-        """Solve to relative residual <= tol by preconditioned CG; raises
-        InnerSolveError on stagnation."""
+        """Solve to relative residual <= ``_TOL`` by preconditioned CG;
+        raises InnerSolveError when ``_MAX_ITER`` steps do not get there."""
         b = np.asarray(rhs).ravel()
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
@@ -372,9 +372,9 @@ class QuadraticSolver:
         z = self._precondition(r)
         p = z.copy()
         rz = r @ z
-        for _ in range(self.max_iter):
+        for _ in range(self._MAX_ITER):
             res = np.linalg.norm(r) / bnorm
-            if res <= self.tol:
+            if res <= self._TOL:
                 return x
             ap = a.dot(p)
             alpha = rz / (p @ ap)
@@ -386,6 +386,6 @@ class QuadraticSolver:
             p += z
             rz = rz_new
         res = np.linalg.norm(b - a.dot(x)) / bnorm
-        if res <= self.tol:
+        if res <= self._TOL:
             return x
-        raise InnerSolveError(res, self.max_iter)
+        raise InnerSolveError(res, self._MAX_ITER)

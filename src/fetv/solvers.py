@@ -54,11 +54,12 @@ __all__ = [
 ]
 
 DEFAULT_SCALE = {0: 1.0, 1: 1e-2, 2: 1e-2}
-# denoising step sizes per degree (sigma, tau) for the Chambolle-Pock runs,
-# the shipped presets' values: tau = 0.9 / (sigma * L) on the 64x64 crossed
-# mesh at the default scale (L = estimate_operator_norm_sq grows as h^-2)
-CP_STEP_DEFAULTS = {0: (0.016, 0.0459), 1: (0.025, 0.00478),
-                    2: (0.03, 0.00059)}
+# the Chambolle-Pock primal step sigma per degree, the shipped denoising
+# presets' value; the default dual step is derived from it (_default_tau)
+CP_STEP_DEFAULTS = {0: 0.016, 1: 0.025, 2: 0.03}
+# stop rules: TV-L1 stagnation tolerance; the dual infeasibility cap of both
+_CHANGE_TOL = 1e-6
+_INFEAS_CAP = 1e-11
 # split Bregman residual balancing: lam moves by a factor 2 when one
 # residual exceeds the other this many times, at most this many times
 _BALANCE_RATIO = 10.0
@@ -142,11 +143,7 @@ class SolverParams:
     theta: float = 1.0
     scale: float = None
     eps_rel: float = 1e-3
-    infeas_cap: float = 1e-11
     max_iter: int = 5000
-    change_tol: float = 1e-6
-    cg_tol: float = 1e-8
-    cg_max_iter: int = 2000
 
     def __post_init__(self):
         for name in ("lam", "sigma", "tau", "scale"):
@@ -271,7 +268,7 @@ class _Context:
         0.5 ||div p||^2 over the masked cells must meet the gap tolerance
         too."""
         tol = max(self.params.eps_rel * abs(self.eta0), self.gap_floor)
-        if not (abs(eta_val) <= tol and rho <= self.params.infeas_cap):
+        if not (abs(eta_val) <= tol and rho <= _INFEAS_CAP):
             return False
         if self.mask.all():
             return True
@@ -290,18 +287,20 @@ class _Context:
         return math.sqrt(p @ (p / self.yw))
 
 
-def estimate_operator_norm_sq(space, scale=1.0, iterations=60, seed=1):
+def estimate_operator_norm_sq(space, scale=1.0):
     """Power-iteration estimate of L = sup ||Lambda u||_Y^2 / ||u||_{L2}^2,
-    the Rayleigh quotient of M^-1 Lambda^T W Lambda from a seeded random
-    start.  The Chambolle-Pock steps are stable when sigma * tau stays
-    below 1/L; the projection iteration is stable for steps below 1/L at
-    scale 1, since ||div||^2 from Y* to L2 is the squared norm of the
-    adjoint."""
+    the Rayleigh quotient of M^-1 Lambda^T W Lambda after 60 steps from a
+    seeded random start.  The Chambolle-Pock steps are stable when
+    sigma * tau stays below 1/L; the projection iteration is stable for
+    steps below 1/L at scale 1, since ||div||^2 from Y* to L2 is the
+    squared norm of the adjoint.  A Rayleigh quotient approaches L from
+    below (0.7-1.5 % under it on 8x8 to 64x64 crossed meshes), so the
+    default steps 0.9 / L sit at about 0.91 of the bound."""
     op = space.grad_jump()
     w = space.y_weight_vector(scale)
-    v = np.random.default_rng(seed).standard_normal(space.dim_dg)
+    v = np.random.default_rng(1).standard_normal(space.dim_dg)
     lam = 0.0
-    for _ in range(iterations):
+    for _ in range(60):
         kv = space.apply_mass_inverse(op.transpose.dot(w * op.apply(v)))
         lam = space.l2_inner(v, kv) / space.l2_inner(v, v)
         kv_norm = math.sqrt(space.l2_inner(kv, kv))
@@ -309,6 +308,17 @@ def estimate_operator_norm_sq(space, scale=1.0, iterations=60, seed=1):
             return 0.0
         v = kv / kv_norm
     return float(lam)
+
+
+def _default_tau(ctx, sigma, scale):
+    """``params.tau`` if set, else 0.9 / (sigma * L) with L the operator
+    norm estimate at ``scale``: inside the bound sigma * tau * L < 1 of
+    Chambolle & Pock (J. Math. Imaging Vis. 40, 2011) on any mesh.  The
+    lumped divergence of cp-l1 has a norm at most the consistent-mass L
+    (r <= 1), so there the step is stable too, if conservative."""
+    if ctx.params.tau is not None:
+        return ctx.params.tau
+    return 0.9 / (sigma * estimate_operator_norm_sq(ctx.space, scale))
 
 
 def huber_regularizer(space, y, eps):
@@ -410,8 +420,7 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     ctx = _setup(prob, params, space, "l2", "split_bregman_l2")
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1e-3
-    qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask,
-                         tol=params.cg_tol, max_iter=params.cg_max_iter)
+    qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask)
     d = space.new_y()
     b = space.new_y()
     mf = space.apply_mass(ctx.f, mask=ctx.mask)
@@ -464,9 +473,8 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
     d_k = div p_k, div p_bar = d_k + theta (d_k - d_{k-1})."""
     ctx = _setup(prob, params, space, "l2", "chambolle_pock_l2", huber=True)
     params = ctx.params
-    defaults = CP_STEP_DEFAULTS[prob.degree]
-    sigma = params.sigma if params.sigma is not None else defaults[0]
-    tau = params.tau if params.tau is not None else defaults[1]
+    sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
+    tau = _default_tau(ctx, sigma, ctx.scale)
     sigma_dof = np.where(ctx.mask_dof, sigma, 0.0)
     sigma_f = sigma_dof * ctx.f
     denom = 1.0 + sigma_dof
@@ -506,11 +514,9 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
     if prob.omega0 is not None and not prob.omega0.all():
         raise ValueError("the projection algorithm requires data on every cell")
     ctx = _setup(prob, params, space, "l2", "chambolle_projection_l2")
-    params, space = ctx.params, ctx.space
-    # stable default: just below 1/L in the (unscaled) Y* metric the update
-    # is written in
-    tau = (params.tau if params.tau is not None
-           else 0.9 / estimate_operator_norm_sq(space, scale=1.0))
+    space = ctx.space
+    # a unit primal step: the update is written in the unscaled Y* metric
+    tau = _default_tau(ctx, 1.0, 1.0)
     y = ctx.op.apply(ctx.f)                # Lambda u at u = div p + f, p = 0
 
     def step(u, p):
@@ -545,9 +551,8 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
     iterate serves both the certificate and the next primal step."""
     ctx = _setup(prob, params, space, "l1", "chambolle_pock_l1", huber=True)
     params = ctx.params
-    defaults = CP_STEP_DEFAULTS[prob.degree]
-    sigma = params.sigma if params.sigma is not None else defaults[0]
-    tau = params.tau if params.tau is not None else defaults[1]
+    sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
+    tau = _default_tau(ctx, sigma, ctx.scale)
     divp = divp_prev = np.zeros(ctx.space.dim_dg)
 
     def step(u, p):
@@ -576,8 +581,7 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1.0
     qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask,
-                         lumped_fidelity=True, tol=params.cg_tol,
-                         max_iter=params.cg_max_iter)
+                         lumped_fidelity=True)
     d = space.new_y()
     b = space.new_y()
     e = np.zeros(space.dim_dg)
@@ -627,7 +631,7 @@ def _iterate(ctx, report, step, reference):
     """Run ``step`` from u = f, p = 0 until the stop rule holds or
     ``max_iter`` steps are made; returns (DgFunction u, p, report).  TV-L2
     stops on ``_Context.l2_converged``; TV-L1 after 5 consecutive relative
-    changes of u (in L2) and p (in Y*) of at most ``change_tol``, with the
+    changes of u (in L2) and p (in Y*) of at most ``_CHANGE_TOL``, with the
     data multiplier bound at most 1.01 and the infeasibility under its cap."""
     params, space = ctx.params, ctx.space
     u = ctx.f.copy()
@@ -649,11 +653,11 @@ def _iterate(ctx, report, step, reference):
                          / (math.sqrt(ctx.f_norm_sq) + 1e-300),
                          ctx.ystar_norm(p - p_prev)
                          / max(ctx.ystar_norm(p), 1e-30))
-            stagnant = stagnant + 1 if change <= params.change_tol else 0
+            stagnant = stagnant + 1 if change <= _CHANGE_TOL else 0
             _record(report, ctx.objective(u, y), None, rho,
                     extras={"change": change, "multiplier_bound": bounds[0]})
             done = (stagnant >= 5 and bounds[0] <= 1.01
-                    and rho <= params.infeas_cap)
+                    and rho <= _INFEAS_CAP)
         if done:
             report.converged = True
             break
@@ -696,7 +700,7 @@ def _echo_params(ctx, **resolved):
         "huber_eps": prob.huber_eps,
         "theta": params.theta,
         "eps_rel": params.eps_rel,
-        "infeas_cap": params.infeas_cap,
+        "infeas_cap": _INFEAS_CAP,
         "max_iter": params.max_iter,
     }
     out.update(resolved, scale=ctx.scale)

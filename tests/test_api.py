@@ -51,3 +51,20 @@ def test_readme_names_resolve():
     for block in blocks:
         for name in re.findall(r"\w+", block):
             assert hasattr(fetv, name), name
+
+
+def test_readme_cli_examples_parse():
+    """Every ``fetv <subcommand>`` line of README.md's shell blocks, with
+    its continuation lines, is accepted by the CLI parser."""
+    from fetv.cli import build_parser
+
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```sh\n(.*?)```", text, flags=re.S)
+    commands = [re.sub(r"\s+#.*$", "", cmd, flags=re.M).split()
+                for block in blocks
+                for cmd in block.replace("\\\n", " ").splitlines()
+                if cmd.startswith("fetv ")]
+    assert {cmd[1] for cmd in commands} == {"denoise", "inpaint", "dtv",
+                                            "make-mesh", "add-noise"}
+    for cmd in commands:
+        build_parser().parse_args(cmd[1:])

@@ -7,7 +7,7 @@ import pytest
 from fetv.cli import _apply_preset, build_parser, main
 from fetv.images import Raster, load_pgm, save_pgm
 from fetv.mesh import load_mesh
-from fetv.operators import InnerSolveError, QuadraticSolver
+from fetv.operators import QuadraticSolver
 
 from conftest import smooth_disc
 
@@ -71,11 +71,19 @@ def test_denoise_deterministic(tmp_path, disc_image):
     assert json.loads(outs[0][1])["trace"] == json.loads(outs[1][1])["trace"]
 
 
-def test_invalid_config_exit_code(tmp_path, disc_image):
-    code = main(["denoise", "--input", str(disc_image),
-                 "--fidelity", "l1", "--degree", "2",
-                 "--algorithm", "cp-l1"])
-    assert code == 1
+def test_invalid_config_exit_code(tmp_path, disc_image, capsys):
+    """Removed flags, a removed preset key and an algorithm the degree
+    does not support each end in exit 1 and one error line."""
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps({"fidelity": "l1"}))
+    for extra in (["--fidelity", "l1"], ["--infeas-cap", "1e-9"],
+                  ["--preset", str(preset)],
+                  ["--algorithm", "cp-l1", "--degree", "2"]):
+        code = main(["denoise", "--input", str(disc_image), *extra])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("fetv: error: ")
+        assert all(line.startswith("usage: ") for line in err[:-1])
     # unknown flag values are usage errors, still exit 1
     code = main(["denoise", "--input", str(disc_image), "--degree", "7"])
     assert code == 1
@@ -98,16 +106,19 @@ def test_non_convergence_exit_code(tmp_path, disc_image):
 
 def test_stalled_inner_solve_exit_code(tmp_path, disc_image, monkeypatch,
                                       capsys):
-    def stall(self, rhs, x0=None):
-        raise InnerSolveError(0.5, 7)
-
-    monkeypatch.setattr(QuadraticSolver, "solve", stall)
+    monkeypatch.setattr(QuadraticSolver, "_MAX_ITER", 1)
+    out = tmp_path / "out.pgm"
+    report = tmp_path / "rep.json"
     code = main(["denoise", "--input", str(disc_image),
-                 "--algorithm", "split-bregman", "--degree", "0"])
+                 "--output", str(out), "--report", str(report),
+                 "--algorithm", "split-bregman", "--degree", "0",
+                 "--noise-sigma", "0.1"])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("fetv: error: inner solver stalled")
+    assert err.endswith("after 1 iterations\n")
     assert err.count("\n") == 1
+    assert not out.exists() and not report.exists()
 
 
 def test_inpaint_with_mask(tmp_path, disc_image):

@@ -6,6 +6,7 @@ import pytest
 from fetv.mesh import build_crossed_mesh, build_diagonal_square
 from fetv.operators import (
     DgFunction,
+    InnerSolveError,
     QuadraticSolver,
     divergence,
     pairing,
@@ -278,6 +279,27 @@ def test_quadratic_solver_masked_and_errors(spaces_2x2):
     x = solver.solve(rhs)
     assert np.linalg.norm(solver.matrix.dot(x) - rhs) \
         <= 1e-7 * np.linalg.norm(rhs)
+
+
+def test_quadratic_solver_stall_raises(monkeypatch):
+    """A solve that its iteration cap stops short of the tolerance raises
+    InnerSolveError with the residual it reached and the cap."""
+    monkeypatch.setattr(QuadraticSolver, "_MAX_ITER", 1)
+    space = FeSpace(build_crossed_mesh(8, 8, 1.0, 1.0), 1)
+    solver = QuadraticSolver(space, space.grad_jump(), lam=1e-2, scale=1e-2)
+    rhs = np.random.default_rng(4).standard_normal(space.dim_dg)
+    with pytest.raises(InnerSolveError) as info:
+        solver.solve(rhs)
+    x = np.zeros(space.dim_dg)   # the one CG step from x0 = 0, by hand
+    r = rhs.copy()
+    z = solver._precondition(r)
+    az = solver.matrix.dot(z)
+    x += (r @ z) / (z @ az) * z
+    residual = np.linalg.norm(rhs - solver.matrix.dot(x)) / np.linalg.norm(rhs)
+    assert info.value.iterations == 1
+    assert info.value.residual == pytest.approx(residual, rel=1e-10)
+    assert info.value.residual > QuadraticSolver._TOL
+    assert str(info.value).endswith("after 1 iterations")
 
 
 def _solver_variants(spaces_2x2):

@@ -108,36 +108,65 @@ def test_chambolle_projection_constant(spaces_2x2):
     assert np.abs(p).max() == 0.0
 
 
-def test_projection_default_tau_uses_the_operator_norm(spaces_2x2):
-    """The projection step's default is 0.9 / L with L the operator norm
-    estimate at scale 1, and L bounds that step: computed densely,
-    ||div||^2 from Y* (scale 1) to L2 equals ||Lambda||^2 from L2 to Y."""
+def test_projection_default_tau_uses_the_operator_norm():
+    """The default dual steps are 0.9 / (sigma L) with L the operator norm
+    estimate, and they keep sigma * tau below 1 / L_true, computed densely
+    on an 8x8 mesh: the estimate reads under L_true, by at most 2 %.  The
+    projection method (sigma = 1, scale 1) steps in Y*, where ||div||^2
+    from Y* to L2 equals ||Lambda||^2 from L2 to Y.  cp-l1 takes the
+    consistent-mass L for its lumped divergence, whose norm is at most
+    that at r <= 1."""
     import scipy.linalg
 
-    for r, space in spaces_2x2.items():
-        prob = ProblemSpec(mesh=space.mesh, degree=r,
-                           f=space.interpolate(smooth_disc), beta=1e-2)
-        _, _, rep = chambolle_projection_l2(
-            prob, SolverParams(max_iter=1), space=space)
-        norm_sq = estimate_operator_norm_sq(space, scale=1.0)
-        assert rep.params["tau"] == 0.9 / norm_sq
-
+    mesh = build_crossed_mesh(8, 8, 1.0, 1.0)
+    for r in (0, 1, 2):
+        space = FeSpace(mesh, r)
+        f = space.interpolate(smooth_disc)
         op = space.grad_jump()
-        w = space.y_weight_vector(1.0)
         mass = np.column_stack([space.apply_mass(e)
                                 for e in np.eye(space.dim_dg)])
         lam = op.matrix.toarray()
-        lambda_sq = scipy.linalg.eigh(lam.T @ (w[:, None] * lam), mass,
-                                      eigvals_only=True).max()
+
+        def true_norm_sq(scale):
+            w = space.y_weight_vector(scale)
+            return w, scipy.linalg.eigh(lam.T @ (w[:, None] * lam), mass,
+                                        eigvals_only=True).max()
+
+        w, lambda_sq = true_norm_sq(1.0)
         # ||div p||^2 / ||p||^2_{Y*}, a plain Rayleigh quotient in
         # q = p / sqrt(w)
         div = np.column_stack([divergence(op, e)
                                for e in np.eye(space.dim_y)]) * np.sqrt(w)
         div_sq = np.linalg.eigvalsh(div.T @ mass @ div).max()
         assert div_sq == pytest.approx(lambda_sq, rel=1e-10)
-        # a Rayleigh quotient: from below, close enough that 0.9 / L holds
-        assert 0.95 * lambda_sq <= norm_sq <= lambda_sq * (1 + 1e-12)
+        norm_sq = estimate_operator_norm_sq(space, scale=1.0)
+        assert 0.98 * lambda_sq <= norm_sq <= lambda_sq * (1 + 1e-12)
+        _, _, rep = chambolle_projection_l2(
+            ProblemSpec(mesh=mesh, degree=r, f=f, beta=1e-2),
+            SolverParams(max_iter=1), space=space)
+        assert rep.params["tau"] == 0.9 / norm_sq
         assert rep.params["tau"] * div_sq < 1.0
+
+        scale = solvers.DEFAULT_SCALE[r]
+        w, lambda_sq = true_norm_sq(scale)
+        norm_sq = estimate_operator_norm_sq(space, scale)
+        assert 0.98 * lambda_sq <= norm_sq <= lambda_sq * (1 + 1e-12)
+        _, _, rep = chambolle_pock_l2(
+            ProblemSpec(mesh=mesh, degree=r, f=f, beta=1e-2),
+            SolverParams(max_iter=1), space=space)
+        steps = rep.params["sigma"] * rep.params["tau"]
+        assert steps * norm_sq == pytest.approx(0.9, rel=1e-12)
+        assert steps * lambda_sq < 1.0
+        if r == 2:
+            continue
+        c = space.lumped_weights ** -0.5
+        lumped_sq = np.linalg.eigvalsh(
+            c[:, None] * (lam.T @ (w[:, None] * lam)) * c).max()
+        assert lumped_sq <= lambda_sq
+        _, _, rep = chambolle_pock_l1(
+            ProblemSpec(mesh=mesh, degree=r, f=f, beta=1e-2, fidelity="l1"),
+            SolverParams(max_iter=1), space=space)
+        assert rep.params["sigma"] * rep.params["tau"] * lumped_sq < 1.0
 
 
 def test_split_bregman_large_beta_gives_mean():
@@ -497,8 +526,7 @@ def _fixed_penalty_reference(prob, params, space):
     loop: the reference the fixed-penalty path must reproduce."""
     ctx = solvers._Context(prob, params, space=space)
     lam = params.lam
-    qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask,
-                         tol=params.cg_tol, max_iter=params.cg_max_iter)
+    qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask)
     d = space.new_y()
     state = {"b": space.new_y()}
     mf = space.apply_mass(ctx.f, mask=ctx.mask)
@@ -618,7 +646,7 @@ def test_cp_shared_divergence_matches_p_bar_step(case, r):
         huber_eps=1e-4 if case == "huber" else 0.0,
         fidelity="l1" if case == "l1" else "l2")
     solver = chambolle_pock_l1 if case == "l1" else chambolle_pock_l2
-    sigma = solvers.CP_STEP_DEFAULTS[r][0]
+    sigma = solvers.CP_STEP_DEFAULTS[r]
     tau = 0.9 / (sigma * estimate_operator_norm_sq(
         space, solvers.DEFAULT_SCALE[r]))
     capped = SolverParams(sigma=sigma, tau=tau, eps_rel=0.0, max_iter=200)
@@ -698,7 +726,9 @@ def test_cp_in_place_steps_are_bit_identical(case, r):
         omega0=np.arange(mesh.num_cells) % 4 > 0 if "mask" in case else None,
         huber_eps=1e-4 if "huber" in case else 0.0,
         fidelity="l1" if l1 else "l2")
-    sigma, tau = solvers.CP_STEP_DEFAULTS[r]
+    sigma = solvers.CP_STEP_DEFAULTS[r]
+    tau = 0.9 / (sigma * estimate_operator_norm_sq(
+        space, solvers.DEFAULT_SCALE[r]))
     params = SolverParams(sigma=sigma, tau=tau, eps_rel=0.0, max_iter=300)
     solver = chambolle_pock_l1 if l1 else chambolle_pock_l2
     u, p, rep = solver(prob, params, space=space)
@@ -759,14 +789,55 @@ def test_cp_presets_within_step_bound(path):
 
 
 def test_cp_default_steps_are_the_denoising_presets():
-    """So the bound the presets are checked against holds for the defaults
-    too (the presets' scales are the default ones)."""
-    for r, steps in solvers.CP_STEP_DEFAULTS.items():
+    """The denoising presets hold the default sigma and the default scale,
+    and their tau is the derived default on the 64x64 protocol mesh,
+    rounded down to three significant digits."""
+    mesh = build_crossed_mesh(64, 64, 1.0, 1.0)
+    for r, sigma in solvers.CP_STEP_DEFAULTS.items():
         preset = json.loads(
             (PRESETS / f"denoise_ball_cp_dg{r}.json").read_text())
-        assert (preset["sigma-step"], preset["tau"]) == steps
+        assert preset["sigma-step"] == sigma
         assert preset.get("scale", solvers.DEFAULT_SCALE[r]) \
             == solvers.DEFAULT_SCALE[r]
+        space = FeSpace(mesh, r)
+        prob = ProblemSpec(mesh=mesh, degree=r,
+                           f=space.interpolate(smooth_disc), beta=1e-3)
+        _, _, rep = chambolle_pock_l2(prob, SolverParams(max_iter=1),
+                                      space=space)
+        tau = preset["tau"]
+        unit = 10.0 ** (math.floor(math.log10(tau)) - 2)
+        assert tau <= rep.params["tau"] < tau + unit
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_cp_default_steps_follow_the_mesh(r):
+    """On a 128x128 mesh, where the 64x64 steps are about 3x over the
+    bound, the default steps of both Chambolle-Pock solvers give
+    sigma * tau * L = 0.9."""
+    mesh = build_crossed_mesh(128, 128, 1.0, 1.0)
+    space = FeSpace(mesh, r)
+    norm_sq = estimate_operator_norm_sq(space, solvers.DEFAULT_SCALE[r])
+    f = space.interpolate(smooth_disc)
+    runs = [(chambolle_pock_l2, "l2")] + ([(chambolle_pock_l1, "l1")]
+                                          if r < 2 else [])
+    for solver, fidelity in runs:
+        prob = ProblemSpec(mesh=mesh, degree=r, f=f, beta=1e-3,
+                           fidelity=fidelity)
+        _, _, rep = solver(prob, SolverParams(max_iter=1), space=space)
+        assert rep.params["sigma"] * rep.params["tau"] * norm_sq \
+            == pytest.approx(0.9, rel=1e-12)
+        assert rep.params["sigma"] == solvers.CP_STEP_DEFAULTS[r]
+
+
+def test_cp_default_steps_converge_on_a_finer_mesh():
+    """Chambolle-Pock denoising with the default steps converges at
+    128x128, r = 0 (the fixed 64x64 steps ran to 3000 iterations there)."""
+    mesh, space, clean, noisy = _denoise_instance(n=128, r=0, seed=3)
+    prob = ProblemSpec(mesh=mesh, degree=0, f=noisy.coeffs, beta=1e-3)
+    _, _, rep = chambolle_pock_l2(prob, SolverParams(), space=space,
+                                  reference=clean)
+    assert rep.converged
+    assert rep.psnr >= psnr(noisy, clean) + 8.0
 
 
 def test_cp_default_steps_converge_at_protocol_size():
