@@ -109,7 +109,7 @@ def _apply_preset(argv, parser):
     """Load --preset JSON as defaults; explicit flags still win.  The preset
     is an object whose keys are long flag names ("lambda", "sigma-step";
     "_" may stand for "-"); each subcommand takes the keys it defines, and
-    a key no subcommand defines is an error."""
+    a key that no subcommand taking --preset defines is an error."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--preset", default=None)
     known, _ = probe.parse_known_args(argv[1:])
@@ -121,6 +121,7 @@ def _apply_preset(argv, parser):
         raise ValueError(f"preset {known.preset} is not a JSON object")
     preset = {key.replace("_", "-"): value for key, value in preset.items()}
     subs = parser._subparsers._group_actions[0].choices.values()
+    subs = [sub for sub in subs if "--preset" in sub._option_string_actions]
     flags = [{opt[2:]: a.dest for a in sub._actions
               for opt in a.option_strings if opt.startswith("--")}
              for sub in subs]

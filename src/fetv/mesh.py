@@ -388,11 +388,17 @@ def save_mesh(mesh, path):
 
 def load_mesh(path):
     """Read the plain text mesh format; interior edges are rebuilt."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 become lone surrogates, found line by line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         raw = fh.readlines()
 
     lines = []
     for no, text in enumerate(raw, start=1):
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MeshFormatError("bytes that are not UTF-8 text",
+                                  line=no) from None
         text = text.split("#", 1)[0].strip()
         if text:
             lines.append((no, text))
@@ -449,7 +455,7 @@ def load_mesh(path):
             raise MeshFormatError("expected three vertex indices", line=no)
         try:
             cells[i] = [int(p) for p in parts]
-        except ValueError:
+        except (ValueError, OverflowError):
             raise MeshFormatError(f"bad vertex index in {text!r}", line=no) from None
 
     if pos != len(lines):

@@ -5,7 +5,10 @@ Every per-iteration kernel here is a sparse product on matrices built once:
 Lambda is applied in the factored form J * Lambda_ref (see
 :class:`GradJumpOperator`), the assembled product is stored once, as the
 CSR matrix of Lambda^T, and serves the divergence and the quadratic form
-Lambda^T W Lambda, and the PCG preconditioner is the block-diagonal CSR
+K = Lambda^T W Lambda.  The u-system F + lam * K of
+:class:`QuadraticSolver` keeps its lam-free parts F (fidelity) and K as
+arrays aligned to its stored entries, so a new lam is one evaluation on
+the same structure, and the PCG preconditioner is the block-diagonal CSR
 matrix of the inverted cell blocks.
 
 Dual vector fields never appear as pointwise functions here: an RT function
@@ -227,14 +230,17 @@ def divergence(op, p, lumped=False):
 
 
 class QuadraticSolver:
-    """Solver for the u-subproblems (M_fid + lam * Lambda^T W Lambda) u = rhs.
+    """Solver for the u-subproblems A(lam) u = rhs, A(lam) = F + lam * K.
 
-    The fidelity block M_fid is the plain DG mass matrix restricted to the
-    data cells, or the fully lumped diagonal lam*scale*C_{T,k} when
-    ``lumped_fidelity`` is set.  The system is SPD and solved by
-    preconditioned CG; the preconditioner is block Jacobi on the cell blocks,
-    stored as the block-diagonal CSR matrix of their inverses.  ``set_lam``
-    changes the penalty in place.
+    K = Lambda^T W Lambda.  The fidelity block F is the plain DG mass matrix
+    restricted to the data cells, or the fully lumped diagonal
+    lam*scale*C_{T,k} when ``lumped_fidelity`` is set.  The lam-free parts
+    (F without its lam*scale in the lumped case, and K) are kept as arrays
+    aligned to the stored entries of ``matrix``, so ``set_lam`` evaluates
+    ``matrix.data`` afresh on the same sparsity structure, equal to a fresh
+    build bit for bit.  The system is SPD and solved by preconditioned CG;
+    the preconditioner is block Jacobi on the cell blocks, stored as the
+    block-diagonal CSR matrix of their inverses.
     """
 
     _CHUNK = 2048   # cells per pass over the blocks; bounds the temporaries
@@ -243,8 +249,8 @@ class QuadraticSolver:
 
     def __init__(self, space, grad_op, lam, scale, mask=None,
                  lumped_fidelity=False):
-        if lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not lam > 0:
+            raise ValueError("lam must be positive")
         mesh = space.mesh
         if mask is None:
             mask = np.ones(mesh.num_cells, dtype=bool)
@@ -254,104 +260,92 @@ class QuadraticSolver:
                 "no data cells: the quadratic subproblem is singular on a "
                 "fully masked mesh"
             )
-        if lam == 0 and not mask.all():
-            raise ValueError("lam = 0 requires data on every cell")
         self.space = space
-        self.mask = mask
         self.lam = lam
+        self._scale = scale
         self._lumped = lumped_fidelity
 
         n_t = mesh.num_cells
         n_k = space.dofs.n_cell_basis
+        lmat = grad_op.matrix
+        k = (lmat.T @ lmat.multiply(space.y_weight_vector(scale)[:, None])
+             ).tocsr()
         if lumped_fidelity:
-            fid = sp.diags(lam * scale * space.lumped_weights)
+            fid = sp.diags(space.lumped_weights).tocsr()
         else:
-            fid = sp.bsr_matrix(
-                (self._mass_blocks(slice(None)), np.arange(n_t),
-                 np.arange(n_t + 1)),
-                shape=(space.dim_dg, space.dim_dg),
-            )
-        self.matrix = fid.tocsr()
-        if lam > 0:
-            lmat = grad_op.matrix
-            w = space.y_weight_vector(scale)
-            self.matrix = (self.matrix
-                           + lam * (lmat.T @ lmat.multiply(w[:, None]))).tocsr()
-            # the CSC view of Lambda leaves the column indices unsorted;
-            # sorted rows keep the PCG matvec in a fixed summation order
-            self.matrix.sort_indices()
+            blocks = np.where(mask[:, None, None],
+                              space.mass_ref[None]
+                              * mesh.det_jacobian[:, None, None], 0.0)
+            fid = sp.bsr_matrix((blocks, np.arange(n_t), np.arange(n_t + 1)),
+                                shape=(space.dim_dg, space.dim_dg)).tocsr()
+        # the structure is the union of the nonzero patterns of F and K, the
+        # same at every lam.  The sum's arrays are views into buffers sized
+        # for both terms; astype copies them to the stored entries alone.
+        # Sorted rows keep the PCG matvec in a fixed summation order
+        self.matrix = ((fid != 0) + (k != 0)).astype(float)
+        self.matrix.sort_indices()
+        self._k = self._read_stored(k)
+        del k   # each part is as large as the matrix; free it once read
+        self._fid = self._read_stored(fid)
+        del fid
+        self._evaluate()
 
-        self._block_pos = self._cell_block_positions()
         self._block_inv = sp.bsr_matrix(
             (np.zeros((n_t, n_k, n_k)), np.arange(n_t), np.arange(n_t + 1)),
             shape=self.matrix.shape).tocsr()
         self._invert_blocks()
 
     def set_lam(self, lam):
-        """Change the penalty to ``lam`` in place: ``matrix.data`` is scaled
-        by lam / self.lam, the lam-free mass blocks are put back on the cell
-        blocks (the lumped fidelity scales with lam itself), and the block
-        inverses are rewritten into the preconditioner's storage."""
-        if not lam > 0 or self.lam == 0:
-            raise ValueError("set_lam needs a positive penalty before and "
-                             "after")
-        ratio = lam / self.lam
-        data = self.matrix.data
-        data *= ratio
-        if not self._lumped:
-            for cells in self._chunks():
-                pos = self._block_pos[cells]
-                hit = pos >= 0
-                data[pos[hit]] += (1.0 - ratio) * self._mass_blocks(cells)[hit]
+        """Change the penalty to ``lam``: ``matrix.data`` is evaluated from
+        the lam-free parts, and the block inverses are rewritten into the
+        preconditioner's storage."""
+        if not lam > 0:
+            raise ValueError("lam must be positive")
         self.lam = lam
+        self._evaluate()
         self._invert_blocks()
 
+    def _evaluate(self):
+        """matrix.data = F + lam * K entry by entry, with F scaled by
+        lam * scale first in the lumped case."""
+        fid = self.lam * self._scale * self._fid if self._lumped else self._fid
+        data = np.multiply(self.lam, self._k, out=self.matrix.data)
+        data += fid
+
     def _chunks(self):
+        """Slices of the DG rows, a cell chunk at a time."""
         n_t = self.space.mesh.num_cells
-        return (slice(t, min(t + self._CHUNK, n_t))
+        n_k = self.space.dofs.n_cell_basis
+        return (slice(t * n_k, min(t + self._CHUNK, n_t) * n_k)
                 for t in range(0, n_t, self._CHUNK))
 
-    def _mass_blocks(self, cells):
-        """The mass blocks of ``cells`` restricted to the data cells."""
-        space = self.space
-        return np.where(self.mask[cells, None, None],
-                        space.mass_ref[None]
-                        * space.mesh.det_jacobian[cells, None, None], 0.0)
-
-    def _cell_block_positions(self):
-        """Index in ``matrix.data`` of entry (k, l) of every cell block, at
-        (t*n_k + k, t*n_k + l), or -1 where it is not stored: sparse sums
-        and products drop exact zeros, so masked cells and the lumped
-        fidelity leave holes in the blocks."""
+    def _read_stored(self, part):
+        """The entries of ``part`` at the stored entries of ``matrix``, in
+        their order; 0 where ``part`` stores none."""
         a = self.matrix
-        n = a.shape[1]
-        n_k = self.space.dofs.n_cell_basis
-        pos = np.empty((self.space.mesh.num_cells, n_k, n_k),
-                       dtype=a.indptr.dtype)
-        for cells in self._chunks():
-            rows = np.arange(cells.start * n_k, cells.stop * n_k,
-                             dtype=np.int64)
-            ptr = a.indptr[rows[0]:rows[-1] + 2]
-            keys = (np.repeat(rows, np.diff(ptr)) * n
-                    + a.indices[ptr[0]:ptr[-1]])
-            want = ((rows * n + rows // n_k * n_k)[:, None]
-                    + np.arange(n_k)).reshape(-1, n_k, n_k)
-            at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-            pos[cells] = np.where(keys[at] == want, ptr[0] + at, -1)
-        return pos
+        out = np.empty_like(a.data)
+        for rows in self._chunks():
+            ptr = a.indptr[rows.start:rows.stop + 1]
+            at = slice(ptr[0], ptr[-1])
+            row = np.repeat(np.arange(rows.start, rows.stop), np.diff(ptr))
+            out[at] = np.asarray(part[row, a.indices[at]]).ravel()
+        return out
 
     def _invert_blocks(self):
         """Write the inverses of the cell blocks of ``matrix`` into the
         block-diagonal CSR preconditioner, whose data is the row-major
-        (n_t, n_k, n_k) stack of its blocks."""
-        data = self.matrix.data
+        (n_t, n_k, n_k) stack of its blocks.  Sparse sums and products drop
+        exact zeros, so masked cells and the lumped fidelity leave unstored
+        block entries; the indexed read fills them with 0."""
         n_k = self.space.dofs.n_cell_basis
         out = self._block_inv.data.reshape(-1, n_k, n_k)
-        for cells in self._chunks():
-            pos = self._block_pos[cells]
-            blocks = np.where(pos >= 0, data[pos], 0.0)
+        for rows in self._chunks():
+            dof = np.arange(rows.start, rows.stop).reshape(-1, n_k)
+            blocks = self.matrix[np.repeat(dof, n_k, axis=1).ravel(),
+                                 np.tile(dof, n_k).ravel()]
             try:
-                out[cells] = np.linalg.inv(blocks)
+                out[rows.start // n_k:rows.stop // n_k] = np.linalg.inv(
+                    np.asarray(blocks).reshape(-1, n_k, n_k))
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise RuntimeError("singular cell block in preconditioner") \
                     from exc

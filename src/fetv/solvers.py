@@ -109,9 +109,10 @@ class ProblemSpec:
     huber_eps: float = 0.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive (beta = 0 reduces to u = f "
-                             "on the data region and is undefined elsewhere)")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be positive and finite (beta = 0 "
+                             "reduces to u = f on the data region and is "
+                             "undefined elsewhere)")
         if self.s not in (1, 2):
             raise ValueError("solvers support s in {1, 2}")
         if self.fidelity not in ("l2", "l1"):
@@ -121,8 +122,8 @@ class ProblemSpec:
                 "l1 fidelity needs strictly positive lumped weights, which "
                 "restricts the degree to 0 or 1"
             )
-        if self.huber_eps < 0:
-            raise ValueError("huber_eps must be nonnegative")
+        if not 0 <= self.huber_eps < math.inf:
+            raise ValueError("huber_eps must be nonnegative and finite")
         if self.huber_eps > 0 and self.s != 2:
             raise ValueError("the Huber variant is defined for s = 2 only")
         if self.omega0 is not None:
@@ -148,8 +149,10 @@ class SolverParams:
     def __post_init__(self):
         for name in ("lam", "sigma", "tau", "scale"):
             v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValueError(f"{name} must be positive")
+            if v is not None and not 0 < v < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 0 <= self.eps_rel < math.inf:
+            raise ValueError("eps_rel must be nonnegative and finite")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
         if self.max_iter < 1:
@@ -413,7 +416,7 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     residual lam ||Lambda^T W (d - d_prev)||_{M^-1} are compared, and when
     one exceeds ``_BALANCE_RATIO`` (10) times the other, lam is doubled or
     halved, the scaled multiplier b is divided by the same factor (so p =
-    lam W b is kept) and the u-system is rescaled in place.  After
+    lam W b is kept) and the u-system is evaluated at the new lam.  After
     ``_PENALTY_CHANGES`` (10) changes lam is frozen, so the fixed-penalty
     convergence argument holds from then on; with a budget of 0 this is the
     paper's fixed-lam iteration."""

@@ -264,6 +264,23 @@ def test_preset_unknown_key(tmp_path, disc_image, capsys):
     assert code in (0, 2)
 
 
+@pytest.mark.parametrize("key, value", [("sigma", 0.05), ("width", 3)])
+def test_preset_key_of_a_subcommand_without_presets(tmp_path, disc_image,
+                                                    capsys, key, value):
+    """A key that only add-noise or make-mesh defines would be ignored by
+    denoise, so it is an error like a misspelt one."""
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps({key: value, "lambda": 1e-3}))
+    report = tmp_path / "rep.json"
+    code = main(["denoise", "--input", str(disc_image),
+                 "--preset", str(preset), "--report", str(report)])
+    assert code == 1
+    assert not report.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("fetv: error: ")
+    assert repr(key) in err[0]
+
+
 def test_preset_value_of_wrong_type(tmp_path, disc_image, capsys):
     """Preset values go through the option's type like a flag's value."""
     preset = tmp_path / "preset.json"
@@ -303,3 +320,25 @@ def test_shipped_sb_presets_converge(tmp_path, preset):
     p.name for p in PRESETS.glob("denoise_ball_cp_*.json")))
 def test_shipped_cp_denoise_presets_converge(tmp_path, preset):
     _converges_on_disc(tmp_path, preset)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--beta", "nan"], ["--beta", "inf"], ["--lambda", "inf"],
+    ["--lambda", "nan"], ["--scale", "inf"], ["--tol-rel", "nan"],
+    ["--tol-rel", "-1"], ["--tol-rel", "inf"],
+    ["--algorithm", "chambolle-pock", "--sigma-step", "nan"],
+    ["--algorithm", "chambolle-pock", "--tau", "inf"],
+    ["--algorithm", "chambolle-pock", "--huber-eps", "nan"],
+    ["--algorithm", "chambolle-pock", "--huber-eps", "inf"],
+], ids=" ".join)
+def test_non_finite_or_negative_setting(tmp_path, disc_image, capsys, flags):
+    """A setting that is not finite, or negative, is one error line and
+    exit code 1 before the solve, and nothing is written."""
+    out = tmp_path / "out.pgm"
+    report = tmp_path / "rep.json"
+    code = main(["denoise", "--input", str(disc_image), "--output", str(out),
+                 "--report", str(report), "--max-iter", "3", *flags])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("fetv: error: ")
+    assert not out.exists() and not report.exists()
