@@ -8,12 +8,18 @@ over RT dof vectors p in the constraint set P (unit box/ball bounds per
 dof), so it is computed in one place, ``support``: the support function of
 P at y = Lambda u, whose bounds ``ConstraintSetSpec`` holds.  The solvers'
 regularizer and its Huber variant are the same function of beta*P.
+
+The per-iteration kernels avoid numpy idioms that cost more than their
+arithmetic: weighted sums are dots, the edge clip is maximum/minimum, cell
+vectors are scaled component by component rather than by a trailing-axis
+broadcast, and a feasible part of ``infeasibility`` is 0.0 unformed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,8 +83,8 @@ def support(spec, y, eps=0.0):
     space = spec.space
     edges = np.abs(space.y_edge_view(y))
     cells = vector_norm(space.y_cell_view(y), spec.s)
-    return (float((spec.edge_bounds * h(edges)).sum())
-            + float((spec.cell_bounds * h(cells)).sum()))
+    return (float(h(edges).ravel() @ spec.edge_bounds.ravel())
+            + float(h(cells).ravel() @ spec.cell_bounds.ravel()))
 
 
 # -- exact TV ----------------------------------------------------------------
@@ -223,6 +229,11 @@ class ConstraintSetSpec:
                             * space.edge_weights)
         self.cell_bounds = self.beta * space.cell_weights
 
+    @cached_property
+    def _edge_floor(self):
+        """-edge_bounds, made on the first projection."""
+        return -self.edge_bounds
+
 
 def _project_linf_ball(vecs, radius):
     return np.clip(vecs, -radius[..., None], radius[..., None], out=vecs)
@@ -233,7 +244,8 @@ def _project_l2_ball(vecs, radius):
     factor = vector_norm(vecs, 2)
     np.maximum(factor, radius, out=factor)
     np.divide(radius, factor, out=factor)
-    vecs *= factor[..., None]
+    vecs[..., 0] *= factor
+    vecs[..., 1] *= factor
     return vecs
 
 
@@ -271,7 +283,8 @@ def _project_in_place(out, spec: ConstraintSetSpec):
     ``project_feasible`` for callers that own a fresh candidate."""
     space = spec.space
     edge = space.y_edge_view(out)
-    np.clip(edge, -spec.edge_bounds, spec.edge_bounds, out=edge)
+    np.maximum(edge, spec._edge_floor, out=edge)
+    np.minimum(edge, spec.edge_bounds, out=edge)
     _project_cell_ball(space.y_cell_view(out), spec.cell_bounds, spec.s)
     return out
 
@@ -293,23 +306,27 @@ def _squared_hinge(mag, bound):
 
 def infeasibility(p, spec: ConstraintSetSpec):
     """Squared Y*-distance-to-feasibility (hinge violations weighted by the
-    inverse quadrature weights); zero iff p lies in beta*P."""
+    inverse quadrature weights); zero iff p lies in beta*P.  A part within
+    its bounds (NaN is not) is the 0.0 its hinges sum to, left unformed."""
     if spec.s not in (1, 2):
         raise ValueError("infeasibility is defined for s in {1, 2}")
     space = spec.space
     p = np.asarray(p, dtype=float)
-    viol = _squared_hinge(np.abs(space.y_edge_view(p)), spec.edge_bounds)
-    viol /= space.edge_weights
-    total = float(viol.sum())
+    total = 0.0
+    edge = np.abs(space.y_edge_view(p))
+    if not (edge <= spec.edge_bounds).all():
+        total = float((_squared_hinge(edge, spec.edge_bounds)
+                       / space.edge_weights).sum())
     cell = space.y_cell_view(p)
-    w = spec.scale * space.cell_weights
     if spec.s == 2:
-        hinge = _squared_hinge(vector_norm(cell, 2), spec.cell_bounds)
-        hinge /= w
-        total += float(hinge.sum())
+        norms = vector_norm(cell, 2)
+        if not (norms <= spec.cell_bounds).all():
+            total += float((_squared_hinge(norms, spec.cell_bounds)
+                            / (spec.scale * space.cell_weights)).sum())
     else:
         hinge = _squared_hinge(np.abs(cell), spec.cell_bounds[..., None])
-        total += float((hinge.sum(axis=-1) / w).sum())
+        total += float((hinge.sum(axis=-1)
+                        / (spec.scale * space.cell_weights)).sum())
     return total
 
 

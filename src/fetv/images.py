@@ -182,8 +182,14 @@ def load_mask(path, mesh):
         dark = np.flipud(raster.values).ravel() < 0.5
         masked[:] = np.repeat(dark, 4)
         return masked
-    with open(path, "r", encoding="utf-8") as fh:
+    # bytes that are not UTF-8 become lone surrogates, found line by line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"mask line {no}: bytes that are not UTF-8 "
+                                 "text") from None
             text = line.split("#", 1)[0].strip()
             if not text:
                 continue

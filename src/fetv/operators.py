@@ -6,10 +6,11 @@ Lambda is applied in the factored form J * Lambda_ref (see
 :class:`GradJumpOperator`), the assembled product is stored once, as the
 CSR matrix of Lambda^T, and serves the divergence and the quadratic form
 K = Lambda^T W Lambda.  The u-system F + lam * K of
-:class:`QuadraticSolver` keeps its lam-free parts F (fidelity) and K as
-arrays aligned to its stored entries, so a new lam is one evaluation on
-the same structure, and the PCG preconditioner is the block-diagonal CSR
-matrix of the inverted cell blocks.
+:class:`QuadraticSolver` keeps K as an array aligned to its stored entries
+and F as the positions of its nonzero entries there, its values following
+from the mass tables, so a new lam is one evaluation on the same
+structure, and the PCG preconditioner is the block-diagonal CSR matrix of
+the inverted cell blocks.
 
 Dual vector fields never appear as pointwise functions here: an RT function
 is represented solely by its integral dof vector, laid out exactly like a
@@ -234,13 +235,14 @@ class QuadraticSolver:
 
     K = Lambda^T W Lambda.  The fidelity block F is the plain DG mass matrix
     restricted to the data cells, or the fully lumped diagonal
-    lam*scale*C_{T,k} when ``lumped_fidelity`` is set.  The lam-free parts
-    (F without its lam*scale in the lumped case, and K) are kept as arrays
-    aligned to the stored entries of ``matrix``, so ``set_lam`` evaluates
-    ``matrix.data`` afresh on the same sparsity structure, equal to a fresh
-    build bit for bit.  The system is SPD and solved by preconditioned CG;
-    the preconditioner is block Jacobi on the cell blocks, stored as the
-    block-diagonal CSR matrix of their inverses.
+    lam*scale*C_{T,k} when ``lumped_fidelity`` is set.  K is kept as an
+    array aligned to the stored entries of ``matrix`` and F as the int32
+    positions of its nonzero entries, whose values follow from the mass
+    tables, so ``set_lam`` evaluates ``matrix.data`` afresh on the same
+    sparsity structure, equal to a fresh build bit for bit.  The system is
+    SPD and solved by preconditioned CG; the preconditioner is block Jacobi
+    on the cell blocks, stored as the block-diagonal CSR matrix of their
+    inverses.
     """
 
     _CHUNK = 2048   # cells per pass over the blocks; bounds the temporaries
@@ -264,29 +266,33 @@ class QuadraticSolver:
         self.lam = lam
         self._scale = scale
         self._lumped = lumped_fidelity
+        self._mask = mask
 
         n_t = mesh.num_cells
         n_k = space.dofs.n_cell_basis
         lmat = grad_op.matrix
         k = (lmat.T @ lmat.multiply(space.y_weight_vector(scale)[:, None])
              ).tocsr()
+        # the nonzero pattern of F: the lumped diagonal, or the nonzero
+        # entries of the reference mass in the blocks of the data cells
         if lumped_fidelity:
-            fid = sp.diags(space.lumped_weights).tocsr()
+            rows = cols = np.flatnonzero(space.lumped_weights)
         else:
-            blocks = np.where(mask[:, None, None],
-                              space.mass_ref[None]
-                              * mesh.det_jacobian[:, None, None], 0.0)
-            fid = sp.bsr_matrix((blocks, np.arange(n_t), np.arange(n_t + 1)),
-                                shape=(space.dim_dg, space.dim_dg)).tocsr()
+            a, b = np.nonzero(space.mass_ref)
+            first = np.flatnonzero(mask)[:, None] * n_k
+            rows, cols = (first + a).ravel(), (first + b).ravel()
+        fid = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                            shape=(space.dim_dg, space.dim_dg))
         # the structure is the union of the nonzero patterns of F and K, the
         # same at every lam.  The sum's arrays are views into buffers sized
         # for both terms; astype copies them to the stored entries alone.
-        # Sorted rows keep the PCG matvec in a fixed summation order
+        # Sorted rows keep the PCG matvec in a fixed summation order, and
+        # put the entries of F in the row-major order _evaluate gives them
         self.matrix = ((fid != 0) + (k != 0)).astype(float)
         self.matrix.sort_indices()
         self._k = self._read_stored(k)
         del k   # each part is as large as the matrix; free it once read
-        self._fid = self._read_stored(fid)
+        self._fid_at = np.flatnonzero(self._read_stored(fid)).astype(np.int32)
         del fid
         self._evaluate()
 
@@ -306,11 +312,18 @@ class QuadraticSolver:
         self._invert_blocks()
 
     def _evaluate(self):
-        """matrix.data = F + lam * K entry by entry, with F scaled by
-        lam * scale first in the lumped case."""
-        fid = self.lam * self._scale * self._fid if self._lumped else self._fid
+        """matrix.data = F + lam * K entry by entry, the nonzero entries of
+        F computed row by row: lam * scale * C_{T,k} (lumped), else
+        det B_T * mass_ref in the blocks of the data cells."""
+        space = self.space
         data = np.multiply(self.lam, self._k, out=self.matrix.data)
-        data += fid
+        if self._lumped:
+            w = space.lumped_weights
+            data[self._fid_at] += self.lam * self._scale * w[w != 0]
+        else:
+            ref = space.mass_ref[space.mass_ref != 0]
+            det = space.mesh.det_jacobian[self._mask]
+            data[self._fid_at] += (det[:, None] * ref).ravel()
 
     def _chunks(self):
         """Slices of the DG rows, a cell chunk at a time."""

@@ -15,6 +15,11 @@ Each Chambolle-Pock iteration computes one divergence (Lambda^T, then
 M^-1 or the lumped weights), of the new dual iterate: the next primal
 step forms div p_bar from it by linearity, and a TV-L2 step returns it as
 ``divp`` for the gap monitor (``None`` lets the loop compute it).
+
+The TV-L2 monitor applies no operator: the regularizer is ``dtv.support``
+at the step's y, and each mass norm of the gap and the stop test is one
+BLAS product with the Cholesky factor of the reference mass, squared in
+place and dotted with det B_T per dof (``_Context._mass_norm_sq``).
 """
 
 from __future__ import annotations
@@ -83,9 +88,12 @@ def prox_vector(xi, gamma, s=2):
     if s == 2:
         norms = vector_norm(xi, 2)
         factor = np.zeros_like(norms)
-        pos = norms > 0
-        factor[pos] = np.maximum(norms[pos] - gamma, 0.0) / norms[pos]
-        return xi * factor[..., None]
+        np.divide(np.maximum(norms - gamma, 0.0), norms, out=factor,
+                  where=norms > 0)
+        out = np.empty_like(xi)     # no factor[..., None] broadcast
+        np.multiply(xi[..., 0], factor, out=out[..., 0])
+        np.multiply(xi[..., 1], factor, out=out[..., 1])
+        return out
     raise ValueError(f"unsupported anisotropy s={s!r}")
 
 
@@ -224,6 +232,10 @@ class _Context:
                                     scale=self.scale)
         self.yw = self.space.y_weight_vector(self.scale)
         self.edge_norms = vector_norm(self.space.mesh.edge_normals, prob.s)
+        # M_ref = R R^T and the weights of the data cells' mass norms
+        self._chol = np.linalg.cholesky(self.space.mass_ref)
+        self._mass_w = (self.space._det_dof if self.mask.all()
+                        else self.space._det_dof * self.mask_dof)
         self.f_norm_sq = self.space.l2_norm_sq(self.f, mask=self.mask)
         self.gap_floor = 1e-13 * (1.0 + self.f_norm_sq)
 
@@ -235,6 +247,13 @@ class _Context:
 
     # -- objective pieces --------------------------------------------------
 
+    def _mass_norm_sq(self, v, weights):
+        """||v||^2_M with per-dof weights det B_T [T counted]: z = V R on
+        the (cells, n_k) view, squared in place, and one dot."""
+        z = self.space._cell_product(v, self._chol)
+        z *= z
+        return float(z.reshape(-1) @ weights)
+
     def regularizer(self, y):
         """beta * G(Lambda u) (Huberized when requested) from y = Lambda u:
         the support function of beta*P, whose bounds carry beta."""
@@ -242,7 +261,7 @@ class _Context:
 
     def fidelity_value(self, u):
         if self.prob.fidelity == "l2":
-            return 0.5 * self.space.l2_norm_sq(u - self.f, mask=self.mask)
+            return 0.5 * self._mass_norm_sq(u - self.f, self._mass_w)
         res = np.abs(u - self.f) * self.space.lumped_weights
         return float(res[self.mask_dof].sum())
 
@@ -256,7 +275,7 @@ class _Context:
         divp = div p."""
         fid = self.fidelity_value(u)
         reg = self.regularizer(y)
-        dual = 0.5 * self.space.l2_norm_sq(divp + self.f, mask=self.mask)
+        dual = 0.5 * self._mass_norm_sq(divp + self.f, self._mass_w)
         val = ((fid + dual) - 0.5 * self.f_norm_sq) + reg
         if self.prob.huber_eps > 0:
             w = np.asarray(p).ravel()
@@ -275,7 +294,8 @@ class _Context:
             return False
         if self.mask.all():
             return True
-        return 0.5 * self.space.l2_norm_sq(divp, mask=~self.mask) <= tol
+        off = self.space._det_dof * ~self.mask_dof   # only once the gap passes
+        return 0.5 * self._mass_norm_sq(divp, off) <= tol
 
     def multiplier_bounds(self, g):
         """max |lambda g| certificate of the TV-L1 runs over the data dofs
@@ -298,7 +318,10 @@ def estimate_operator_norm_sq(space, scale=1.0):
     steps below 1/L at scale 1, since ||div||^2 from Y* to L2 is the
     squared norm of the adjoint.  A Rayleigh quotient approaches L from
     below (0.7-1.5 % under it on 8x8 to 64x64 crossed meshes), so the
-    default steps 0.9 / L sit at about 0.91 of the bound."""
+    default steps 0.9 / L sit at about 0.91 of the bound.  The estimate is
+    kept on the space, one per scale, so later solves on it reuse it."""
+    if scale in space._norm_sq:
+        return space._norm_sq[scale]
     op = space.grad_jump()
     w = space.y_weight_vector(scale)
     v = np.random.default_rng(1).standard_normal(space.dim_dg)
@@ -310,7 +333,8 @@ def estimate_operator_norm_sq(space, scale=1.0):
         if kv_norm == 0.0:
             return 0.0
         v = kv / kv_norm
-    return float(lam)
+    space._norm_sq[scale] = lam = float(lam)
+    return lam
 
 
 def _default_tau(ctx, sigma, scale):
@@ -346,7 +370,7 @@ def dual_objective(p, prob: ProblemSpec, context=None, space=None):
                                                        space=space)
     if prob.fidelity == "l2":
         divp = divergence(ctx.op, p)
-        return 0.5 * ctx.space.l2_norm_sq(divp + ctx.f, mask=ctx.mask)
+        return 0.5 * ctx._mass_norm_sq(divp + ctx.f, ctx._mass_w)
     divp = divergence(ctx.op, p, lumped=True)
     vals = divp * ctx.f * ctx.space.lumped_weights
     return float(vals[ctx.mask_dof].sum())
@@ -478,9 +502,9 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
     params = ctx.params
     sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
     tau = _default_tau(ctx, sigma, ctx.scale)
-    sigma_dof = np.where(ctx.mask_dof, sigma, 0.0)
-    sigma_f = sigma_dof * ctx.f
-    denom = 1.0 + sigma_dof
+    denom = np.where(ctx.mask_dof, sigma, 0.0)       # sigma_dof, for now
+    sigma_f = denom * ctx.f
+    denom += 1.0
     divp = divp_prev = np.zeros(ctx.space.dim_dg)
 
     def step(u, p):

@@ -11,7 +11,8 @@ as exact rationals and only scaled by cell area / edge length at assembly.
 The DG mass and inverse mass are applied as one BLAS product of the
 (cells, n_k) coefficient view with the transposed reference matrix, stored
 C-contiguous once per space (the F-ordered view ``ref.T`` takes a slower
-BLAS path), scaled by det B_T; no global mass matrix is stored.  A cell
+BLAS path), scaled by det B_T in one flat pass with a per-dof copy of it
+(not a det[:, None] broadcast); no global mass matrix is stored.  A cell
 mask restricts the mass by scaling with det B_T on the kept cells and 0 on
 the others, the same values as zeroing the masked rows afterwards.
 """
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -346,7 +347,6 @@ class FeSpace:
 
         area = mesh.cell_areas
         self.cell_weights = area[:, None] * _to_float([ref.cell_interior])  # c_{T,i}
-        self.full_weights = area[:, None] * _to_float([ref.cell_full])      # C_{T,k}
         self.edge_weights = mesh.edge_lengths[:, None] * _to_float([ref.edge])
 
         mass = _reference_mass_exact(r)
@@ -355,7 +355,10 @@ class FeSpace:
         # right factors of the cell products u_T @ ref^T, C-contiguous
         self._mass_ref_t = np.ascontiguousarray(self.mass_ref.T)
         self._mass_ref_inv_t = np.ascontiguousarray(self.mass_ref_inv.T)
+        self._det_dof = np.repeat(mesh.det_jacobian, self.dofs.n_cell_basis)
+        self._det_dof.setflags(write=False)
         self._grad_jump = None
+        self._norm_sq = {}      # operator norm estimates by Y scale
 
     # -- dimensions ----------------------------------------------------------
 
@@ -406,23 +409,30 @@ class FeSpace:
     def apply_mass(self, coeffs, mask=None):
         """M u; with a cell mask, the mass of the kept cells only (the rows
         of masked cells are 0)."""
-        det = self.mesh.det_jacobian
+        det = self._det_dof
         if mask is not None:
-            det = np.where(mask, det, 0.0)
-        out = self._cell_product(coeffs, self._mass_ref_t)
-        out *= det[:, None]
-        return out.reshape(-1)
+            det = np.where(np.repeat(mask, self.dofs.n_cell_basis), det, 0.0)
+        out = self._cell_product(coeffs, self._mass_ref_t).reshape(-1)
+        out *= det
+        return out
 
     def apply_mass_inverse(self, coeffs):
-        out = self._cell_product(coeffs, self._mass_ref_inv_t)
-        out /= self.mesh.det_jacobian[:, None]
-        return out.reshape(-1)
+        out = self._cell_product(coeffs, self._mass_ref_inv_t).reshape(-1)
+        out /= self._det_dof
+        return out
 
     def l2_inner(self, u, v, mask=None):
         return float(np.asarray(u).ravel() @ self.apply_mass(v, mask=mask))
 
     def l2_norm_sq(self, u, mask=None):
         return self.l2_inner(u, u, mask=mask)
+
+    @cached_property
+    def full_weights(self):
+        """The C_{T,k}, made on first use: only the lumped (TV-L1) paths
+        read them, and they are as large as a DG vector."""
+        ref = reference_weights(self.degree)
+        return self.mesh.cell_areas[:, None] * _to_float([ref.cell_full])
 
     @property
     def lumped_weights(self):

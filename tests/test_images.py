@@ -172,6 +172,14 @@ def test_load_mask_text(tmp_path, crossed_2x2):
         load_mask(bad, crossed_2x2)
 
 
+def test_load_mask_names_a_line_that_is_not_utf8(tmp_path, crossed_2x2):
+    path = tmp_path / "mask.txt"
+    path.write_bytes(b"0\n5\xff\n")
+    with pytest.raises(ValueError, match="mask line 2: bytes that are not "
+                                         "UTF-8"):
+        load_mask(path, crossed_2x2)
+
+
 def test_load_mask_raster(tmp_path):
     mesh = build_crossed_mesh(3, 2, 1.0, 2.0 / 3.0)
     vals = np.ones((2, 3))

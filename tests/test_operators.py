@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from fetv.mesh import build_crossed_mesh, build_diagonal_square
 from fetv.operators import (
@@ -326,6 +327,33 @@ def test_quadratic_solver_blocks_match_fancy_indexing(spaces_2x2):
         stored.data[:] = 1.0
         holes += rows.size - int(np.asarray(stored[rows, cols]).sum())
     assert holes > 0
+
+
+def test_quadratic_solver_matrix_is_f_plus_lam_k(spaces_2x2):
+    """Every stored entry of the u-system is F + lam * K with F built from
+    its definition (det B_T * mass_ref on the data cells' blocks, or the
+    lumped diagonal times lam * scale) and K = Lambda^T W Lambda, bit for
+    bit; F stays an int32 position array, not a value per stored entry."""
+    lam = 3e-3
+    for space, scale, mask, lumped in _solver_variants(spaces_2x2):
+        qs = QuadraticSolver(space, space.grad_jump(), lam, scale,
+                             mask=mask, lumped_fidelity=lumped)
+        lmat = space.grad_jump().matrix
+        k = (lmat.T @ lmat.multiply(space.y_weight_vector(scale)[:, None])
+             ).toarray()
+        if lumped:
+            fid = np.diag(lam * scale * space.lumped_weights)
+        else:
+            kept = np.ones(space.mesh.num_cells, dtype=bool) \
+                if mask is None else mask
+            fid = sp.block_diag(
+                list(space.mass_ref[None] * np.where(
+                    kept, space.mesh.det_jacobian, 0.0)[:, None, None])
+            ).toarray()
+        coo = qs.matrix.tocoo()
+        want = lam * k[coo.row, coo.col] + fid[coo.row, coo.col]
+        assert np.array_equal(coo.data, want), (space.degree, mask, lumped)
+        assert qs._fid_at.dtype == np.int32
 
 
 @pytest.mark.parametrize("factors", [

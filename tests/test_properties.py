@@ -1,6 +1,7 @@
 """Property tests for the per-iteration kernels: the masked DG mass, its
-inverse, the feasible-set projection and the infeasibility measure, on
-jittered crossed meshes with drawn masks, degrees and inputs."""
+inverse, the feasible-set projection, the infeasibility measure, the
+radial prox and the gap monitor, on jittered crossed meshes with drawn
+masks, degrees and inputs."""
 
 import math
 from functools import lru_cache
@@ -9,8 +10,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from fetv.dtv import (ConstraintSetSpec, _duffy_rule, infeasibility,
-                      project_feasible, vector_norm)
+                      project_feasible, support, vector_norm)
 from fetv.mesh import Mesh, build_crossed_mesh
+from fetv.operators import divergence
+from fetv.solvers import ProblemSpec, SolverParams, _Context, prox_vector
 from fetv.spaces import FeSpace
 
 # derandomized: the same examples on every run, so the suite is repeatable
@@ -83,6 +86,79 @@ def test_mass_inverse_inverts_mass(instance):
     assert np.abs(back - u).max() <= 1e-12 * np.abs(u).max()
 
 
+@SETTINGS
+@given(instances())
+def test_mass_scales_like_the_cell_broadcast(instance):
+    """The flat per-dof det scale gives the values of the (cells, n_k)
+    product scaled by a det[:, None] broadcast, bit for bit."""
+    space, mask, seed = instance
+    u = np.random.default_rng(seed).standard_normal(space.dim_dg)
+    cells = space.cell_matrix(u)
+    det = space.mesh.det_jacobian
+    mass = cells @ space.mass_ref.T * det[:, None]
+    assert np.array_equal(space.apply_mass(u), mass.ravel())
+    masked = cells @ space.mass_ref.T * np.where(mask, det, 0.0)[:, None]
+    assert np.array_equal(space.apply_mass(u, mask=mask), masked.ravel())
+    inverse = cells @ space.mass_ref_inv.T / det[:, None]
+    assert np.array_equal(space.apply_mass_inverse(u), inverse.ravel())
+
+
+@SETTINGS
+@given(instances(), st.booleans())
+def test_monitor_gap_is_the_textbook_gap(instance, masked):
+    """The monitor's gap and objective, whose mass norms are one BLAS
+    product and one weighted dot each, equal the textbook forms through
+    ``apply_mass`` (0.5 ||u - f||^2_M + 0.5 ||div p + f||^2_M
+    - 0.5 ||f||^2_M + beta G(Lambda u), masses over the data cells), and
+    so does the masked-off residual 0.5 ||div p||^2_M of the stop test."""
+    space, mask, seed = instance
+    omega0 = mask if masked and mask.any() else None
+    rng = np.random.default_rng(seed)
+    f = rng.standard_normal(space.dim_dg)
+    prob = ProblemSpec(mesh=space.mesh, degree=space.degree, f=f,
+                       omega0=omega0, beta=0.1)
+    ctx = _Context(prob, SolverParams(scale=0.5), space=space)
+    u = rng.standard_normal(space.dim_dg)
+    p = project_feasible(rng.standard_normal(space.dim_y), ctx.cs)
+    y = ctx.op.apply(u)
+    divp = divergence(ctx.op, p)
+
+    def half_norm_sq(v, cells):
+        return 0.5 * float(v @ space.apply_mass(v, mask=cells))
+
+    kept = ctx.mask
+    fid = half_norm_sq(u - ctx.f, kept)
+    reg = support(ctx.cs, y)
+    gap = fid + half_norm_sq(divp + ctx.f, kept) \
+        - half_norm_sq(ctx.f, kept) + reg
+    got_gap, got_objective = ctx.eta(u, p, y, divp)
+    scale = fid + half_norm_sq(divp + ctx.f, kept) + reg
+    assert math.isclose(got_gap, gap, rel_tol=1e-12, abs_tol=1e-14 * scale)
+    assert math.isclose(got_objective, fid + reg, rel_tol=1e-12)
+    off = half_norm_sq(divp, ~kept)
+    got_off = 0.5 * ctx._mass_norm_sq(divp, space._det_dof * ~ctx.mask_dof)
+    assert math.isclose(got_off, off, rel_tol=1e-12,
+                        abs_tol=1e-14 * half_norm_sq(divp, None))
+
+
+@SETTINGS
+@given(instances(), st.floats(0.0, 3.0))
+def test_radial_prox_is_the_broadcast_scale(instance, gamma):
+    """prox_vector at s = 2 scales each component by the factor the radial
+    shrink gives, bit for bit as ``xi * factor[..., None]``, with the zero
+    vectors sent to zero."""
+    space, _, seed = instance
+    cells = space.y_cell_view(
+        np.random.default_rng(seed).standard_normal(space.dim_y))
+    cells[..., :1, :] = 0.0          # zero vectors, where no factor exists
+    norms = vector_norm(cells, 2)
+    factor = np.zeros_like(norms)
+    pos = norms > 0
+    factor[pos] = np.maximum(norms[pos] - gamma, 0.0) / norms[pos]
+    assert np.array_equal(prox_vector(cells, gamma, 2),
+                          cells * factor[..., None])
+
+
 def _hinge_reference(p, spec):
     """The infeasibility measure written out of place."""
     space = spec.space
@@ -145,3 +221,25 @@ def test_projection_properties(instance, s, beta, scale, spread):
         assert infeasibility(proj, spec) <= 1e-30 * unit
         assert np.array_equal(proj, _projection_reference(p, spec))
         assert infeasibility(p, spec) == _hinge_reference(p, spec)
+
+
+@SETTINGS
+@given(instances(), st.sampled_from((1, 2)), st.floats(1e-2, 1e2))
+def test_infeasibility_inside_outside_and_nan(instance, s, spread):
+    """The infeasibility measure equals its out-of-place form bit for bit
+    on vectors inside the set (exactly 0.0), outside it and across it, and
+    a NaN on any one dof makes it NaN rather than a part skipped as
+    feasible."""
+    space, _, seed = instance
+    spec = ConstraintSetSpec(space, beta=0.1, s=s, scale=0.5)
+    rng = np.random.default_rng(seed)
+    p = rng.standard_normal(space.dim_y) * spread
+    inside = project_feasible(p, spec) * 0.5
+    outside = project_feasible(p, spec) * 2.0 + np.sign(p) * 1e-3
+    for q in (inside, outside, p):
+        assert infeasibility(q, spec) == _hinge_reference(q, spec)
+    assert infeasibility(inside, spec) == 0.0
+    for at in (0, space.dim_y - 1):     # a cell dof (r > 0), an edge dof
+        bad = inside.copy()
+        bad[at] = np.nan
+        assert math.isnan(infeasibility(bad, spec))

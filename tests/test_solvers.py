@@ -169,6 +169,24 @@ def test_projection_default_tau_uses_the_operator_norm():
         assert rep.params["sigma"] * rep.params["tau"] * lumped_sq < 1.0
 
 
+def test_operator_norm_estimate_is_kept_per_scale(monkeypatch):
+    """The estimate is made once per space and scale: a repeat call does no
+    power step and returns the value a fresh space gives, exactly."""
+    mesh = build_crossed_mesh(4, 4, 1.0, 1.0)
+    space = FeSpace(mesh, 1)
+    first = estimate_operator_norm_sq(space, 1e-2)
+    steps = []
+    op = space.grad_jump()
+    apply = op.apply
+    monkeypatch.setattr(op, "apply", lambda v: steps.append(1) or apply(v))
+    assert estimate_operator_norm_sq(space, 1e-2) == first
+    assert not steps
+    assert estimate_operator_norm_sq(FeSpace(mesh, 1), 1e-2) == first
+    # another scale is another operator
+    assert estimate_operator_norm_sq(space, 1.0) != first
+    assert len(steps) == 60
+
+
 def test_split_bregman_large_beta_gives_mean():
     mesh, space, clean, noisy = _denoise_instance(n=8)
     prob = ProblemSpec(mesh=mesh, degree=0, f=noisy.coeffs, beta=1e3)
