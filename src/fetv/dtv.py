@@ -10,9 +10,8 @@ P at y = Lambda u, whose bounds ``ConstraintSetSpec`` holds.  The solvers'
 regularizer and its Huber variant are the same function of beta*P.
 
 The per-iteration kernels avoid numpy idioms that cost more than their
-arithmetic: weighted sums are dots, the edge clip is maximum/minimum, cell
-vectors are scaled component by component rather than by a trailing-axis
-broadcast, and a feasible part of ``infeasibility`` is 0.0 unformed.
+arithmetic: weighted sums are dots, the edge clip is maximum/minimum, and
+cell vectors are scaled component by component, not by a broadcast.
 """
 
 from __future__ import annotations
@@ -231,7 +230,8 @@ class ConstraintSetSpec:
 
     @cached_property
     def _edge_floor(self):
-        """-edge_bounds, made on the first projection."""
+        """-edge_bounds for the edge clip, made on the first projection:
+        the solvers that never project keep one edge vector less."""
         return -self.edge_bounds
 
 
@@ -306,8 +306,9 @@ def _squared_hinge(mag, bound):
 
 def infeasibility(p, spec: ConstraintSetSpec):
     """Squared Y*-distance-to-feasibility (hinge violations weighted by the
-    inverse quadrature weights); zero iff p lies in beta*P.  A part within
-    its bounds (NaN is not) is the 0.0 its hinges sum to, left unformed."""
+    inverse quadrature weights); zero iff p lies in beta*P.  Edges within
+    their bounds (NaN is not) sum to the 0.0 left in place of their hinges;
+    the projection keeps the edges of a dual iterate there."""
     if spec.s not in (1, 2):
         raise ValueError("infeasibility is defined for s in {1, 2}")
     space = spec.space
@@ -315,18 +316,18 @@ def infeasibility(p, spec: ConstraintSetSpec):
     total = 0.0
     edge = np.abs(space.y_edge_view(p))
     if not (edge <= spec.edge_bounds).all():
-        total = float((_squared_hinge(edge, spec.edge_bounds)
-                       / space.edge_weights).sum())
+        viol = _squared_hinge(edge, spec.edge_bounds)
+        viol /= space.edge_weights
+        total = float(viol.sum())
     cell = space.y_cell_view(p)
+    w = spec.scale * space.cell_weights
     if spec.s == 2:
-        norms = vector_norm(cell, 2)
-        if not (norms <= spec.cell_bounds).all():
-            total += float((_squared_hinge(norms, spec.cell_bounds)
-                            / (spec.scale * space.cell_weights)).sum())
+        hinge = _squared_hinge(vector_norm(cell, 2), spec.cell_bounds)
+        hinge /= w
+        total += float(hinge.sum())
     else:
         hinge = _squared_hinge(np.abs(cell), spec.cell_bounds[..., None])
-        total += float((hinge.sum(axis=-1)
-                        / (spec.scale * space.cell_weights)).sum())
+        total += float((hinge.sum(axis=-1) / w).sum())
     return total
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import build_crossed_mesh
+from .mesh import _text_lines, build_crossed_mesh
 from .operators import DgFunction
 from .spaces import FeSpace
 
@@ -182,26 +182,18 @@ def load_mask(path, mesh):
         dark = np.flipud(raster.values).ravel() < 0.5
         masked[:] = np.repeat(dark, 4)
         return masked
-    # bytes that are not UTF-8 become lone surrogates, found line by line
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for no, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ValueError(f"mask line {no}: bytes that are not UTF-8 "
-                                 "text") from None
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                idx = int(text)
-            except ValueError:
-                raise ValueError(f"mask line {no}: not a cell index: {text!r}") \
-                    from None
-            if not 0 <= idx < mesh.num_cells:
-                raise ValueError(
-                    f"mask line {no}: cell index {idx} out of range "
-                    f"[0, {mesh.num_cells})"
-                )
-            masked[idx] = True
+    lines, _ = _text_lines(
+        path, lambda msg, line: ValueError(f"mask line {line}: {msg}"))
+    for no, text in lines:
+        try:
+            idx = int(text)
+        except ValueError:
+            raise ValueError(f"mask line {no}: not a cell index: {text!r}") \
+                from None
+        if not 0 <= idx < mesh.num_cells:
+            raise ValueError(
+                f"mask line {no}: cell index {idx} out of range "
+                f"[0, {mesh.num_cells})"
+            )
+        masked[idx] = True
     return masked

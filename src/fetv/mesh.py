@@ -386,29 +386,35 @@ def save_mesh(mesh, path):
             fh.write(f"{a} {b} {c}\n")
 
 
-def load_mesh(path):
-    """Read the plain text mesh format; interior edges are rebuilt."""
+def _text_lines(path, error):
+    """The (number, text) pairs of a UTF-8 text file's lines that hold more
+    than a '#' comment, the comment cut, and the number of lines.  A line
+    of bytes that are not UTF-8 raises ``error(message, line=number)``."""
     # bytes that are not UTF-8 become lone surrogates, found line by line
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         raw = fh.readlines()
-
     lines = []
     for no, text in enumerate(raw, start=1):
         try:
             text.encode("utf-8")
         except UnicodeEncodeError:
-            raise MeshFormatError("bytes that are not UTF-8 text",
-                                  line=no) from None
+            raise error("bytes that are not UTF-8 text", line=no) from None
         text = text.split("#", 1)[0].strip()
         if text:
             lines.append((no, text))
+    return lines, len(raw)
+
+
+def load_mesh(path):
+    """Read the plain text mesh format; interior edges are rebuilt."""
+    lines, n_lines = _text_lines(path, MeshFormatError)
     pos = 0
 
     def take(what):
         nonlocal pos
         if pos >= len(lines):
             raise MeshFormatError(f"unexpected end of file, expected {what}",
-                                  line=len(raw))
+                                  line=n_lines)
         item = lines[pos]
         pos += 1
         return item

@@ -17,9 +17,8 @@ step forms div p_bar from it by linearity, and a TV-L2 step returns it as
 ``divp`` for the gap monitor (``None`` lets the loop compute it).
 
 The TV-L2 monitor applies no operator: the regularizer is ``dtv.support``
-at the step's y, and each mass norm of the gap and the stop test is one
-BLAS product with the Cholesky factor of the reference mass, squared in
-place and dotted with det B_T per dof (``_Context._mass_norm_sq``).
+at the step's y, and each mass norm is the space's Cholesky form of the
+squared L2 norm, with the data cells' per-dof weights built once.
 """
 
 from __future__ import annotations
@@ -232,11 +231,10 @@ class _Context:
                                     scale=self.scale)
         self.yw = self.space.y_weight_vector(self.scale)
         self.edge_norms = vector_norm(self.space.mesh.edge_normals, prob.s)
-        # M_ref = R R^T and the weights of the data cells' mass norms
-        self._chol = np.linalg.cholesky(self.space.mass_ref)
-        self._mass_w = (self.space._det_dof if self.mask.all()
-                        else self.space._det_dof * self.mask_dof)
-        self.f_norm_sq = self.space.l2_norm_sq(self.f, mask=self.mask)
+        # the per-dof weights of the mass norms over the data cells
+        self._mass_w = self.space._det_weights(
+            None if self.mask.all() else self.mask)
+        self.f_norm_sq = self.data_norm_sq(self.f)
         self.gap_floor = 1e-13 * (1.0 + self.f_norm_sq)
 
         if prob.fidelity == "l2":
@@ -247,12 +245,9 @@ class _Context:
 
     # -- objective pieces --------------------------------------------------
 
-    def _mass_norm_sq(self, v, weights):
-        """||v||^2_M with per-dof weights det B_T [T counted]: z = V R on
-        the (cells, n_k) view, squared in place, and one dot."""
-        z = self.space._cell_product(v, self._chol)
-        z *= z
-        return float(z.reshape(-1) @ weights)
+    def data_norm_sq(self, v):
+        """||v||^2_M over the data cells."""
+        return self.space._mass_norm_sq(v, self._mass_w)
 
     def regularizer(self, y):
         """beta * G(Lambda u) (Huberized when requested) from y = Lambda u:
@@ -261,7 +256,7 @@ class _Context:
 
     def fidelity_value(self, u):
         if self.prob.fidelity == "l2":
-            return 0.5 * self._mass_norm_sq(u - self.f, self._mass_w)
+            return 0.5 * self.data_norm_sq(u - self.f)
         res = np.abs(u - self.f) * self.space.lumped_weights
         return float(res[self.mask_dof].sum())
 
@@ -275,7 +270,7 @@ class _Context:
         divp = div p."""
         fid = self.fidelity_value(u)
         reg = self.regularizer(y)
-        dual = 0.5 * self._mass_norm_sq(divp + self.f, self._mass_w)
+        dual = 0.5 * self.data_norm_sq(divp + self.f)
         val = ((fid + dual) - 0.5 * self.f_norm_sq) + reg
         if self.prob.huber_eps > 0:
             w = np.asarray(p).ravel()
@@ -294,8 +289,7 @@ class _Context:
             return False
         if self.mask.all():
             return True
-        off = self.space._det_dof * ~self.mask_dof   # only once the gap passes
-        return 0.5 * self._mass_norm_sq(divp, off) <= tol
+        return 0.5 * self.space.l2_norm_sq(divp, mask=~self.mask) <= tol
 
     def multiplier_bounds(self, g):
         """max |lambda g| certificate of the TV-L1 runs over the data dofs
@@ -370,7 +364,7 @@ def dual_objective(p, prob: ProblemSpec, context=None, space=None):
                                                        space=space)
     if prob.fidelity == "l2":
         divp = divergence(ctx.op, p)
-        return 0.5 * ctx._mass_norm_sq(divp + ctx.f, ctx._mass_w)
+        return 0.5 * ctx.data_norm_sq(divp + ctx.f)
     divp = divergence(ctx.op, p, lumped=True)
     vals = divp * ctx.f * ctx.space.lumped_weights
     return float(vals[ctx.mask_dof].sum())
@@ -502,9 +496,9 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
     params = ctx.params
     sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
     tau = _default_tau(ctx, sigma, ctx.scale)
-    denom = np.where(ctx.mask_dof, sigma, 0.0)       # sigma_dof, for now
+    denom = np.where(ctx.mask_dof, sigma, 0.0)
     sigma_f = denom * ctx.f
-    denom += 1.0
+    denom += 1.0                # 1 + sigma on the data dofs, 1 elsewhere
     divp = divp_prev = np.zeros(ctx.space.dim_dg)
 
     def step(u, p):

@@ -11,10 +11,12 @@ as exact rationals and only scaled by cell area / edge length at assembly.
 The DG mass and inverse mass are applied as one BLAS product of the
 (cells, n_k) coefficient view with the transposed reference matrix, stored
 C-contiguous once per space (the F-ordered view ``ref.T`` takes a slower
-BLAS path), scaled by det B_T in one flat pass with a per-dof copy of it
-(not a det[:, None] broadcast); no global mass matrix is stored.  A cell
-mask restricts the mass by scaling with det B_T on the kept cells and 0 on
-the others, the same values as zeroing the masked rows afterwards.
+BLAS path), scaled by a per-dof copy of det B_T in one flat pass; no
+global mass matrix is stored.  A cell mask restricts the mass by scaling
+with det B_T on the kept cells and 0 on the others, the same values as
+zeroing the masked rows afterwards.  The squared L2 norm squares the
+product with the Cholesky factor R of M_ref = R R^T and dots it with the
+same per-dof weights.
 """
 
 from __future__ import annotations
@@ -355,6 +357,7 @@ class FeSpace:
         # right factors of the cell products u_T @ ref^T, C-contiguous
         self._mass_ref_t = np.ascontiguousarray(self.mass_ref.T)
         self._mass_ref_inv_t = np.ascontiguousarray(self.mass_ref_inv.T)
+        self._mass_chol = np.linalg.cholesky(self.mass_ref)
         self._det_dof = np.repeat(mesh.det_jacobian, self.dofs.n_cell_basis)
         self._det_dof.setflags(write=False)
         self._grad_jump = None
@@ -397,23 +400,27 @@ class FeSpace:
         return np.asarray(coeffs).reshape(self.dofs.num_cells,
                                           self.dofs.n_cell_basis)
 
-    def _cell_product(self, coeffs, ref_t):
-        """ref @ u_T for every cell's coefficient block u_T, given ref_t =
-        ref^T: one BLAS product on the (n_t, n_k) view, a plain scale when
-        n_k = 1."""
+    def _cell_product(self, coeffs, right):
+        """u_T @ right for every cell's coefficient block u_T (ref^T for
+        ref @ u_T): one BLAS product on the (n_t, n_k) view, a plain scale
+        when n_k = 1."""
         u = self.cell_matrix(coeffs)
-        if ref_t.shape[0] == 1:
-            return u * ref_t[0, 0]
-        return u @ ref_t
+        if right.shape[0] == 1:
+            return u * right[0, 0]
+        return u @ right
+
+    def _det_weights(self, mask=None):
+        """det B_T per dof, 0 on the cells off the mask."""
+        if mask is None:
+            return self._det_dof
+        return np.where(np.repeat(mask, self.dofs.n_cell_basis),
+                        self._det_dof, 0.0)
 
     def apply_mass(self, coeffs, mask=None):
         """M u; with a cell mask, the mass of the kept cells only (the rows
         of masked cells are 0)."""
-        det = self._det_dof
-        if mask is not None:
-            det = np.where(np.repeat(mask, self.dofs.n_cell_basis), det, 0.0)
         out = self._cell_product(coeffs, self._mass_ref_t).reshape(-1)
-        out *= det
+        out *= self._det_weights(mask)
         return out
 
     def apply_mass_inverse(self, coeffs):
@@ -425,12 +432,19 @@ class FeSpace:
         return float(np.asarray(u).ravel() @ self.apply_mass(v, mask=mask))
 
     def l2_norm_sq(self, u, mask=None):
-        return self.l2_inner(u, u, mask=mask)
+        return self._mass_norm_sq(u, self._det_weights(mask))
+
+    def _mass_norm_sq(self, u, det_weights):
+        """||u||^2_M from the per-dof weights of ``_det_weights``: z = U R
+        on the (n_t, n_k) view, squared in place, and one dot."""
+        z = self._cell_product(u, self._mass_chol)
+        z *= z
+        return float(z.reshape(-1) @ det_weights)
 
     @cached_property
     def full_weights(self):
         """The C_{T,k}, made on first use: only the lumped (TV-L1) paths
-        read them, and they are as large as a DG vector."""
+        read them, and a DG vector more per space raises peak memory."""
         ref = reference_weights(self.degree)
         return self.mesh.cell_areas[:, None] * _to_float([ref.cell_full])
 

@@ -136,9 +136,12 @@ def test_monitor_gap_is_the_textbook_gap(instance, masked):
     assert math.isclose(got_gap, gap, rel_tol=1e-12, abs_tol=1e-14 * scale)
     assert math.isclose(got_objective, fid + reg, rel_tol=1e-12)
     off = half_norm_sq(divp, ~kept)
-    got_off = 0.5 * ctx._mass_norm_sq(divp, space._det_dof * ~ctx.mask_dof)
+    got_off = 0.5 * space.l2_norm_sq(divp, mask=~kept)
     assert math.isclose(got_off, off, rel_tol=1e-12,
                         abs_tol=1e-14 * half_norm_sq(divp, None))
+    # ||f||^2_M and the dual term at p = 0 are one computation, so the
+    # first gap is the regularizer at u = f exactly
+    assert ctx.eta0 == ctx.regularizer(ctx.op.apply(ctx.f))
 
 
 @SETTINGS
