@@ -5,12 +5,11 @@ Every per-iteration kernel here is a sparse product on matrices built once:
 Lambda is applied in the factored form J * Lambda_ref (see
 :class:`GradJumpOperator`), the assembled product is stored once, as the
 CSR matrix of Lambda^T, and serves the divergence and the quadratic form
-K = Lambda^T W Lambda.  The u-system F + lam * K of
-:class:`QuadraticSolver` keeps K as an array aligned to its stored entries
-and F as the positions of its nonzero entries there, its values following
-from the mass tables, so a new lam is one evaluation on the same
-structure, and the PCG preconditioner is the block-diagonal CSR matrix of
-the inverted cell blocks.
+K = Lambda^T W Lambda.  :class:`QuadraticSolver` splits K once into its
+dense cell blocks and the sparse couplings between the two cells of each
+edge.  At each lam the u-system F + lam * K is rebuilt as the block
+diagonal of its cell blocks plus lam times the couplings, and the inverses
+of those cell blocks form the block Jacobi preconditioner.
 
 Dual vector fields never appear as pointwise functions here: an RT function
 is represented solely by its integral dof vector, laid out exactly like a
@@ -230,22 +229,34 @@ def divergence(op, p, lumped=False):
     return out
 
 
+def _split_cell_blocks(k, n_k):
+    """The (n_t, n_k, n_k) cell blocks of the sparse matrix ``k`` (0 where
+    it stores nothing) and the CSR matrix of its entries off those blocks."""
+    k = k.tocoo()
+    cell, row = np.divmod(k.row, n_k)
+    inside = cell == k.col // n_k
+    blocks = np.zeros((k.shape[0] // n_k, n_k, n_k))
+    blocks[cell[inside], row[inside], k.col[inside] % n_k] = k.data[inside]
+    off = ~inside
+    return blocks, sp.coo_matrix((k.data[off], (k.row[off], k.col[off])),
+                                 shape=k.shape).tocsr()
+
+
 class QuadraticSolver:
     """Solver for the u-subproblems A(lam) u = rhs, A(lam) = F + lam * K.
 
-    K = Lambda^T W Lambda.  The fidelity block F is the plain DG mass matrix
-    restricted to the data cells, or the fully lumped diagonal
-    lam*scale*C_{T,k} when ``lumped_fidelity`` is set.  K is kept as an
-    array aligned to the stored entries of ``matrix`` and F as the int32
-    positions of its nonzero entries, whose values follow from the mass
-    tables, so ``set_lam`` evaluates ``matrix.data`` afresh on the same
-    sparsity structure, equal to a fresh build bit for bit.  The system is
-    SPD and solved by preconditioned CG; the preconditioner is block Jacobi
-    on the cell blocks, stored as the block-diagonal CSR matrix of their
-    inverses.
+    K = Lambda^T W Lambda is split once into its dense (n_t, n_k, n_k) cell
+    blocks, the entries whose row and column fall in one cell, and the CSR
+    matrix of its couplings, one -w entry per edge node between the edge's
+    two cells.  The fidelity block F is block diagonal: det B_T * mass_ref
+    on the data cells, or the lumped diagonal lam*scale*C_{T,k} when
+    ``lumped_fidelity`` is set.  ``set_lam`` forms the cell blocks of
+    A(lam), builds ``matrix`` as their block diagonal plus lam times the
+    couplings and inverts them into the block Jacobi preconditioner, equal
+    to a fresh build bit for bit.  The system is SPD and solved by
+    preconditioned CG.
     """
 
-    _CHUNK = 2048   # cells per pass over the blocks; bounds the temporaries
     _TOL = 1e-8     # relative residual a solve must reach
     _MAX_ITER = 2000
 
@@ -263,105 +274,49 @@ class QuadraticSolver:
                 "fully masked mesh"
             )
         self.space = space
-        self.lam = lam
         self._scale = scale
         self._lumped = lumped_fidelity
-        self._mask = mask
+        self._det = np.where(mask, mesh.det_jacobian, 0.0)
 
         n_t = mesh.num_cells
         n_k = space.dofs.n_cell_basis
         lmat = grad_op.matrix
-        k = (lmat.T @ lmat.multiply(space.y_weight_vector(scale)[:, None])
-             ).tocsr()
-        # the nonzero pattern of F: the lumped diagonal, or the nonzero
-        # entries of the reference mass in the blocks of the data cells
-        if lumped_fidelity:
-            rows = cols = np.flatnonzero(space.lumped_weights)
-        else:
-            a, b = np.nonzero(space.mass_ref)
-            first = np.flatnonzero(mask)[:, None] * n_k
-            rows, cols = (first + a).ravel(), (first + b).ravel()
-        fid = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
-                            shape=(space.dim_dg, space.dim_dg))
-        # the structure is the union of the nonzero patterns of F and K, the
-        # same at every lam.  The sum's arrays are views into buffers sized
-        # for both terms; astype copies them to the stored entries alone.
-        # Sorted rows keep the PCG matvec in a fixed summation order, and
-        # put the entries of F in the row-major order _evaluate gives them
-        self.matrix = ((fid != 0) + (k != 0)).astype(float)
-        self.matrix.sort_indices()
-        self._k = self._read_stored(k)
-        del k   # each part is as large as the matrix; free it once read
-        self._fid_at = np.flatnonzero(self._read_stored(fid)).astype(np.int32)
-        del fid
-        self._evaluate()
-
+        self._k_blocks, self._couplings = _split_cell_blocks(
+            lmat.T @ lmat.multiply(space.y_weight_vector(scale)[:, None]),
+            n_k)
+        # the block-diagonal CSR preconditioner; its data is the row-major
+        # (n_t, n_k, n_k) stack of the blocks
         self._block_inv = sp.bsr_matrix(
             (np.zeros((n_t, n_k, n_k)), np.arange(n_t), np.arange(n_t + 1)),
-            shape=self.matrix.shape).tocsr()
-        self._invert_blocks()
+            shape=self._couplings.shape).tocsr()
+        self.set_lam(lam)
 
     def set_lam(self, lam):
-        """Change the penalty to ``lam``: ``matrix.data`` is evaluated from
-        the lam-free parts, and the block inverses are rewritten into the
-        preconditioner's storage."""
+        """Change the penalty to ``lam``: ``matrix`` is rebuilt from the
+        lam-free parts, and the inverses of its cell blocks are written into
+        the preconditioner's storage."""
         if not lam > 0:
             raise ValueError("lam must be positive")
         self.lam = lam
-        self._evaluate()
-        self._invert_blocks()
-
-    def _evaluate(self):
-        """matrix.data = F + lam * K entry by entry, the nonzero entries of
-        F computed row by row: lam * scale * C_{T,k} (lumped), else
-        det B_T * mass_ref in the blocks of the data cells."""
-        space = self.space
-        data = np.multiply(self.lam, self._k, out=self.matrix.data)
+        # the cell blocks of A(lam) are formed in the preconditioner's
+        # storage, summed with the couplings, then inverted in place
+        block_diag = self._block_inv
+        blocks = block_diag.data.reshape(self._k_blocks.shape)
+        np.multiply(lam, self._k_blocks, out=blocks)
         if self._lumped:
-            w = space.lumped_weights
-            data[self._fid_at] += self.lam * self._scale * w[w != 0]
+            n_k = blocks.shape[-1]
+            diag = blocks.reshape(len(blocks), -1)[:, ::n_k + 1]
+            diag += (lam * self._scale) * self.space.cell_matrix(
+                self.space.lumped_weights)
         else:
-            ref = space.mass_ref[space.mass_ref != 0]
-            det = space.mesh.det_jacobian[self._mask]
-            data[self._fid_at] += (det[:, None] * ref).ravel()
-
-    def _chunks(self):
-        """Slices of the DG rows, a cell chunk at a time."""
-        n_t = self.space.mesh.num_cells
-        n_k = self.space.dofs.n_cell_basis
-        return (slice(t * n_k, min(t + self._CHUNK, n_t) * n_k)
-                for t in range(0, n_t, self._CHUNK))
-
-    def _read_stored(self, part):
-        """The entries of ``part`` at the stored entries of ``matrix``, in
-        their order; 0 where ``part`` stores none."""
-        a = self.matrix
-        out = np.empty_like(a.data)
-        for rows in self._chunks():
-            ptr = a.indptr[rows.start:rows.stop + 1]
-            at = slice(ptr[0], ptr[-1])
-            row = np.repeat(np.arange(rows.start, rows.stop), np.diff(ptr))
-            out[at] = np.asarray(part[row, a.indices[at]]).ravel()
-        return out
-
-    def _invert_blocks(self):
-        """Write the inverses of the cell blocks of ``matrix`` into the
-        block-diagonal CSR preconditioner, whose data is the row-major
-        (n_t, n_k, n_k) stack of its blocks.  Sparse sums and products drop
-        exact zeros, so masked cells and the lumped fidelity leave unstored
-        block entries; the indexed read fills them with 0."""
-        n_k = self.space.dofs.n_cell_basis
-        out = self._block_inv.data.reshape(-1, n_k, n_k)
-        for rows in self._chunks():
-            dof = np.arange(rows.start, rows.stop).reshape(-1, n_k)
-            blocks = self.matrix[np.repeat(dof, n_k, axis=1).ravel(),
-                                 np.tile(dof, n_k).ravel()]
-            try:
-                out[rows.start // n_k:rows.stop // n_k] = np.linalg.inv(
-                    np.asarray(blocks).reshape(-1, n_k, n_k))
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise RuntimeError("singular cell block in preconditioner") \
-                    from exc
+            blocks += self._det[:, None, None] * self.space.mass_ref
+        self.matrix = None      # free the old system before the new sum
+        self.matrix = block_diag + lam * self._couplings
+        try:
+            blocks[:] = np.linalg.inv(blocks)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise RuntimeError("singular cell block in preconditioner") \
+                from exc
 
     def _precondition(self, r):
         return self._block_inv.dot(r)

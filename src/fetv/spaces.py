@@ -354,8 +354,8 @@ class FeSpace:
         mass = _reference_mass_exact(r)
         self.mass_ref = _to_float(mass)              # per unit det B_T
         self.mass_ref_inv = np.linalg.inv(self.mass_ref)
-        # right factors of the cell products u_T @ ref^T, C-contiguous
-        self._mass_ref_t = np.ascontiguousarray(self.mass_ref.T)
+        # right factor of the cell products u_T @ mass_ref_inv^T,
+        # C-contiguous; mass_ref is exactly symmetric and serves as its own
         self._mass_ref_inv_t = np.ascontiguousarray(self.mass_ref_inv.T)
         self._mass_chol = np.linalg.cholesky(self.mass_ref)
         self._det_dof = np.repeat(mesh.det_jacobian, self.dofs.n_cell_basis)
@@ -419,7 +419,7 @@ class FeSpace:
     def apply_mass(self, coeffs, mask=None):
         """M u; with a cell mask, the mass of the kept cells only (the rows
         of masked cells are 0)."""
-        out = self._cell_product(coeffs, self._mass_ref_t).reshape(-1)
+        out = self._cell_product(coeffs, self.mass_ref).reshape(-1)
         out *= self._det_weights(mask)
         return out
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from fetv.mesh import build_crossed_mesh, build_diagonal_square
+from fetv.mesh import Mesh, build_crossed_mesh, build_diagonal_square
 from fetv.operators import (
     DgFunction,
     InnerSolveError,
@@ -241,12 +241,15 @@ def test_quadratic_solver_sorted_indices(spaces_2x2):
             qs = QuadraticSolver(space, space.grad_jump(), 1e-2, 1e-2,
                                  mask=mask)
             assert qs.matrix.has_sorted_indices
-            # no view into the sparse sum's buffers, sized for both terms
+            # the sum of the block diagonal and the couplings keeps no
+            # buffer longer than its two terms' entries together
+            n_t, n_k = space.mesh.num_cells, space.dofs.n_cell_basis
+            terms = n_t * n_k * n_k + qs._couplings.nnz
             for arr in (qs.matrix.data, qs.matrix.indices):
                 root = arr
                 while root.base is not None:
                     root = root.base
-                assert root.nbytes == arr.nbytes
+                assert root.nbytes <= terms * arr.itemsize
 
 
 def test_quadratic_solver_manufactured(spaces_2x2):
@@ -298,11 +301,20 @@ def test_quadratic_solver_stall_raises(monkeypatch):
 
 
 def _solver_variants(spaces_2x2):
-    """(space, scale, mask, lumped) over r = 0, 1, 2, with and without a
-    mask, and the lumped fidelity where its weights are positive."""
-    for r, space in spaces_2x2.items():
+    """(space, scale, mask, lumped) over r = 0, 1, 2 on the 2x2 crossed
+    mesh, a single triangle (no interior edge, so no couplings) and a
+    rotated diagonal square (not a crossed mesh); with and without a mask
+    where one keeps a data cell, and the lumped fidelity where its weights
+    are positive."""
+    triangle = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    square = build_diagonal_square(0.7)
+    spaces = list(spaces_2x2.values()) + [
+        FeSpace(mesh, r) for mesh in (triangle, square) for r in (0, 1, 2)]
+    for space in spaces:
+        r = space.degree
         scale = 1e-2 if r else 1.0
-        for mask in (None, np.arange(space.mesh.num_cells) % 3 > 0):
+        keep = np.arange(space.mesh.num_cells) % 3 > 0
+        for mask in ((None, keep) if keep.any() else (None,)):
             for lumped in ((False, True) if r < 2 else (False,)):
                 yield space, scale, mask, lumped
 
@@ -333,7 +345,7 @@ def test_quadratic_solver_matrix_is_f_plus_lam_k(spaces_2x2):
     """Every stored entry of the u-system is F + lam * K with F built from
     its definition (det B_T * mass_ref on the data cells' blocks, or the
     lumped diagonal times lam * scale) and K = Lambda^T W Lambda, bit for
-    bit; F stays an int32 position array, not a value per stored entry."""
+    bit."""
     lam = 3e-3
     for space, scale, mask, lumped in _solver_variants(spaces_2x2):
         qs = QuadraticSolver(space, space.grad_jump(), lam, scale,
@@ -353,7 +365,6 @@ def test_quadratic_solver_matrix_is_f_plus_lam_k(spaces_2x2):
         coo = qs.matrix.tocoo()
         want = lam * k[coo.row, coo.col] + fid[coo.row, coo.col]
         assert np.array_equal(coo.data, want), (space.degree, mask, lumped)
-        assert qs._fid_at.dtype == np.int32
 
 
 @pytest.mark.parametrize("factors", [

@@ -140,8 +140,12 @@ def test_monitor_gap_is_the_textbook_gap(instance, masked):
     assert math.isclose(got_off, off, rel_tol=1e-12,
                         abs_tol=1e-14 * half_norm_sq(divp, None))
     # ||f||^2_M and the dual term at p = 0 are one computation, so the
-    # first gap is the regularizer at u = f exactly
-    assert ctx.eta0 == ctx.regularizer(ctx.op.apply(ctx.f))
+    # gap at u = f, p = 0 is the regularizer at u = f exactly, which is
+    # how the first gap is computed
+    zero = space.new_y()
+    first = ctx.eta(ctx.f, zero, ctx.op.apply(ctx.f),
+                    divergence(ctx.op, zero))[0]
+    assert first == ctx.regularizer(ctx.op.apply(ctx.f)) == ctx.eta0
 
 
 @SETTINGS

@@ -133,6 +133,14 @@ def test_mass_matrix_row_sums(spaces_unit):
         assert space.l2_norm_sq(ones) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_mass_ref_exactly_symmetric(spaces_unit):
+    """apply_mass takes mass_ref as the right factor of u_T @ mass_ref^T,
+    which needs it exactly symmetric and C-contiguous."""
+    for space in spaces_unit.values():
+        assert np.array_equal(space.mass_ref, space.mass_ref.T)
+        assert space.mass_ref.flags.c_contiguous
+
+
 def test_interpolate_and_node_coords(spaces_2x2):
     space = spaces_2x2[2]
     coeffs = space.interpolate(lambda p: 2.0 * p[:, 0] - p[:, 1])
