@@ -55,8 +55,10 @@ def vector_norm(vecs, s):
     if s == 1:
         return np.abs(vecs[..., 0]) + np.abs(vecs[..., 1])
     if s == 2:
-        x, y = vecs[..., 0], vecs[..., 1]
-        return np.sqrt(x * x + y * y)
+        # the bits of sqrt(x*x + y*y), allocating two arrays instead of four
+        out = np.square(vecs[..., 0], dtype=float)
+        out += np.square(vecs[..., 1])
+        return np.sqrt(out, out=out)
     if s == math.inf:
         return np.maximum(np.abs(vecs[..., 0]), np.abs(vecs[..., 1]))
     raise ValueError(f"unsupported anisotropy s={s!r}")

@@ -438,7 +438,9 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     lam W b is kept) and the u-system is evaluated at the new lam.  After
     ``_PENALTY_CHANGES`` (10) changes lam is frozen, so the fixed-penalty
     convergence argument holds from then on; with a budget of 0 this is the
-    paper's fixed-lam iteration."""
+    paper's fixed-lam iteration.  Each u-subproblem is a CG solve
+    warm-started at the previous u (stop rule in :class:`QuadraticSolver`);
+    ``extras["inner_iterations"]`` is their total CG iterations."""
     ctx = _setup(prob, params, space, "l2", "split_bregman_l2")
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1e-3
@@ -448,12 +450,14 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     mf = space.apply_mass(ctx.f, mask=ctx.mask)
     report = SolverReport(algorithm="split-bregman",
                           params=_echo_params(ctx, lam=lam),
-                          extras={"lam_final": lam, "penalty_changes": 0})
+                          extras={"lam_final": lam, "penalty_changes": 0,
+                                  "inner_iterations": 0})
 
     def step(u, p):
         nonlocal b, lam
         rhs = mf + lam * ctx.op.transpose.dot(ctx.yw * (d - b))
         u = qs.solve(rhs, x0=u)
+        report.extras["inner_iterations"] = qs.iterations
         y = ctx.op.apply(u)
         adapt = report.extras["penalty_changes"] < _PENALTY_CHANGES
         d_prev = d.copy() if adapt else None
@@ -603,7 +607,9 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
             reference=None):
     """ADMM for TV-L1 with the double splitting d = Lambda u, e = u - f;
     the dual variable is recovered from the Bregman multipliers and the
-    certificate max |lambda g| is reported."""
+    certificate max |lambda g| is reported.  The u-subproblems are solved
+    as in :func:`split_bregman_l2`, with their CG iterations in
+    ``extras["inner_iterations"]``."""
     ctx = _setup(prob, params, space, "l1", "admm_l1")
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1.0
@@ -620,6 +626,7 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
         rhs = lam * ctx.scale * space.lumped_weights * (e + ctx.f - g) \
             + lam * ctx.op.transpose.dot(ctx.yw * (d - b))
         u = qs.solve(rhs, x0=u)
+        report.extras["inner_iterations"] = qs.iterations
         y = ctx.op.apply(u)
         b = _bregman_shrink(ctx, d, y + b, lam)
         z = u - ctx.f + g
@@ -628,7 +635,8 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
         return u, lam * ctx.yw * b, y, None, ctx.multiplier_bounds(lam * g)
 
     report = SolverReport(algorithm="admm-l1",
-                          params=_echo_params(ctx, lam=lam))
+                          params=_echo_params(ctx, lam=lam),
+                          extras={"inner_iterations": 0})
     return _iterate(ctx, report, step, reference)
 
 

@@ -299,6 +299,73 @@ def test_quadratic_solver_stall_raises(monkeypatch):
     assert info.value.residual > QuadraticSolver._TOL
     assert str(info.value).endswith("after 1 iterations")
 
+    # warm-started, the check after the cap uses the warm bound
+    # max(_TOL ||b||, _REDUCTION ||r0||), and the residual it reports stays
+    # relative to ||b||
+    x0 = np.linalg.solve(solver.matrix.toarray(), rhs) \
+        + 1e-3 * np.random.default_rng(5).standard_normal(space.dim_dg)
+    r = rhs - solver.matrix.dot(x0)
+    z = solver._precondition(r)
+    az = solver.matrix.dot(z)
+    x = x0 + (r @ z) / (z @ az) * z
+    after = np.linalg.norm(rhs - solver.matrix.dot(x))
+    assert after > QuadraticSolver._TOL * np.linalg.norm(rhs)
+    reduction = after / np.linalg.norm(r)
+    monkeypatch.setattr(QuadraticSolver, "_REDUCTION", 0.5 * reduction)
+    with pytest.raises(InnerSolveError) as info:
+        solver.solve(rhs, x0=x0)
+    assert info.value.residual == pytest.approx(
+        after / np.linalg.norm(rhs), rel=1e-10)
+    monkeypatch.setattr(QuadraticSolver, "_REDUCTION", 2.0 * reduction)
+    assert np.allclose(solver.solve(rhs, x0=x0), x, rtol=0, atol=1e-14)
+
+
+def _warm_starts(spaces_2x2):
+    """(solver, rhs, x0) on the 2x2 crossed mesh at r = 0, 1, 2, with and
+    without a mask; x0 is the solution for a nearby right-hand side, as in
+    an outer iteration."""
+    rng = np.random.default_rng(6)
+    for space in spaces_2x2.values():
+        for mask in (None, np.arange(space.mesh.num_cells) % 3 > 0):
+            solver = QuadraticSolver(space, space.grad_jump(), 1e-2,
+                                     1e-2 if space.degree else 1.0, mask=mask)
+            rhs = rng.standard_normal(space.dim_dg)
+            x0 = solver.solve(rhs + 1e-2 * rng.standard_normal(space.dim_dg))
+            yield solver, rhs, x0
+
+
+def test_warm_solve_stops_at_the_reduction_bound(spaces_2x2, monkeypatch):
+    """A warm-started solve returns once ||r|| <= max(_TOL ||b||,
+    _REDUCTION ||r0||), before the cold bound _TOL ||b||, and
+    ``iterations`` adds up its CG iterations (preconditioner calls but the
+    first)."""
+    calls = []
+    precondition = QuadraticSolver._precondition
+    monkeypatch.setattr(QuadraticSolver, "_precondition",
+                        lambda self, r: calls.append(1) or precondition(self, r))
+    short = 0
+    for solver, rhs, x0 in _warm_starts(spaces_2x2):
+        bnorm = np.linalg.norm(rhs)
+        r0 = np.linalg.norm(rhs - solver.matrix.dot(x0))
+        before, calls[:] = solver.iterations, []
+        x = solver.solve(rhs, x0=x0)
+        res = np.linalg.norm(rhs - solver.matrix.dot(x))
+        bound = max(QuadraticSolver._TOL * bnorm,
+                    QuadraticSolver._REDUCTION * r0)
+        assert res <= bound * (1 + 1e-6)
+        assert solver.iterations - before == len(calls) - 1
+        short += res > QuadraticSolver._TOL * bnorm
+    assert short
+
+
+def test_warm_solve_without_reduction_meets_the_cold_bound(spaces_2x2,
+                                                           monkeypatch):
+    monkeypatch.setattr(QuadraticSolver, "_REDUCTION", 0.0)
+    for solver, rhs, x0 in _warm_starts(spaces_2x2):
+        x = solver.solve(rhs, x0=x0)
+        assert np.linalg.norm(rhs - solver.matrix.dot(x)) \
+            <= 1.01 * QuadraticSolver._TOL * np.linalg.norm(rhs)
+
 
 def _solver_variants(spaces_2x2):
     """(space, scale, mask, lumped) over r = 0, 1, 2 on the 2x2 crossed
