@@ -267,7 +267,7 @@ class QuadraticSolver:
     """
 
     _TOL = 1e-8         # relative residual a cold solve must reach
-    _REDUCTION = 1e-2   # residual reduction a warm-started solve must reach
+    _REDUCTION = 3e-3   # residual reduction a warm-started solve must reach
     _MAX_ITER = 2000
 
     def __init__(self, space, grad_op, lam, scale, mask=None,

@@ -334,11 +334,14 @@ def _warm_starts(spaces_2x2):
             yield solver, rhs, x0
 
 
-def test_warm_solve_stops_at_the_reduction_bound(spaces_2x2, monkeypatch):
+@pytest.mark.parametrize("reduction", [QuadraticSolver._REDUCTION, 0.0])
+def test_warm_solve_stops_at_the_reduction_bound(reduction, spaces_2x2,
+                                                 monkeypatch):
     """A warm-started solve returns once ||r|| <= max(_TOL ||b||,
-    _REDUCTION ||r0||), before the cold bound _TOL ||b||, and
-    ``iterations`` adds up its CG iterations (preconditioner calls but the
-    first)."""
+    _REDUCTION ||r0||), which is the cold bound _TOL ||b|| at
+    _REDUCTION = 0 and above it at the default, and ``iterations`` adds up
+    its CG iterations (preconditioner calls but the first)."""
+    monkeypatch.setattr(QuadraticSolver, "_REDUCTION", reduction)
     calls = []
     precondition = QuadraticSolver._precondition
     monkeypatch.setattr(QuadraticSolver, "_precondition",
@@ -350,21 +353,11 @@ def test_warm_solve_stops_at_the_reduction_bound(spaces_2x2, monkeypatch):
         before, calls[:] = solver.iterations, []
         x = solver.solve(rhs, x0=x0)
         res = np.linalg.norm(rhs - solver.matrix.dot(x))
-        bound = max(QuadraticSolver._TOL * bnorm,
-                    QuadraticSolver._REDUCTION * r0)
+        bound = max(QuadraticSolver._TOL * bnorm, reduction * r0)
         assert res <= bound * (1 + 1e-6)
         assert solver.iterations - before == len(calls) - 1
         short += res > QuadraticSolver._TOL * bnorm
-    assert short
-
-
-def test_warm_solve_without_reduction_meets_the_cold_bound(spaces_2x2,
-                                                           monkeypatch):
-    monkeypatch.setattr(QuadraticSolver, "_REDUCTION", 0.0)
-    for solver, rhs, x0 in _warm_starts(spaces_2x2):
-        x = solver.solve(rhs, x0=x0)
-        assert np.linalg.norm(rhs - solver.matrix.dot(x)) \
-            <= 1.01 * QuadraticSolver._TOL * np.linalg.norm(rhs)
+    assert short if reduction else not short
 
 
 def _solver_variants(spaces_2x2):

@@ -542,14 +542,23 @@ def test_report_json_roundtrip():
     assert data["inner_iterations"] == rep.extras["inner_iterations"] > 0
 
 
-@pytest.mark.parametrize("r, masked", [
-    (0, False), (1, False), (2, False),
-    pytest.param(0, True, marks=pytest.mark.xfail(
-        strict=True, reason="the masked TV-L2 stop test is no certificate: "
-        "its signed gap crosses zero, and the inexact solves move the step "
-        "where it first passes from 10 to 9")),
-    (1, True), (2, True)])
-def test_inexact_inner_solves_keep_the_outer_iteration(r, masked,
+def _inexact_cases():
+    """(r, data, lam): full data, and two thirds and one third of the cells
+    carrying data, at two penalties.  One masked case moves its stop."""
+    move = pytest.mark.xfail(strict=True, reason=(
+        "the masked TV-L2 stop test is no certificate: its signed gap "
+        "crosses zero.  Solves to _TOL stop at 14 iterations, 4.9x the gap "
+        "tolerance above the optimum; inexact ones at 36, 0.45x above it"))
+    for data in (1.0, 2.0 / 3.0, 1.0 / 3.0):
+        for lam in (1e-3, 1e-2):
+            for r in (0, 1, 2):
+                marks = move if (r, data, lam) == (0, 1.0 / 3.0, 1e-2) else ()
+                yield pytest.param(r, data, lam, marks=marks,
+                                   id=f"r{r}-data{data:.2f}-lam{lam:g}")
+
+
+@pytest.mark.parametrize("r, data, lam", _inexact_cases())
+def test_inexact_inner_solves_keep_the_outer_iteration(r, data, lam,
                                                        monkeypatch):
     """Warm-started inner solves that stop at _REDUCTION of their starting
     residual leave split Bregman's outer iteration count as with solves to
@@ -557,11 +566,11 @@ def test_inexact_inner_solves_keep_the_outer_iteration(r, masked,
     fewer CG iterations."""
     mesh, space, clean, noisy = _denoise_instance(n=16, r=r)
     omega0 = None
-    if masked:
-        omega0 = np.random.default_rng(12).random(mesh.num_cells) < 2.0 / 3.0
+    if data < 1.0:
+        omega0 = np.random.default_rng(12).random(mesh.num_cells) < data
     prob = ProblemSpec(mesh=mesh, degree=r, f=noisy.coeffs, omega0=omega0,
                        beta=1e-3)
-    params = SolverParams(lam=1e-3, max_iter=500)
+    params = SolverParams(lam=lam, max_iter=500)
     _, _, inexact = split_bregman_l2(prob, params, space=space)
     monkeypatch.setattr(QuadraticSolver, "_REDUCTION", 0.0)
     _, _, exact = split_bregman_l2(prob, params, space=space)
