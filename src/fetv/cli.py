@@ -192,6 +192,8 @@ def _cmd_dtv(args):
         mesh = mesh_mod.load_mesh(args.mesh)
         space = FeSpace(mesh, args.degree)
         coeffs = np.loadtxt(args.coeffs, dtype=float).ravel()
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients hold NaN or infinite values")
         u = DgFunction(space, coeffs)
     else:
         raise ValueError("dtv needs --input, or --mesh together with --coeffs")

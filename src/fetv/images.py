@@ -3,19 +3,20 @@
 Rasters ingest onto a crossed-diagonal mesh with one square per pixel and a
 unit-width domain (pixel side 1/nx), so regularization parameters keep the
 same meaning across resolutions.  Row 0 of a raster is the top scanline;
-square (ix, iy) of the mesh counts iy upward from the bottom.
+square (ix, iy) of the mesh counts iy upward from the bottom.  A DG_r
+function on that mesh rasterizes to its pixel means, the L2 projection onto
+pixel-constant functions, which undoes ingestion.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .mesh import _text_lines, build_crossed_mesh
 from .operators import DgFunction
-from .spaces import FeSpace
+from .spaces import FeSpace, reference_weights
 
 __all__ = [
     "Raster",
@@ -143,24 +144,29 @@ def raster_to_dg(raster: Raster, r):
 
 
 def dg_to_raster(u: DgFunction, width, height):
-    """Sample the function at pixel centers over the mesh's bounding box;
-    values are clamped to [0, 1] and centers outside the mesh yield 0."""
+    """The pixel means of a function on the mesh ``raster_to_dg`` builds
+    for a width x height raster, clamped to [0, 1].  A cell's mean comes
+    from the exact integrals of its nodal basis; the four cells of a pixel
+    have equal area, so the pixel value is the plain mean of theirs.
+    Raises ValueError on any other mesh."""
     mesh = u.space.mesh
-    lo, hi = mesh.bounding_box()
-    cols = np.arange(width)
-    rows = np.arange(height)
-    x = lo[0] + (cols + 0.5) * (hi[0] - lo[0]) / width
-    y = lo[1] + (height - rows - 0.5) * (hi[1] - lo[1]) / height
-    xx, yy = np.meshgrid(x, y, indexing="xy")
-    points = np.column_stack([xx.ravel(), yy.ravel()])
-    cells = mesh.locate_points(points)
-    outside = int((cells < 0).sum())
-    if outside:
-        warnings.warn(f"{outside} pixel centers fell outside the mesh",
-                      stacklevel=2)
-    values = np.clip(u.eval(points, cells=cells), 0.0, 1.0)
+    if mesh.num_cells != 4 * width * height:
+        raise ValueError(f"mesh has {mesh.num_cells} cells, not the "
+                         f"{4 * width * height} of a {width}x{height} raster")
+    # each pixel's four cells, 12 corners in all, average to its center on
+    # the domain [0, 1] x [0, height/width]
+    centers = mesh.vertices[mesh.cells].reshape(height, width, 12, 2)
+    ix, iy = np.meshgrid(np.arange(width), np.arange(height), indexing="xy")
+    expected = np.stack([ix + 0.5, iy + 0.5], axis=-1) / width
+    if not np.allclose(centers.mean(axis=2), expected, rtol=0.0, atol=1e-12):
+        raise ValueError(f"mesh is not the crossed mesh of a {width}x{height} "
+                         "raster")
+    weights = np.array(reference_weights(u.degree).cell_full, dtype=float)
+    means = u.space.cell_matrix(u.coeffs) @ weights
+    # summed in pairs, so four equal cell means give that value exactly
+    pixels = 0.25 * means.reshape(height, width, 2, 2).sum(axis=3).sum(axis=2)
     return Raster(width=width, height=height,
-                  values=values.reshape(height, width))
+                  values=np.clip(np.flipud(pixels), 0.0, 1.0))
 
 
 def load_mask(path, mesh):

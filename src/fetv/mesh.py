@@ -25,9 +25,6 @@ __all__ = [
 
 MESH_MAGIC = "fetv-mesh 1"
 
-# barycentric containment slack used by locate_points
-_LOCATE_TOL = 1e-12
-
 
 class MeshFormatError(ValueError):
     """Raised when a mesh file cannot be parsed; carries the line number."""
@@ -83,7 +80,6 @@ class Mesh:
         self.cells = cells.copy()
         self._build_geometry()
         self._build_edges()
-        self._locator = None
         self.vertices.setflags(write=False)
         self.cells.setflags(write=False)
 
@@ -239,80 +235,6 @@ class Mesh:
     @property
     def num_interior_edges(self):
         return len(self.edge_vertices)
-
-    def bounding_box(self):
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
-    # -- point location ----------------------------------------------------
-
-    def _build_locator(self):
-        lo, hi = self.bounding_box()
-        extent = np.maximum(hi - lo, 1e-300)
-        n_buckets = max(1, int(math.sqrt(self.num_cells / 2.0)))
-        gx = max(1, int(round(n_buckets * math.sqrt(extent[0] / extent[1]))))
-        gy = max(1, int(round(n_buckets * math.sqrt(extent[1] / extent[0]))))
-
-        corners = self.vertices[self.cells]                     # (N_T, 3, 2)
-        cmin = corners.min(axis=1)
-        cmax = corners.max(axis=1)
-        bx0 = np.clip(((cmin[:, 0] - lo[0]) / extent[0] * gx).astype(int), 0, gx - 1)
-        bx1 = np.clip(((cmax[:, 0] - lo[0]) / extent[0] * gx).astype(int), 0, gx - 1)
-        by0 = np.clip(((cmin[:, 1] - lo[1]) / extent[1] * gy).astype(int), 0, gy - 1)
-        by1 = np.clip(((cmax[:, 1] - lo[1]) / extent[1] * gy).astype(int), 0, gy - 1)
-
-        spans_x = bx1 - bx0 + 1
-        spans_y = by1 - by0 + 1
-        reps = spans_x * spans_y
-        cell_ids = np.repeat(np.arange(self.num_cells), reps)
-        # enumerate the (x, y) bucket offsets per cell
-        offs = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
-        ox = offs % np.repeat(spans_x, reps)
-        oy = offs // np.repeat(spans_x, reps)
-        bucket = (np.repeat(bx0, reps) + ox) + gx * (np.repeat(by0, reps) + oy)
-
-        order = np.argsort(bucket, kind="stable")
-        bucket = bucket[order]
-        cell_ids = cell_ids[order]
-        start = np.searchsorted(bucket, np.arange(gx * gy + 1))
-        self._locator = (lo, extent, gx, gy, start, cell_ids)
-
-    def locate_points(self, points):
-        """Locate many points at once; returns -1 for points outside the mesh.
-
-        Ties (points on shared edges/vertices) resolve to the lowest index
-        among all cells whose barycentric coordinates are >= -1e-12.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if self._locator is None:
-            self._build_locator()
-        lo, extent, gx, gy, start, cell_ids = self._locator
-
-        ix = np.floor((points[:, 0] - lo[0]) / extent[0] * gx).astype(int)
-        iy = np.floor((points[:, 1] - lo[1]) / extent[1] * gy).astype(int)
-        inside_box = (ix >= 0) & (ix < gx) & (iy >= 0) & (iy < gy)
-        bucket = np.where(inside_box, ix + gx * iy, 0)
-        counts = np.where(inside_box, start[bucket + 1] - start[bucket], 0)
-
-        pt_ids = np.repeat(np.arange(len(points)), counts)
-        flat = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        cand = cell_ids[np.repeat(start[bucket], counts) + flat]
-
-        d = points[pt_ids] - self.shift[cand]
-        ref = np.einsum("nij,nj->ni", self.inv_jacobian[cand], d)
-        ok = (
-            (ref[:, 0] >= -_LOCATE_TOL)
-            & (ref[:, 1] >= -_LOCATE_TOL)
-            & (ref.sum(axis=1) <= 1 + _LOCATE_TOL)
-        )
-        result = np.full(len(points), self.num_cells, dtype=np.int64)
-        np.minimum.at(result, pt_ids[ok], cand[ok])
-        result[result == self.num_cells] = -1
-        return result
-
-    def reference_coords(self, cell_ids, points):
-        """Map physical points to reference coordinates of the given cells."""
-        d = np.asarray(points, dtype=float) - self.shift[cell_ids]
-        return np.einsum("nij,nj->ni", self.inv_jacobian[cell_ids], d)
 
 
 # -- generators -------------------------------------------------------------

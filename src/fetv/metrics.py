@@ -15,8 +15,6 @@ reproduced bit-for-bit in any language:
 from __future__ import annotations
 
 import math
-import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,12 +25,9 @@ __all__ = [
     "standard_normals",
     "add_noise",
     "psnr",
-    "save_noise_vector",
-    "load_noise_vector",
 ]
 
 _MASK = (1 << 64) - 1
-_NOISE_MAGIC = b"FETVNOI1"
 
 
 def _rotl(x, k):
@@ -124,35 +119,3 @@ def psnr(u, u_ref, peak=1.0):
         return math.inf
     domain_area = float(space.mesh.cell_areas.sum())
     return 10.0 * math.log10(peak * peak * domain_area / err)
-
-
-def save_noise_vector(path, values):
-    """Binary little-endian float64 vector with a 16-byte header."""
-    values = np.ascontiguousarray(values, dtype="<f8")
-    with open(path, "wb") as fh:
-        fh.write(_NOISE_MAGIC)
-        fh.write(struct.pack("<Q", values.size))
-        fh.write(values.tobytes())
-
-
-def load_noise_vector(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _NOISE_MAGIC:
-            raise ValueError(f"bad noise vector magic {magic!r}")
-        header = fh.read(8)
-        if len(header) != 8:
-            raise ValueError("truncated noise vector header")
-        (count,) = struct.unpack("<Q", header)
-        # checked against the bytes left so that a bad header cannot ask
-        # for a huge read
-        left_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
-        left = left_bytes // 8
-        if count > left:
-            raise ValueError(f"truncated noise vector payload: count {count} "
-                             f"exceeds the {left} values left")
-        if left_bytes != 8 * count:
-            raise ValueError(f"{left_bytes - 8 * count} trailing bytes after "
-                             f"the {count} noise vector values")
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-    return data.astype(np.float64)

@@ -59,25 +59,6 @@ class DgFunction:
     def copy(self):
         return DgFunction(self.space, self.coeffs.copy())
 
-    def eval(self, points, cells=None):
-        """Point values of the function; points outside the mesh yield 0.
-
-        ``cells`` may carry precomputed owner cell indices (-1 = outside).
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if cells is None:
-            cells = self.space.mesh.locate_points(points)
-        cells = np.asarray(cells)
-        inside = cells >= 0
-        out = np.zeros(len(points))
-        if inside.any():
-            cid = cells[inside]
-            ref = self.space.mesh.reference_coords(cid, points[inside])
-            basis = self.space.layout.eval_cell(ref)
-            u = self.space.cell_matrix(self.coeffs)
-            out[inside] = np.einsum("nk,nk->n", basis, u[cid])
-        return out
-
 
 class InnerSolveError(RuntimeError):
     """Inner linear solve failed to reach its tolerance."""

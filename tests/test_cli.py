@@ -183,6 +183,21 @@ def test_dtv_command_mesh_coeffs(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("fetv: error:")
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_dtv_command_rejects_non_finite_coeffs(tmp_path, capsys, bad):
+    main(["make-mesh", "2", "2", "--output", str(tmp_path / "m.mesh")])
+    coeffs = tmp_path / "c.txt"
+    coeffs.write_text("".join(f"{v}\n" for v in [bad] + [0.5] * 15))
+    capsys.readouterr()
+    code = main(["dtv", "--mesh", str(tmp_path / "m.mesh"),
+                 "--coeffs", str(coeffs)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert err == ["fetv: error: coefficients hold NaN or infinite values"]
+
+
 def test_add_noise_command(tmp_path, disc_image):
     a = tmp_path / "noisy_a.pgm"
     b = tmp_path / "noisy_b.pgm"

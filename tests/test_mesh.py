@@ -93,19 +93,6 @@ def test_diagonal_square_geometry():
     assert abs(np.abs(n).sum() - math.sqrt(2.0)) <= 1e-12
 
 
-def test_locate_centroids_and_outside():
-    m = build_crossed_mesh(2, 2, 1.0, 1.0)
-    centroids = m.vertices[m.cells].mean(axis=1)
-    assert (m.locate_points(centroids) == np.arange(m.num_cells)).all()
-    assert (m.locate_points([(5.0, 5.0), (-0.2, 0.5)]) == -1).all()
-
-
-def test_locate_edge_midpoint_tie():
-    m = build_crossed_mesh(2, 2, 1.0, 1.0)
-    mid = m.vertices[m.edge_vertices].mean(axis=1)
-    assert (m.locate_points(mid) == m.edge_cells.min(axis=1)).all()
-
-
 def test_save_load_roundtrip(tmp_path, unit_crossed):
     path = tmp_path / "unit.mesh"
     save_mesh(unit_crossed, path)

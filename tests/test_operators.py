@@ -6,7 +6,6 @@ import scipy.sparse as sp
 
 from fetv.mesh import Mesh, build_crossed_mesh, build_diagonal_square
 from fetv.operators import (
-    DgFunction,
     InnerSolveError,
     QuadraticSolver,
     divergence,
@@ -482,13 +481,3 @@ def test_large_lambda_shrinks_gradient(spaces_2x2):
         u = solver.solve(mf)
         norms.append(np.linalg.norm(op.apply(u)))
     assert norms[0] > norms[1] > norms[2]
-
-
-def test_dg_function_eval(spaces_2x2):
-    space = spaces_2x2[1]
-    u = DgFunction(space, space.interpolate(lambda p: 1.0 + 2 * p[:, 0]))
-    pts = np.array([[0.3, 0.4], [0.9, 0.1], [5.0, 5.0]])
-    vals = u.eval(pts)
-    assert vals[0] == pytest.approx(1.6, rel=1e-13)
-    assert vals[1] == pytest.approx(2.8, rel=1e-13)
-    assert vals[2] == 0.0

@@ -1,7 +1,8 @@
 """Property tests for the per-iteration kernels: the masked DG mass, its
-inverse, the feasible-set projection, the infeasibility measure, the
-radial prox and the gap monitor, on jittered crossed meshes with drawn
-masks, degrees and inputs."""
+inverse, the adjoint identity, the feasible-set projection, the
+infeasibility measure, the radial prox and the gap monitor, and for the
+invariance of the seminorms under cell renumbering, on jittered crossed
+meshes with drawn masks, degrees and inputs."""
 
 import math
 from functools import lru_cache
@@ -9,10 +10,10 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fetv.dtv import (ConstraintSetSpec, _duffy_rule, infeasibility,
-                      project_feasible, support, vector_norm)
+from fetv.dtv import (ConstraintSetSpec, _duffy_rule, dtv, infeasibility,
+                      project_feasible, support, tv_exact, vector_norm)
 from fetv.mesh import Mesh, build_crossed_mesh
-from fetv.operators import divergence
+from fetv.operators import DgFunction, divergence, pairing
 from fetv.solvers import ProblemSpec, SolverParams, _Context, prox_vector
 from fetv.spaces import FeSpace
 
@@ -101,6 +102,39 @@ def test_mass_scales_like_the_cell_broadcast(instance):
     assert np.array_equal(space.apply_mass(u, mask=mask), masked.ravel())
     inverse = cells @ space.mass_ref_inv.T / det[:, None]
     assert np.array_equal(space.apply_mass_inverse(u), inverse.ravel())
+
+
+@settings(SETTINGS, max_examples=10)
+@given(instances())
+def test_adjoint_identity(instance):
+    """<p, Lambda u> = -(u, div p)_M for any u and p."""
+    space, _, seed = instance
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal(space.dim_dg)
+    p = rng.standard_normal(space.dim_y)
+    op = space.grad_jump()
+    lhs = pairing(p, op.apply(u))
+    rhs = -space.l2_inner(u, divergence(op, p))
+    assert math.isclose(lhs, rhs, rel_tol=1e-12,
+                        abs_tol=1e-13 * np.linalg.norm(u) * np.linalg.norm(p))
+
+
+@settings(SETTINGS, max_examples=10)
+@given(instances())
+def test_seminorms_ignore_cell_numbering(instance):
+    """dtv and tv_exact (s = 1, 2) are unchanged when the mesh's cells are
+    renumbered and the coefficient blocks follow them."""
+    space, _, seed = instance
+    rng = np.random.default_rng(seed)
+    u = DgFunction(space, rng.standard_normal(space.dim_dg))
+    perm = rng.permutation(space.mesh.num_cells)
+    mesh = Mesh(space.mesh.vertices, space.mesh.cells[perm])
+    v = DgFunction(FeSpace(mesh, space.degree),
+                   space.cell_matrix(u.coeffs)[perm])
+    for s in (1, 2):
+        for seminorm in (dtv, tv_exact):
+            assert math.isclose(seminorm(v, s), seminorm(u, s),
+                                rel_tol=1e-13)
 
 
 @SETTINGS
