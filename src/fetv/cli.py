@@ -137,14 +137,11 @@ def _apply_preset(argv, parser):
 
 
 def _cmd_solver(args, inpaint):
+    noise = metrics.NoiseSpec(sigma=args.noise_sigma, seed=args.seed)
     raster = images.load_pgm(args.input)
     mesh, clean = images.raster_to_dg(raster, args.degree)
     space = clean.space
-
-    f = clean.copy()
-    if args.noise_sigma > 0:
-        f = metrics.add_noise(f, metrics.NoiseSpec(sigma=args.noise_sigma,
-                                                   seed=args.seed))
+    f = metrics.add_noise(clean, noise)
 
     masked = None
     if inpaint:
@@ -207,7 +204,9 @@ def _cmd_dtv(args):
 
 def _cmd_make_mesh(args):
     width = args.width if args.width is not None else 1.0
-    height = args.height if args.height is not None else width * args.ny / args.nx
+    height = args.height
+    if height is None:      # nx < 1 is the mesh builder's error, not 1/0
+        height = width * args.ny / args.nx if args.nx else width
     m = mesh_mod.build_crossed_mesh(args.nx, args.ny, width, height)
     mesh_mod.save_mesh(m, args.output)
     print(f"cells={m.num_cells}")
@@ -217,10 +216,9 @@ def _cmd_make_mesh(args):
 
 
 def _cmd_add_noise(args):
+    noise = metrics.NoiseSpec(sigma=args.sigma, seed=args.seed)
     raster = images.load_pgm(args.input)
-    noisy = metrics.add_noise(raster.values,
-                              metrics.NoiseSpec(sigma=args.sigma,
-                                                seed=args.seed))
+    noisy = metrics.add_noise(raster.values, noise)
     images.save_pgm(images.Raster(raster.width, raster.height,
                                   np.clip(noisy, 0.0, 1.0)), args.output)
     return EXIT_OK

@@ -191,7 +191,7 @@ def tv_exact(u: DgFunction, s=2):
         # blocks of cells, since the (n_t, nq, 2) samples of a whole mesh
         # and their norm temporaries would set the peak memory
         pts, wts = _triangle_quadrature()
-        basis = space.layout.eval_sub(pts)
+        basis = space.layout.sub.eval_cell(pts)
         grads = space.y_cell_view(y)
         vals = np.concatenate([                          # per cell, ref measure
             vector_norm(basis @ grads[i:i + _CELL_BLOCK], s) @ wts

@@ -251,8 +251,8 @@ def build_crossed_mesh(nx, ny, width, height):
     nx, ny = int(nx), int(ny)
     if nx < 1 or ny < 1:
         raise ValueError("grid dimensions must be at least 1x1")
-    if not (width > 0 and height > 0):
-        raise ValueError("width and height must be positive")
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        raise ValueError("width and height must be positive and finite")
 
     dx = width / nx
     dy = height / ny

@@ -88,8 +88,9 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got "
+                             f"{self.sigma}")
 
 
 def add_noise(u, spec: NoiseSpec):

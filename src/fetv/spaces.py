@@ -3,11 +3,16 @@
 Lagrange nodes live on the uniform lattice of the reference triangle with
 vertices (0,0), (1,0), (0,1).  Cell nodes are ordered vertices first, then
 edge nodes (edges in the order (0,1), (0,2), (1,2), nodes by increasing
-parameter from the lower endpoint), then interior nodes.  Edge nodes on the
-unit interval are ordered by increasing parameter.
+parameter from the lower endpoint), then interior nodes.
 
-All reference integrals (Newton-Cotes weights, mass matrices) are computed
-as exact rationals and only scaled by cell area / edge length at assembly.
+Each degree holds one basis, the nodal P_r cell basis (one exact
+Vandermonde inverse), and derives the rest: the P_{r-1} samples come from
+the degree r-1 layout ``sub``, the edge basis is the cell basis on facet 0
+(y = 0), the C_{T,k} are the exact mass row sums (the basis sums to 1),
+the c_{T,i} are the degree r-1 C_{T,k}, and the c_{E,j} integrate the
+facet-0 basis along y = 0.  All are exact rationals, scaled by cell area /
+edge length at assembly.
+
 The DG mass and inverse mass are applied as one BLAS product of the
 (cells, n_k) coefficient view with the transposed reference matrix, stored
 C-contiguous once per space (the F-ordered view ``ref.T`` takes a slower
@@ -21,7 +26,7 @@ same per-dof weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
@@ -45,11 +50,6 @@ def _check_degree(r):
         raise ValueError(f"polynomial degree {r} not supported (expected 0, 1 or 2)")
 
 
-def cell_dim(r):
-    """Dimension of P_r on a triangle."""
-    return (r + 1) * (r + 2) // 2
-
-
 def _cell_monomials(r):
     return [(d - b, b) for d in range(r + 1) for b in range(d + 1)]
 
@@ -70,12 +70,6 @@ def _cell_lattice(r):
     return nodes
 
 
-def _edge_lattice(r):
-    if r == 0:
-        return [Fraction(1, 2)]
-    return [Fraction(j, r) for j in range(r + 1)]
-
-
 def _invert_exact(mat):
     """Inverse of a square Fraction matrix by Gauss-Jordan elimination."""
     n = len(mat)
@@ -91,16 +85,6 @@ def _invert_exact(mat):
                 f = a[i][col]
                 a[i] = [x - f * y for x, y in zip(a[i], a[col])]
     return [row[n:] for row in a]
-
-
-def _basis_coefficients(nodes, monos, on_edge=False):
-    """Exact monomial coefficients of the nodal basis: column k holds the
-    coefficients of the basis function dual to node k."""
-    if on_edge:
-        vander = [[t ** a for (a,) in monos] for t in nodes]
-    else:
-        vander = [[x ** a * y ** b for (a, b) in monos] for x, y in nodes]
-    return _invert_exact(vander)
 
 
 def _cell_monomial_integral(a, b):
@@ -127,69 +111,42 @@ class ReferenceWeights:
 
 
 class LagrangeLayout:
-    """Nodes, nodal bases and exact reference tables for one degree."""
+    """Nodes and the nodal P_r cell basis of one degree; ``sub`` is the
+    degree r-1 layout (None at r = 0)."""
 
     def __init__(self, r):
         _check_degree(r)
         self.degree = r
-        self.n_cell = cell_dim(r)
-        self.n_sub = r * (r + 1) // 2
-        self.n_edge = r + 1
+        self.sub = lagrange_layout(r - 1) if r else None
 
         self._cell_exps = _cell_monomials(r)
         self._cell_nodes_exact = _cell_lattice(r)
-        self._cell_coeffs_exact = _basis_coefficients(
-            self._cell_nodes_exact, self._cell_exps)
-        self.cell_nodes = np.array(
-            [[float(x), float(y)] for x, y in self._cell_nodes_exact])
+        # column k holds the monomial coefficients of the basis function
+        # dual to node k
+        self._cell_coeffs_exact = _invert_exact(
+            [[x ** a * y ** b for a, b in self._cell_exps]
+             for x, y in self._cell_nodes_exact])
+        self.cell_nodes = _to_float(self._cell_nodes_exact)
         self._cell_coeffs = _to_float(self._cell_coeffs_exact)
-
-        if r >= 1:
-            self._sub_exps = _cell_monomials(r - 1)
-            self._sub_nodes_exact = _cell_lattice(r - 1)
-            self._sub_coeffs_exact = _basis_coefficients(
-                self._sub_nodes_exact, self._sub_exps)
-            self.sub_nodes = np.array(
-                [[float(x), float(y)] for x, y in self._sub_nodes_exact])
-            self._sub_coeffs = _to_float(self._sub_coeffs_exact)
-        else:
-            self._sub_exps = []
-            self._sub_nodes_exact = []
-            self._sub_coeffs_exact = []
-            self.sub_nodes = np.zeros((0, 2))
-            self._sub_coeffs = np.zeros((0, 0))
-
-        self._edge_exps = [(a,) for a in range(r + 1)]
-        self._edge_nodes_exact = _edge_lattice(r)
-        self._edge_coeffs_exact = _basis_coefficients(
-            self._edge_nodes_exact, self._edge_exps, on_edge=True)
-        self.edge_nodes = np.array([float(t) for t in self._edge_nodes_exact])
-        self._edge_coeffs = _to_float(self._edge_coeffs_exact)
+        self.n_cell = len(self._cell_nodes_exact)
+        self.n_sub = self.sub.n_cell if self.sub else 0
+        self.n_edge = len(self.facet_node_ids(0, 1))
 
         # reference gradients of the P_r cell basis at the P_{r-1} nodes,
-        # shape (n_sub, n_cell, 2); exact values, hence exact row sums of 0
-        self.grad_at_sub = np.empty((self.n_sub, self.n_cell, 2))
-        for i, node in enumerate(self._sub_nodes_exact):
-            self.grad_at_sub[i] = self._grad_exact_at(node)
+        # shape (n_sub, n_cell, 2): integer coefficients at nodes 0 and 1
+        # (r = 2) or constant gradients (r = 1), so the floats are exact
+        # and the row sums exactly 0
+        self.grad_at_sub = self.eval_cell_grad(
+            self.sub.cell_nodes if self.sub else np.zeros((0, 2)))
 
     # -- evaluation ---------------------------------------------------------
 
-    def _monomials(self, points, exps):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.empty((len(points), len(exps)))
-        for m, (a, b) in enumerate(exps):
-            out[:, m] = points[:, 0] ** a * points[:, 1] ** b
-        return out
-
     def eval_cell(self, points):
         """P_r cell basis values at reference points, shape (m, n_cell)."""
-        return self._monomials(points, self._cell_exps) @ self._cell_coeffs
-
-    def eval_sub(self, points):
-        """P_{r-1} cell basis values at reference points, shape (m, n_sub)."""
-        if self.degree == 0:
-            return np.zeros((len(np.atleast_2d(points)), 0))
-        return self._monomials(points, self._sub_exps) @ self._sub_coeffs
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        mono = np.column_stack([points[:, 0] ** a * points[:, 1] ** b
+                                for a, b in self._cell_exps])
+        return mono @ self._cell_coeffs
 
     def eval_cell_grad(self, points):
         """Reference gradients of the P_r cell basis, shape (m, n_cell, 2)."""
@@ -203,26 +160,6 @@ class LagrangeLayout:
                 dy = b * points[:, 0] ** a * points[:, 1] ** (b - 1)
                 out[:, :, 1] += dy[:, None] * self._cell_coeffs[m][None, :]
         return out
-
-    def eval_edge(self, t):
-        """P_r edge basis values at parameters t, shape (m, n_edge)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        mono = np.empty((len(t), self.n_edge))
-        for m, (a,) in enumerate(self._edge_exps):
-            mono[:, m] = t ** a
-        return mono @ self._edge_coeffs
-
-    def _grad_exact_at(self, node):
-        x, y = node
-        grad = [[Fraction(0), Fraction(0)] for _ in range(self.n_cell)]
-        for m, (a, b) in enumerate(self._cell_exps):
-            gx = a * x ** (a - 1) * y ** b if a > 0 else Fraction(0)
-            gy = b * x ** a * y ** (b - 1) if b > 0 else Fraction(0)
-            for k in range(self.n_cell):
-                c = self._cell_coeffs_exact[m][k]
-                grad[k][0] += gx * c
-                grad[k][1] += gy * c
-        return _to_float(grad)
 
     # -- facet bookkeeping ---------------------------------------------------
 
@@ -254,24 +191,17 @@ def reference_weights(r) -> ReferenceWeights:
     _check_degree(r)
     lay = lagrange_layout(r)
     area = _cell_monomial_integral(0, 0)  # 1/2
-
-    def cell_w(coeffs, exps):
-        ws = []
-        for k in range(len(coeffs[0]) if coeffs else 0):
-            w = sum(coeffs[m][k] * _cell_monomial_integral(a, b)
-                    for m, (a, b) in enumerate(exps))
-            ws.append(w / area)
-        return tuple(ws)
-
-    edge = []
-    for k in range(lay.n_edge):
-        edge.append(sum(lay._edge_coeffs_exact[m][k] * Fraction(1, a + 1)
-                        for m, (a,) in enumerate(lay._edge_exps)))
+    # the basis sums to 1, so row k of the mass integrates phi_k
+    cell_full = tuple(sum(row) / area for row in _reference_mass_exact(r))
+    # on facet 0 (y = 0) only the monomials x^a survive
+    edge = tuple(sum(lay._cell_coeffs_exact[m][k] * Fraction(1, a + 1)
+                     for m, (a, b) in enumerate(lay._cell_exps) if b == 0)
+                 for k in lay.facet_node_ids(0, 1))
     return ReferenceWeights(
         degree=r,
-        cell_interior=cell_w(lay._sub_coeffs_exact, lay._sub_exps),
-        cell_full=cell_w(lay._cell_coeffs_exact, lay._cell_exps),
-        edge=tuple(edge),
+        cell_interior=reference_weights(r - 1).cell_full if r else (),
+        cell_full=cell_full,
+        edge=edge,
     )
 
 
@@ -304,18 +234,17 @@ class DofMap:
     degree: int
     num_cells: int
     num_edges: int
+    # the layout's counts, stored: cell_matrix reads n_cell_basis on every
+    # mass product
+    n_cell_basis: int = field(init=False)
+    n_sub_basis: int = field(init=False)
+    n_edge_basis: int = field(init=False)
 
-    @property
-    def n_cell_basis(self):
-        return cell_dim(self.degree)
-
-    @property
-    def n_sub_basis(self):
-        return self.degree * (self.degree + 1) // 2
-
-    @property
-    def n_edge_basis(self):
-        return self.degree + 1
+    def __post_init__(self):
+        lay = lagrange_layout(self.degree)
+        object.__setattr__(self, "n_cell_basis", lay.n_cell)
+        object.__setattr__(self, "n_sub_basis", lay.n_sub)
+        object.__setattr__(self, "n_edge_basis", lay.n_edge)
 
     @property
     def dim_dg(self):

@@ -30,6 +30,14 @@ def _gauss_triangle(n=12):
     return pts, wts.ravel()
 
 
+def edge_basis(layout, t):
+    """Edge basis values at parameters t, shape (m, r+1): the cell basis on
+    facet 0 (y = 0), its nodes in the edge's order."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    pts = np.column_stack([t, np.zeros_like(t)])
+    return layout.eval_cell(pts)[:, layout.facet_node_ids(0, 1)]
+
+
 def _monomials_2d(r):
     return [(d - b, b) for d in range(r + 1) for b in range(d + 1)]
 
@@ -111,7 +119,7 @@ class RtField:
         pts = p0[None, :] + tq[:, None] * (p1 - p0)[None, :]
         vals = self.basis.eval(pts)                        # (nq, dim, 2)
         normal_trace = vals @ normal                       # (nq, dim)
-        phi = space.layout.eval_edge(tq)                   # (nq, r+1)
+        phi = edge_basis(space.layout, tq)                 # (nq, r+1)
         rows = np.einsum("q,qj,qm->jm", wq * length, phi, normal_trace)
         return rows, interior
 
@@ -129,7 +137,7 @@ class RtField:
             rhs = []
             if n_i:
                 vals = self.basis.eval(pts)                # (nq, dim, 2)
-                phi = space.layout.eval_sub(qp)            # (nq, n_i)
+                phi = space.layout.sub.eval_cell(qp)       # (nq, n_i)
                 moments = np.einsum("q,qi,qmc->icm", weights, phi, vals)
                 cell_dofs = space.y_cell_view(dofs)[t]     # (n_i, 2)
                 for i in range(n_i):
@@ -181,7 +189,7 @@ def oracle_pairing(space: FeSpace, p_dofs, d):
 
     if space.dofs.n_sub_basis:
         qp, qw = _gauss_triangle()
-        phi = space.layout.eval_sub(qp)                    # (nq, n_i)
+        phi = space.layout.sub.eval_cell(qp)               # (nq, n_i)
         d_cell = space.y_cell_view(np.asarray(d, float))   # (N_T, n_i, 2)
         for t in range(mesh.num_cells):
             pts = mesh.shift[t] + qp @ mesh.jacobian[t].T
@@ -192,7 +200,7 @@ def oracle_pairing(space: FeSpace, p_dofs, d):
 
     tq, wq = _gauss_interval()
     d_edge = space.y_edge_view(np.asarray(d, float))
-    phi_e = space.layout.eval_edge(tq)
+    phi_e = edge_basis(space.layout, tq)
     for e in range(mesh.num_interior_edges):
         g0, g1 = mesh.edge_vertices[e]
         p0, p1 = mesh.vertices[g0], mesh.vertices[g1]

@@ -8,7 +8,8 @@ from fetv.spaces import lagrange_layout, reference_weights
 
 def assert_weights_match_symbolic(r):
     """Rebuild every nodal basis with sympy and compare the exact integrals
-    against the packaged tables (rational equality)."""
+    and the gradient samples against the packaged tables (rational
+    equality)."""
     x, y, t = sym.symbols("x y t")
     lay = lagrange_layout(r)
     w = reference_weights(r)
@@ -25,23 +26,37 @@ def assert_weights_match_symbolic(r):
     def tri_integral(expr):
         return sym.integrate(sym.integrate(expr, (y, 0, 1 - x)), (x, 0, 1))
 
-    for k, phi in enumerate(sym_cell_basis(lay._cell_nodes_exact,
-                                           lay._cell_exps)):
+    cell_basis = sym_cell_basis(lay._cell_nodes_exact, lay._cell_exps)
+    for k, phi in enumerate(cell_basis):
         exact = tri_integral(phi) / sym.Rational(1, 2)
         assert sym.Rational(w.cell_full[k].numerator,
                             w.cell_full[k].denominator) == exact
 
     if r >= 1:
-        for i, phi in enumerate(sym_cell_basis(lay._sub_nodes_exact,
-                                               lay._sub_exps)):
+        sub_nodes = lay.sub._cell_nodes_exact
+        for i, phi in enumerate(sym_cell_basis(sub_nodes, lay.sub._cell_exps)):
             exact = tri_integral(phi) / sym.Rational(1, 2)
             assert sym.Rational(w.cell_interior[i].numerator,
                                 w.cell_interior[i].denominator) == exact
+        # every gradient sample, the float converted exactly
+        assert lay.grad_at_sub.shape == (len(sub_nodes), len(cell_basis), 2)
+        for i, (nx, ny) in enumerate(sub_nodes):
+            at = {x: sym.Rational(nx), y: sym.Rational(ny)}
+            for k, phi in enumerate(cell_basis):
+                for d, var in enumerate((x, y)):
+                    assert sym.Rational(lay.grad_at_sub[i, k, d]) \
+                        == sym.diff(phi, var).subs(at)
+    else:
+        assert lay.grad_at_sub.shape == (0, 1, 2)
 
-    monos = [t ** a for (a,) in lay._edge_exps]
-    vander = sym.Matrix([[m.subs(t, sym.Rational(tn)) for m in monos]
-                         for tn in lay._edge_nodes_exact])
+    # the edge basis from its own lattice on [0, 1], independent of the
+    # layout's facet tables
+    edge_nodes = ([sym.Rational(1, 2)] if r == 0
+                  else [sym.Rational(j, r) for j in range(r + 1)])
+    monos = [t ** a for a in range(r + 1)]
+    vander = sym.Matrix([[m.subs(t, tn) for m in monos] for tn in edge_nodes])
     coeff = vander.inv()
+    assert len(w.edge) == r + 1
     for j in range(r + 1):
         phi = sum(coeff[m, j] * monos[m] for m in range(len(monos)))
         exact = sym.integrate(phi, (t, 0, 1))

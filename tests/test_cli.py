@@ -337,6 +337,47 @@ def test_shipped_cp_denoise_presets_converge(tmp_path, preset):
     _converges_on_disc(tmp_path, preset)
 
 
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])
+def test_add_noise_rejects_bad_sigma(tmp_path, disc_image, capsys, sigma):
+    """A noise level that is not finite, or negative, is one error line and
+    exit code 1, and nothing is written."""
+    out = tmp_path / "noisy.pgm"
+    code = main(["add-noise", "--input", str(disc_image),
+                 "--output", str(out), "--sigma", sigma])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"fetv: error: sigma must be nonnegative and finite, "
+                   f"got {float(sigma)}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("size", [["--width", "inf"], ["--height", "inf"],
+                                  ["--width", "nan"], ["--width", "0"]],
+                         ids=" ".join)
+def test_make_mesh_rejects_bad_size(tmp_path, capsys, size):
+    """A domain size that is not finite and positive is one error line and
+    exit code 1, with no numpy warning on the way, and no mesh file."""
+    out = tmp_path / "m.mesh"
+    code = main(["make-mesh", "2", "2", *size, "--output", str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "fetv: error: width and height must be positive and finite"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims", [["0", "2"], ["2", "0"], ["-1", "2"]],
+                         ids=" ".join)
+def test_make_mesh_rejects_empty_grid(tmp_path, capsys, dims):
+    out = tmp_path / "m.mesh"
+    code = main(["make-mesh", *dims, "--output", str(out)])
+    assert code == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "fetv: error: grid dimensions must be at least 1x1"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [
     ["--beta", "nan"], ["--beta", "inf"], ["--lambda", "inf"],
     ["--lambda", "nan"], ["--scale", "inf"], ["--tol-rel", "nan"],
@@ -345,6 +386,8 @@ def test_shipped_cp_denoise_presets_converge(tmp_path, preset):
     ["--algorithm", "chambolle-pock", "--tau", "inf"],
     ["--algorithm", "chambolle-pock", "--huber-eps", "nan"],
     ["--algorithm", "chambolle-pock", "--huber-eps", "inf"],
+    ["--noise-sigma", "nan"], ["--noise-sigma", "inf"],
+    ["--noise-sigma", "-0.1"],
 ], ids=" ".join)
 def test_non_finite_or_negative_setting(tmp_path, disc_image, capsys, flags):
     """A setting that is not finite, or negative, is one error line and

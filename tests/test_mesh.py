@@ -40,6 +40,10 @@ def test_crossed_rejects_bad_dims():
         build_crossed_mesh(0, 3, 1.0, 1.0)
     with pytest.raises(ValueError):
         build_crossed_mesh(2, 2, 0.0, 1.0)
+    for width, height in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
+                          (1.0, -math.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            build_crossed_mesh(2, 2, width, height)
 
 
 def test_cell_areas_sum():

@@ -68,8 +68,10 @@ def test_add_noise_sigma_zero_identity(spaces_2x2):
 
 
 def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma=-0.1)
+    for sigma in (-0.1, -math.inf, math.inf, math.nan):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            NoiseSpec(sigma=sigma)
+    assert NoiseSpec(sigma=0.0).sigma == 0.0
 
 
 def test_psnr_formula_examples():

@@ -1,8 +1,9 @@
 """Property tests for the per-iteration kernels: the masked DG mass, its
 inverse, the adjoint identity, the feasible-set projection, the
-infeasibility measure, the radial prox and the gap monitor, and for the
-invariance of the seminorms under cell renumbering, on jittered crossed
-meshes with drawn masks, degrees and inputs."""
+infeasibility measure, the radial prox and the gap monitor; and for the
+seminorms: their invariance under cell renumbering, the dual witness that
+attains dtv, and dtv against the exact TV; on jittered crossed meshes with
+drawn masks, degrees and inputs."""
 
 import math
 from functools import lru_cache
@@ -10,8 +11,9 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fetv.dtv import (ConstraintSetSpec, _duffy_rule, dtv, infeasibility,
-                      project_feasible, support, tv_exact, vector_norm)
+from fetv.dtv import (ConstraintSetSpec, _duffy_rule, dtv, dual_witness,
+                      infeasibility, project_feasible, support, tv_exact,
+                      vector_norm)
 from fetv.mesh import Mesh, build_crossed_mesh
 from fetv.operators import DgFunction, divergence, pairing
 from fetv.solvers import ProblemSpec, SolverParams, _Context, prox_vector
@@ -33,11 +35,11 @@ def _space(n, jitter_seed, r):
 
 
 @st.composite
-def instances(draw):
+def instances(draw, degrees=(0, 1, 2)):
     """A space, a cell mask (kept cells True, possibly none) and a seed for
     the input vectors."""
     n = draw(st.integers(1, 3))
-    r = draw(st.sampled_from((0, 1, 2)))
+    r = draw(st.sampled_from(degrees))
     space = _space(n, draw(st.integers(0, 3)), r)
     mask = np.array(draw(st.lists(st.booleans(), min_size=space.mesh.num_cells,
                                   max_size=space.mesh.num_cells)))
@@ -200,6 +202,75 @@ def test_radial_prox_is_the_broadcast_scale(instance, gamma):
                           cells * factor[..., None])
 
 
+@settings(SETTINGS, max_examples=10)
+@given(instances(), st.floats(1e-2, 1e2))
+def test_dual_witness_attains_dtv(instance, beta):
+    """dtv(u) = <dual_witness(u), Lambda u> with the witness in P, and the
+    support function over beta*P at Lambda u is beta * dtv(u) (s = 1, 2)."""
+    space, _, seed = instance
+    u = DgFunction(space,
+                   np.random.default_rng(seed).standard_normal(space.dim_dg))
+    y = space.grad_jump().apply(u.coeffs)
+    for s in (1, 2):
+        value = dtv(u, s)
+        witness = dual_witness(u, s)
+        assert math.isclose(pairing(witness, y), value, rel_tol=1e-12)
+        assert math.isclose(support(ConstraintSetSpec(space, beta, s), y),
+                            beta * value, rel_tol=1e-12)
+        spec = ConstraintSetSpec(space, 1.0, s)
+        assert infeasibility(witness, spec) <= 1e-30 * _unit_measure(spec)
+
+
+@settings(SETTINGS, max_examples=10)
+@given(instances(degrees=(0, 1)))
+def test_dtv_against_exact_tv(instance):
+    """dtv is the exact TV at r = 0 and bounds it from above at r = 1,
+    where the nodal rule overestimates the integral of |affine jump|
+    (s = 1, 2)."""
+    space, _, seed = instance
+    u = DgFunction(space,
+                   np.random.default_rng(seed).standard_normal(space.dim_dg))
+    for s in (1, 2):
+        value, exact = dtv(u, s), tv_exact(u, s)
+        if space.degree == 0:
+            assert abs(value - exact) <= 1e-12 * (1 + value)
+        else:
+            assert exact <= value + 1e-12 * (1 + value)
+
+
+@SETTINGS
+@given(instances(), st.integers(-2, 2), st.integers(-3, 0))
+def test_projection_is_nonexpansive_in_y_star(instance, spread, step):
+    """||P p - P q||_{Y*} <= ||p - q||_{Y*} for s = 1, 2, inf, the Y* norm
+    weighting each dof by the inverse of its lumped Y weight, for points
+    inside, across and outside the set (dofs of 10^spread times their
+    bounds), q a relative step of 10^step away from p."""
+    space, _, seed = instance
+    weights = space.y_weight_vector(0.5)
+
+    def y_star_sq(v):
+        return float((v * v / weights).sum())
+
+    for s in (1, 2, math.inf):
+        spec = ConstraintSetSpec(space, beta=0.1, s=s, scale=0.5)
+        bounds = np.concatenate([np.repeat(spec.cell_bounds.ravel(), 2),
+                                 spec.edge_bounds.ravel()])
+        rng = np.random.default_rng(seed)
+        p = rng.standard_normal(space.dim_y) * bounds * 10.0 ** spread
+        q = p + rng.standard_normal(space.dim_y) * bounds \
+            * 10.0 ** (spread + step)
+        moved = project_feasible(p, spec) - project_feasible(q, spec)
+        assert y_star_sq(moved) <= y_star_sq(p - q) * (1 + 1e-12)
+
+
+def _unit_measure(spec):
+    """The infeasibility of a point one bound outside on every dof."""
+    space = spec.space
+    return float((spec.edge_bounds ** 2 / space.edge_weights).sum()
+                 + (spec.cell_bounds ** 2
+                    / (spec.scale * space.cell_weights)).sum())
+
+
 def _hinge_reference(p, spec):
     """The infeasibility measure written out of place."""
     space = spec.space
@@ -256,10 +327,7 @@ def test_projection_properties(instance, s, beta, scale, spread):
     if s != math.inf:
         # against the measure of a point one bound outside on every dof:
         # hinges of a few ulps of the bounds, squared
-        unit = float((spec.edge_bounds ** 2 / space.edge_weights).sum()
-                     + (spec.cell_bounds ** 2
-                        / (scale * space.cell_weights)).sum())
-        assert infeasibility(proj, spec) <= 1e-30 * unit
+        assert infeasibility(proj, spec) <= 1e-30 * _unit_measure(spec)
         assert np.array_equal(proj, _projection_reference(p, spec))
         assert infeasibility(p, spec) == _hinge_reference(p, spec)
 

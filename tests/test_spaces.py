@@ -6,6 +6,8 @@ import pytest
 from fetv.mesh import build_crossed_mesh
 from fetv.spaces import FeSpace, lagrange_layout, reference_weights
 
+from rt_oracle import edge_basis
+
 F = Fraction
 
 
@@ -63,16 +65,29 @@ def test_nodal_duality():
         vals = lay.eval_cell(lay.cell_nodes)
         assert np.abs(vals - np.eye(lay.n_cell)).max() <= 1e-13
         if r >= 1:
-            sub = lay.eval_sub(lay.sub_nodes)
+            sub = lay.sub.eval_cell(lay.sub.cell_nodes)
             assert np.abs(sub - np.eye(lay.n_sub)).max() <= 1e-13
-        edge = lay.eval_edge(lay.edge_nodes)
+        edge_nodes = [0.5] if r == 0 else np.arange(r + 1) / r
+        edge = edge_basis(lay, edge_nodes)
         assert np.abs(edge - np.eye(lay.n_edge)).max() <= 1e-13
+
+
+def test_derived_tables_come_from_one_basis_per_degree():
+    """The P_{r-1} samples are the degree r-1 layout and the c_{T,i} are
+    its C_{T,k}."""
+    assert lagrange_layout(0).sub is None
+    for r in (1, 2):
+        lay = lagrange_layout(r)
+        assert lay.sub is lagrange_layout(r - 1)
+        assert lay.n_sub == lay.sub.n_cell == r * (r + 1) // 2
+        assert reference_weights(r).cell_interior \
+            == reference_weights(r - 1).cell_full
 
 
 def test_eval_basis_examples():
     assert np.allclose(lagrange_layout(1).eval_cell([(0.0, 0.0)])[0],
                        [1.0, 0.0, 0.0])
-    assert np.allclose(lagrange_layout(2).eval_edge(0.5)[0], [0.0, 1.0, 0.0])
+    assert np.allclose(edge_basis(lagrange_layout(2), 0.5)[0], [0.0, 1.0, 0.0])
 
 
 def test_partition_of_unity_and_gradients():
@@ -84,7 +99,7 @@ def test_partition_of_unity_and_gradients():
         grads = lay.eval_cell_grad(pts)
         assert np.abs(grads.sum(axis=1)).max() <= 1e-13
         te = rng.random(17)
-        assert np.abs(lay.eval_edge(te).sum(axis=1) - 1.0).max() <= 1e-13
+        assert np.abs(edge_basis(lay, te).sum(axis=1) - 1.0).max() <= 1e-13
     g = lagrange_layout(1).eval_cell_grad([(0.3, 0.3)])[0]
     assert np.allclose(g, [[-1, -1], [1, 0], [0, 1]])
 
