@@ -183,9 +183,9 @@ def _cmd_solver(args, inpaint):
 
 
 def _cmd_dtv(args):
-    if args.input:
+    if args.input and not (args.mesh or args.coeffs):
         _, u = images.raster_to_dg(images.load_pgm(args.input), args.degree)
-    elif args.mesh and args.coeffs:
+    elif args.mesh and args.coeffs and not args.input:
         mesh = mesh_mod.load_mesh(args.mesh)
         space = FeSpace(mesh, args.degree)
         coeffs = np.loadtxt(args.coeffs, dtype=float).ravel()
@@ -193,7 +193,7 @@ def _cmd_dtv(args):
             raise ValueError("coefficients hold NaN or infinite values")
         u = DgFunction(space, coeffs)
     else:
-        raise ValueError("dtv needs --input, or --mesh together with --coeffs")
+        raise ValueError("dtv needs --input alone, or --mesh with --coeffs")
     value = dtv(u, args.s)
     exact = tv_exact(u, args.s)
     print(f"dtv={value:.12g}")

@@ -15,6 +15,7 @@ reproduced bit-for-bit in any language:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +83,7 @@ def standard_normals(n, seed):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Gaussian per-dof noise: standard deviation and stream seed."""
+    """Gaussian per-dof noise: standard deviation and 64-bit stream seed."""
 
     sigma: float = 0.1
     seed: int = 0
@@ -91,6 +92,10 @@ class NoiseSpec:
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got "
                              f"{self.sigma}")
+        if not (isinstance(self.seed, numbers.Integral)
+                and 0 <= int(self.seed) <= _MASK):
+            raise ValueError(f"seed must be an integer in [0, 2^64), got "
+                             f"{self.seed!r}")
 
 
 def add_noise(u, spec: NoiseSpec):

@@ -2,14 +2,16 @@
 
 All five algorithms share the same discrete ingredients: the gradient/jump
 operator, the diagonal Riesz map between gradient samples and RT dofs, and
-per-dof prox/projection kernels.  Each solver sets up its operators and a
-``step(u, p) -> (u, p, y, divp, bounds)`` closure with y = Lambda u; the
-one loop ``_iterate`` runs it from u = f, p = 0 and owns the timer, the
-monitor, the trace and the stop test.  The stop rule follows from the
-problem: TV-L2 steps return ``bounds = None`` and stop on the primal-dual
-gap plus a feasibility cap; TV-L1 steps return the certificate
-max |lambda g| over the data and the masked dofs and stop on iterate
-stagnation plus |lambda g| <= 1 on the data dofs.
+one nonlinear kernel, the projection onto beta*P: by Moreau's identity the
+split Bregman / ADMM multiplier update is the Chambolle-Pock dual step with
+tau = lam (Esser, Zhang & Chan, SIAM J. Imaging Sci. 3, 2010).  Each solver
+sets up its operators and a ``step(u, p) -> (u, p, y, divp, bounds)``
+closure with y = Lambda u; the one loop ``_iterate`` runs it from u = f,
+p = 0 and owns the timer, the monitor, the trace and the stop test.  The
+stop rule follows from the problem: TV-L2 steps return ``bounds = None``
+and stop on the primal-dual gap plus a feasibility cap; TV-L1 steps return
+the certificate max |lambda g| over the data and the masked dofs and stop
+on iterate stagnation plus |lambda g| <= 1 on the data dofs.
 
 Each Chambolle-Pock iteration computes one divergence (Lambda^T, then
 M^-1 or the lumped weights), of the new dual iterate: the next primal
@@ -233,7 +235,6 @@ class _Context:
         self.cs = ConstraintSetSpec(self.space, beta=prob.beta, s=prob.s,
                                     scale=self.scale)
         self.yw = self.space.y_weight_vector(self.scale)
-        self.edge_norms = vector_norm(self.space.mesh.edge_normals, prob.s)
         # the per-dof weights of the mass norms over the data cells
         self._mass_w = self.space._det_weights(
             None if self.mask.all() else self.mask)
@@ -382,7 +383,7 @@ def gap(u: DgFunction, p, prob: ProblemSpec, context=None):
     return ctx.eta(u.coeffs, p, y, divergence(ctx.op, p))[0]
 
 
-# -- shared setup, dual step and shrink ------------------------------------------
+# -- shared setup and dual step -----------------------------------------------
 
 
 def _setup(prob, params, space, fidelity, name, huber=False):
@@ -409,44 +410,32 @@ def _cp_dual_step(ctx, p, y, tau):
     return _project_in_place(candidate, ctx.cs)
 
 
-def _bregman_shrink(ctx, d, gb, lam):
-    """Split Bregman/ADMM update of d = shrink(gb) in place, gb = Lambda u
-    + b: edge jumps by beta |n|_s / lam, cell gradients through the |.|_s
-    prox by beta / (lam * scale).  Returns the new multiplier b = gb - d."""
-    space, prob = ctx.space, ctx.prob
-    space.y_edge_view(d)[:] = shrink(space.y_edge_view(gb),
-                                     prob.beta * ctx.edge_norms[:, None] / lam)
-    space.y_cell_view(d)[:] = prox_vector(space.y_cell_view(gb),
-                                          prob.beta / (lam * ctx.scale), prob.s)
-    return gb - d
-
-
 # -- split Bregman ---------------------------------------------------------------
 
 
 def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
                      space=None, reference=None):
-    """Split Bregman iteration for the TV-L2 problem (any mask, s in {1,2});
-    the dual variable is recovered from the Bregman multipliers.
+    """Split Bregman iteration for the TV-L2 problem (any mask, s in {1,2}):
+    p = lam W b takes the dual step with tau = lam, d = Lambda u
+    + (p - p_new) / (lam W), and the u-system's right-hand side is
+    M f + Lambda^T (lam W d - p).
 
     ``params.lam`` is the starting penalty, balanced on the residuals (He,
     Yang & Wang, JOTA 106, 2000; Boyd et al., ADMM, 2011, sec. 3.4.1):
-    after each step the primal residual ||Lambda u - d||_W and the dual
-    residual lam ||Lambda^T W (d - d_prev)||_{M^-1} are compared, and when
-    one exceeds ``_BALANCE_RATIO`` (10) times the other, lam is doubled or
-    halved, the scaled multiplier b is divided by the same factor (so p =
-    lam W b is kept) and the u-system is evaluated at the new lam.  After
-    ``_PENALTY_CHANGES`` (10) changes lam is frozen, so the fixed-penalty
-    convergence argument holds from then on; with a budget of 0 this is the
-    paper's fixed-lam iteration.  Each u-subproblem is a CG solve
-    warm-started at the previous u (stop rule in :class:`QuadraticSolver`);
-    ``extras["inner_iterations"]`` is their total CG iterations."""
+    when the primal residual ||Lambda u - d||_W or the dual residual
+    lam ||Lambda^T W (d - d_prev)||_{M^-1} exceeds ``_BALANCE_RATIO`` (10)
+    times the other, lam is doubled or halved (p is kept) and the u-system
+    is evaluated at the new lam.  After ``_PENALTY_CHANGES`` (10) changes
+    lam is frozen, so the fixed-penalty convergence argument holds from
+    then on; a budget of 0 gives the paper's fixed-lam iteration.  Each
+    u-subproblem is a CG solve warm-started at the previous u (stop rule
+    in :class:`QuadraticSolver`), ``extras["inner_iterations"]`` their
+    total CG iterations."""
     ctx = _setup(prob, params, space, "l2", "split_bregman_l2")
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1e-3
     qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask)
     d = space.new_y()
-    b = space.new_y()
     mf = space.apply_mass(ctx.f, mask=ctx.mask)
     report = SolverReport(algorithm="split-bregman",
                           params=_echo_params(ctx, lam=lam),
@@ -454,23 +443,20 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
                                   "inner_iterations": 0})
 
     def step(u, p):
-        nonlocal b, lam
-        rhs = mf + lam * ctx.op.transpose.dot(ctx.yw * (d - b))
-        u = qs.solve(rhs, x0=u)
+        nonlocal d, lam
+        u = qs.solve(mf + ctx.op.transpose.dot(lam * ctx.yw * d - p), x0=u)
         report.extras["inner_iterations"] = qs.iterations
         y = ctx.op.apply(u)
-        adapt = report.extras["penalty_changes"] < _PENALTY_CHANGES
-        d_prev = d.copy() if adapt else None
-        b = _bregman_shrink(ctx, d, y + b, lam)
-        p = lam * ctx.yw * b
-        factor = _balance_factor(ctx, y - d, d - d_prev, lam) if adapt else 1
-        if factor != 1:
-            lam *= factor
-            b /= factor
-            qs.set_lam(lam)
-            report.extras["lam_final"] = lam
-            report.extras["penalty_changes"] += 1
-        return u, p, y, None, None
+        p_new = _cp_dual_step(ctx, p, y, lam)
+        d_prev, d = d, y + (p - p_new) / (lam * ctx.yw)
+        if report.extras["penalty_changes"] < _PENALTY_CHANGES:
+            factor = _balance_factor(ctx, y - d, d - d_prev, lam)
+            if factor != 1:
+                lam *= factor
+                qs.set_lam(lam)
+                report.extras["lam_final"] = lam
+                report.extras["penalty_changes"] += 1
+        return u, p_new, y, None, None
 
     return _iterate(ctx, report, step, reference)
 
@@ -605,34 +591,33 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
 
 def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
             reference=None):
-    """ADMM for TV-L1 with the double splitting d = Lambda u, e = u - f;
-    the dual variable is recovered from the Bregman multipliers and the
-    certificate max |lambda g| is reported.  The u-subproblems are solved
-    as in :func:`split_bregman_l2`, with their CG iterations in
-    ``extras["inner_iterations"]``."""
+    """ADMM for TV-L1 with the double splitting d = Lambda u, e = u - f.
+    p and d take the dual step, and the u-subproblems are solved, as in
+    :func:`split_bregman_l2` (CG iterations in ``extras["inner_iterations"]``);
+    the certificate max |lambda g| is reported."""
     ctx = _setup(prob, params, space, "l1", "admm_l1")
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1.0
     qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask,
                          lumped_fidelity=True)
     d = space.new_y()
-    b = space.new_y()
     e = np.zeros(space.dim_dg)
     g = np.zeros(space.dim_dg)
     e_thr = 1.0 / (lam * ctx.scale)
 
     def step(u, p):
-        nonlocal b, e, g
+        nonlocal d, e, g
         rhs = lam * ctx.scale * space.lumped_weights * (e + ctx.f - g) \
-            + lam * ctx.op.transpose.dot(ctx.yw * (d - b))
+            + ctx.op.transpose.dot(lam * ctx.yw * d - p)
         u = qs.solve(rhs, x0=u)
         report.extras["inner_iterations"] = qs.iterations
         y = ctx.op.apply(u)
-        b = _bregman_shrink(ctx, d, y + b, lam)
+        p_new = _cp_dual_step(ctx, p, y, lam)
+        d = y + (p - p_new) / (lam * ctx.yw)
         z = u - ctx.f + g
         e = np.where(ctx.mask_dof, shrink(z, e_thr), z)
         g = g + u - ctx.f - e
-        return u, lam * ctx.yw * b, y, None, ctx.multiplier_bounds(lam * g)
+        return u, p_new, y, None, ctx.multiplier_bounds(lam * g)
 
     report = SolverReport(algorithm="admm-l1",
                           params=_echo_params(ctx, lam=lam),

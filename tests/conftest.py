@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from fetv.dtv import vector_norm
 from fetv.mesh import build_crossed_mesh, build_diagonal_square
 from fetv.operators import DgFunction
+from fetv.solvers import prox_vector, shrink
 from fetv.spaces import FeSpace
 
 
@@ -21,6 +23,19 @@ def sharp_disc(pts, center=(0.5, 0.5), radius=0.3):
 
 def random_dg(space, rng, scale=1.0):
     return DgFunction(space, scale * rng.standard_normal(space.dim_dg))
+
+
+def bregman_shrink(space, beta, s, scale, gb, lam):
+    """The textbook split Bregman update d = shrink(gb) of gb = Lambda u + b:
+    edge jumps shrunk by beta |n_E|_s / lam, cell gradient pairs through the
+    prox of |.|_s by beta / (lam * scale).  The new multiplier is gb - d."""
+    d = space.new_y()
+    edge_norms = vector_norm(space.mesh.edge_normals, s)
+    space.y_edge_view(d)[:] = shrink(space.y_edge_view(gb),
+                                     beta * edge_norms[:, None] / lam)
+    space.y_cell_view(d)[:] = prox_vector(space.y_cell_view(gb),
+                                          beta / (lam * scale), s)
+    return d
 
 
 @pytest.fixture(scope="session")

@@ -183,6 +183,25 @@ def test_dtv_command_mesh_coeffs(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("fetv: error:")
 
 
+@pytest.mark.parametrize("extra", [["--mesh"], ["--coeffs"],
+                                   ["--mesh", "--coeffs"]], ids="+".join)
+def test_dtv_command_takes_one_input(tmp_path, disc_image, capsys, extra):
+    """An image together with a mesh or coefficient file is one error line
+    and exit code 1, not a run that drops the files it was given."""
+    main(["make-mesh", "2", "2", "--output", str(tmp_path / "m.mesh")])
+    coeffs = tmp_path / "c.txt"
+    coeffs.write_text("0.5\n" * 16)
+    files = {"--mesh": tmp_path / "m.mesh", "--coeffs": coeffs}
+    capsys.readouterr()
+    args = [str(a) for flag in extra for a in (flag, files[flag])]
+    code = main(["dtv", "--input", str(disc_image), *args])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "fetv: error: dtv needs --input alone, or --mesh with --coeffs"]
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_dtv_command_rejects_non_finite_coeffs(tmp_path, capsys, bad):
     main(["make-mesh", "2", "2", "--output", str(tmp_path / "m.mesh")])
@@ -348,6 +367,21 @@ def test_add_noise_rejects_bad_sigma(tmp_path, disc_image, capsys, sigma):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"fetv: error: sigma must be nonnegative and finite, "
                    f"got {float(sigma)}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_add_noise_rejects_seeds_outside_64_bits(tmp_path, disc_image, capsys,
+                                                 seed):
+    """A seed outside [0, 2^64) is one error line and exit code 1, not a
+    field drawn from the seed reduced mod 2^64; nothing is written."""
+    out = tmp_path / "noisy.pgm"
+    code = main(["add-noise", "--input", str(disc_image),
+                 "--output", str(out), "--seed", seed])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"fetv: error: seed must be an integer in [0, 2^64), "
+                   f"got {seed}"]
     assert not out.exists()
 
 

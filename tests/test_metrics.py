@@ -74,6 +74,20 @@ def test_noise_spec_validation():
     assert NoiseSpec(sigma=0.0).sigma == 0.0
 
 
+def test_noise_spec_takes_64_bit_seeds_only():
+    """The seed is the SplitMix64 seed itself: an integer in [0, 2^64);
+    anything else is an error, not reduced mod 2^64 or truncated."""
+    for seed in (-1, 2**64, 2**65 + 7, 1.0, 7.5, "7", None):
+        with pytest.raises(ValueError, match=r"seed must be an integer in "
+                                             r"\[0, 2\^64\)"):
+            NoiseSpec(seed=seed)
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(3)):
+        assert NoiseSpec(seed=seed).seed == seed
+    assert (add_noise(np.zeros(4), NoiseSpec(1.0, 2**64 - 1))
+            == add_noise(np.zeros(4), NoiseSpec(1.0, np.uint64(2**64 - 1)))
+            ).all()
+
+
 def test_psnr_formula_examples():
     mesh = build_crossed_mesh(2, 2, 1.0, 1.0)
     space = FeSpace(mesh, 0)

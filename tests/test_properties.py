@@ -1,9 +1,9 @@
 """Property tests for the per-iteration kernels: the masked DG mass, its
 inverse, the adjoint identity, the feasible-set projection, the
-infeasibility measure, the radial prox and the gap monitor; and for the
-seminorms: their invariance under cell renumbering, the dual witness that
-attains dtv, and dtv against the exact TV; on jittered crossed meshes with
-drawn masks, degrees and inputs."""
+infeasibility measure, the radial prox, the split Bregman dual step and the
+gap monitor; and for the seminorms: their invariance under cell
+renumbering, the dual witness that attains dtv, and dtv against the exact
+TV; on jittered crossed meshes with drawn masks, degrees and inputs."""
 
 import math
 from functools import lru_cache
@@ -16,8 +16,11 @@ from fetv.dtv import (ConstraintSetSpec, _duffy_rule, dtv, dual_witness,
                       vector_norm)
 from fetv.mesh import Mesh, build_crossed_mesh
 from fetv.operators import DgFunction, divergence, pairing
-from fetv.solvers import ProblemSpec, SolverParams, _Context, prox_vector
+from fetv.solvers import (ProblemSpec, SolverParams, _Context, _cp_dual_step,
+                          prox_vector)
 from fetv.spaces import FeSpace
+
+from conftest import bregman_shrink
 
 # derandomized: the same examples on every run, so the suite is repeatable
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
@@ -202,6 +205,34 @@ def test_radial_prox_is_the_broadcast_scale(instance, gamma):
                           cells * factor[..., None])
 
 
+@SETTINGS
+@given(instances(), st.floats(1e-2, 1e2), st.floats(1e-2, 1.0),
+       st.floats(1e-3, 1.0))
+def test_dual_step_is_the_bregman_multiplier(instance, lam, scale, beta):
+    """Moreau's identity at the kernel: the Chambolle-Pock dual step with
+    tau = lam from p = lam W b is lam W (gb - d), the split Bregman
+    multiplier update from the textbook shrink d of gb = y + b (s = 1, 2),
+    for dofs inside and outside their thresholds."""
+    space, _, seed = instance
+    rng = np.random.default_rng(seed)
+    for s in (1, 2):
+        prob = ProblemSpec(mesh=space.mesh, degree=space.degree,
+                           f=np.zeros(space.dim_dg), beta=beta, s=s)
+        ctx = _Context(prob, SolverParams(scale=scale), space=space)
+        bounds = np.concatenate([np.repeat(ctx.cs.cell_bounds.ravel(), 2),
+                                 ctx.cs.edge_bounds.ravel()])
+        # y and b of the size of the shrink thresholds bounds / (lam W), so
+        # gb = y + b falls on both sides of them
+        thr = bounds / (lam * ctx.yw)
+        y = rng.standard_normal(space.dim_y) * thr
+        b = rng.standard_normal(space.dim_y) * thr
+        gb = y + b
+        want = lam * ctx.yw * (gb - bregman_shrink(space, beta, s, scale, gb,
+                                                   lam))
+        got = _cp_dual_step(ctx, lam * ctx.yw * b, y, lam)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 @settings(SETTINGS, max_examples=10)
 @given(instances(), st.floats(1e-2, 1e2))
 def test_dual_witness_attains_dtv(instance, beta):
@@ -302,53 +333,56 @@ def _projection_reference(p, spec):
 
 
 @SETTINGS
-@given(instances(), st.sampled_from((1, 2, math.inf)),
-       st.floats(1e-3, 1.0), st.floats(1e-2, 1.0), st.floats(1e-2, 1e2))
-def test_projection_properties(instance, s, beta, scale, spread):
+@given(instances(), st.floats(1e-3, 1.0), st.floats(1e-2, 1.0),
+       st.floats(1e-2, 1e2))
+def test_projection_properties(instance, beta, scale, spread):
     """project_feasible leaves its input alone and is idempotent; for
     s in {1, 2} its image has zero infeasibility up to squared rounding
     (relative to the scale of the measure),
     and projection and infeasibility equal their out-of-place forms bit
-    for bit."""
+    for bit (s = 1, 2, inf in every example)."""
     space, _, seed = instance
-    spec = ConstraintSetSpec(space, beta=beta, s=s, scale=scale)
-    # dofs of the size of their bounds times spread: in and out of the set
-    bounds = np.concatenate([np.repeat(spec.cell_bounds.ravel(), 2),
-                             spec.edge_bounds.ravel()])
-    p = np.random.default_rng(seed).standard_normal(space.dim_y) \
-        * bounds * spread
-    before = p.copy()
-    proj = project_feasible(p, spec)
-    assert np.array_equal(p, before)
-    again = project_feasible(proj, spec)
-    # idempotent up to rounding of the radial (s = 2) and l1 (s = inf)
-    # thresholds
-    assert np.abs(again - proj).max() <= 1e-13 * bounds.max()
-    if s != math.inf:
-        # against the measure of a point one bound outside on every dof:
-        # hinges of a few ulps of the bounds, squared
-        assert infeasibility(proj, spec) <= 1e-30 * _unit_measure(spec)
-        assert np.array_equal(proj, _projection_reference(p, spec))
-        assert infeasibility(p, spec) == _hinge_reference(p, spec)
+    for s in (1, 2, math.inf):
+        spec = ConstraintSetSpec(space, beta=beta, s=s, scale=scale)
+        # dofs of the size of their bounds times spread: in and out of the
+        # set
+        bounds = np.concatenate([np.repeat(spec.cell_bounds.ravel(), 2),
+                                 spec.edge_bounds.ravel()])
+        p = np.random.default_rng(seed).standard_normal(space.dim_y) \
+            * bounds * spread
+        before = p.copy()
+        proj = project_feasible(p, spec)
+        assert np.array_equal(p, before)
+        again = project_feasible(proj, spec)
+        # idempotent up to rounding of the radial (s = 2) and l1 (s = inf)
+        # thresholds
+        assert np.abs(again - proj).max() <= 1e-13 * bounds.max()
+        if s != math.inf:
+            # against the measure of a point one bound outside on every
+            # dof: hinges of a few ulps of the bounds, squared
+            assert infeasibility(proj, spec) <= 1e-30 * _unit_measure(spec)
+            assert np.array_equal(proj, _projection_reference(p, spec))
+            assert infeasibility(p, spec) == _hinge_reference(p, spec)
 
 
 @SETTINGS
-@given(instances(), st.sampled_from((1, 2)), st.floats(1e-2, 1e2))
-def test_infeasibility_inside_outside_and_nan(instance, s, spread):
+@given(instances(), st.floats(1e-2, 1e2))
+def test_infeasibility_inside_outside_and_nan(instance, spread):
     """The infeasibility measure equals its out-of-place form bit for bit
     on vectors inside the set (exactly 0.0), outside it and across it, and
     a NaN on any one dof makes it NaN rather than a part skipped as
-    feasible."""
+    feasible (s = 1, 2 in every example)."""
     space, _, seed = instance
-    spec = ConstraintSetSpec(space, beta=0.1, s=s, scale=0.5)
-    rng = np.random.default_rng(seed)
-    p = rng.standard_normal(space.dim_y) * spread
-    inside = project_feasible(p, spec) * 0.5
-    outside = project_feasible(p, spec) * 2.0 + np.sign(p) * 1e-3
-    for q in (inside, outside, p):
-        assert infeasibility(q, spec) == _hinge_reference(q, spec)
-    assert infeasibility(inside, spec) == 0.0
-    for at in (0, space.dim_y - 1):     # a cell dof (r > 0), an edge dof
-        bad = inside.copy()
-        bad[at] = np.nan
-        assert math.isnan(infeasibility(bad, spec))
+    for s in (1, 2):
+        spec = ConstraintSetSpec(space, beta=0.1, s=s, scale=0.5)
+        rng = np.random.default_rng(seed)
+        p = rng.standard_normal(space.dim_y) * spread
+        inside = project_feasible(p, spec) * 0.5
+        outside = project_feasible(p, spec) * 2.0 + np.sign(p) * 1e-3
+        for q in (inside, outside, p):
+            assert infeasibility(q, spec) == _hinge_reference(q, spec)
+        assert infeasibility(inside, spec) == 0.0
+        for at in (0, space.dim_y - 1):  # a cell dof (r > 0), an edge dof
+            bad = inside.copy()
+            bad[at] = np.nan
+            assert math.isnan(infeasibility(bad, spec))
