@@ -176,6 +176,7 @@ def _cmd_solver(args, inpaint):
     if "lam_final" in report.extras:
         print(f"lambda={report.extras['lam_final']:.10g}")
     print(f"converged={str(report.converged).lower()}")
+    print(f"stop_reason={report.stop_reason}")
     print(f"objective={report.objective:.10g}")
     if report.psnr is not None:
         print(f"psnr={report.psnr:.4f}")

@@ -50,9 +50,13 @@ def test_denoise_prints_final_lambda(tmp_path, disc_image, capsys):
                  "--lambda", "1e-4", "--noise-sigma", "0.1"])
     assert code == 0
     data = json.loads(report.read_text())
-    out = capsys.readouterr().out
-    assert f"lambda={data['lam_final']:.10g}" in out.splitlines()
+    out = capsys.readouterr().out.splitlines()
+    assert f"lambda={data['lam_final']:.10g}" in out
     assert data["lam_final"] != 1e-4 and data["penalty_changes"] >= 1
+    # the stop reason follows the converged flag
+    i = out.index("converged=true")
+    assert out[i + 1] == f"stop_reason={data['stop_reason']}" \
+        == "stop_reason=gap"
 
 
 def test_denoise_deterministic(tmp_path, disc_image):
@@ -91,7 +95,7 @@ def test_invalid_config_exit_code(tmp_path, disc_image, capsys):
     assert code == 1
 
 
-def test_non_convergence_exit_code(tmp_path, disc_image):
+def test_non_convergence_exit_code(tmp_path, disc_image, capsys):
     out = tmp_path / "out.pgm"
     report = tmp_path / "rep.json"
     code = main(["denoise", "--input", str(disc_image),
@@ -100,7 +104,11 @@ def test_non_convergence_exit_code(tmp_path, disc_image):
                  "--beta", "1e-3", "--max-iter", "2",
                  "--noise-sigma", "0.1"])
     assert code == 2
-    assert json.loads(report.read_text())["converged"] is False
+    data = json.loads(report.read_text())
+    assert data["converged"] is False and data["stop_reason"] == "max_iter"
+    lines = capsys.readouterr().out.splitlines()
+    i = lines.index("converged=false")
+    assert lines[i + 1] == "stop_reason=max_iter"
     assert out.exists()
 
 
@@ -121,7 +129,7 @@ def test_stalled_inner_solve_exit_code(tmp_path, disc_image, monkeypatch,
     assert not out.exists() and not report.exists()
 
 
-def test_inpaint_with_mask(tmp_path, disc_image):
+def test_inpaint_with_mask(tmp_path, disc_image, capsys):
     mask = tmp_path / "mask.txt"
     rng = np.random.default_rng(0)
     cells = rng.choice(4 * 16 * 16, size=300, replace=False)
@@ -137,6 +145,7 @@ def test_inpaint_with_mask(tmp_path, disc_image):
     data = json.loads(report.read_text())
     assert data["masked_cells"] == 300
     assert data["psnr"] > data["psnr_baseline"]
+    assert "stop_reason=gap" in capsys.readouterr().out.splitlines()
 
 
 def test_dtv_command(tmp_path, disc_image, capsys):

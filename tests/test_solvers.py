@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import pathlib
@@ -5,7 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
-from fetv.dtv import ConstraintSetSpec, dtv, project_feasible, vector_norm
+from fetv.dtv import (ConstraintSetSpec, dtv, infeasibility,
+                      project_feasible, vector_norm)
 from fetv.mesh import build_crossed_mesh
 from fetv.metrics import NoiseSpec, add_noise, psnr
 from fetv import solvers
@@ -540,6 +542,9 @@ def test_report_json_roundtrip():
     assert data["lam_final"] == rep.extras["lam_final"]
     assert data["penalty_changes"] == rep.extras["penalty_changes"]
     assert data["inner_iterations"] == rep.extras["inner_iterations"] > 0
+    assert data["stop_reason"] == rep.stop_reason == "gap"
+    assert data["step_s"] == rep.extras["step_s"]
+    assert data["monitor_s"] == rep.extras["monitor_s"]
 
 
 def _inexact_cases():
@@ -921,3 +926,115 @@ def test_cp_default_steps_converge_at_protocol_size():
                                   space=space, reference=clean)
     assert rep.converged
     assert rep.psnr >= psnr(noisy, clean) + 8.0
+
+
+# -- the stop test: its reason, its timing and its lazy infeasibility -----------
+
+
+def _stop_case(algorithm):
+    """(problem, params, space): a small r = 0 instance each solver stops
+    on after many steps: 8x8, or 4x4 for ADMM, which stops there after
+    1127 steps (2201 at 8x8)."""
+    n = 4 if algorithm == "admm-l1" else 8
+    mesh, space, clean, noisy = _denoise_instance(n=n)
+    fidelity = "l1" if algorithm in ("cp-l1", "admm-l1") else "l2"
+    prob = ProblemSpec(mesh=mesh, degree=0, f=noisy.coeffs, beta=1e-3,
+                       fidelity=fidelity)
+    params = {"split-bregman": SolverParams(lam=1e-3),
+              "cp-l1": SolverParams(sigma=0.5),
+              "admm-l1": SolverParams(lam=1.0)}.get(algorithm,
+                                                     SolverParams())
+    return prob, params, space
+
+
+def _l1_candidate_stops(trace):
+    """Steps at which the TV-L1 stop test holds up to its infeasibility
+    cap: 5 stagnant steps in a row and a data multiplier bound <= 1.01."""
+    run = count = 0
+    for entry in trace:
+        run = run + 1 if entry["change"] <= solvers._CHANGE_TOL else 0
+        count += run >= 5 and entry["multiplier_bound"] <= 1.01
+    return count
+
+
+def test_stop_reason_and_loop_time_split():
+    """A TV-L2 solve stops on its gap, a TV-L1 run on stagnation and a run
+    cut at max_iter says so; each report splits its loop time into step
+    and monitor time, which never exceed the run's total."""
+    runs = [("split-bregman", None, "gap"), ("cp-l1", None, "stagnation"),
+            ("chambolle-pock", 1, "max_iter"), ("admm-l1", 1, "max_iter")]
+    for algorithm, max_iter, reason in runs:
+        prob, params, space = _stop_case(algorithm)
+        if max_iter is not None:
+            params = dataclasses.replace(params, max_iter=max_iter)
+        _, _, rep = solve(prob, algorithm, params, space=space)
+        assert rep.stop_reason == reason
+        assert rep.converged == (reason != "max_iter")
+        if max_iter is not None:
+            assert rep.iterations == max_iter
+        data = rep.to_dict()
+        assert data["stop_reason"] == reason
+        step_s, monitor_s = data["step_s"], data["monitor_s"]
+        assert step_s >= 0 and monitor_s >= 0
+        assert step_s + monitor_s <= rep.seconds
+        # the per-step trace carries no infeasibility
+        assert "infeasibility" not in rep.trace[-1]
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_infeasibility_only_at_candidate_stops(algorithm, monkeypatch):
+    """The stop test computes the infeasibility of p only when the rest of
+    it holds (the gap for TV-L2, stagnation and the multiplier bound for
+    TV-L1), and once more at the end of a run that took no stop; the
+    reported value is that of the returned p, bit for bit."""
+    prob, params, space = _stop_case(algorithm)
+    calls = []
+    gap_passes = []
+
+    def counted(p, cs):
+        calls.append(cs)
+        return infeasibility(p, cs)
+
+    def counted_gap(self, eta_val, divp):
+        gap_passes.append(l2_converged(self, eta_val, divp))
+        return gap_passes[-1]
+
+    l2_converged = solvers._Context.l2_converged
+    monkeypatch.setattr(solvers, "infeasibility", counted)
+    monkeypatch.setattr(solvers._Context, "l2_converged", counted_gap)
+
+    def run(params):
+        calls.clear()
+        gap_passes.clear()
+        _, p, rep = solve(prob, algorithm, params, space=space)
+        candidates = (sum(gap_passes) if prob.fidelity == "l2"
+                      else _l1_candidate_stops(rep.trace))
+        cs = ConstraintSetSpec(space, beta=prob.beta, s=prob.s,
+                               scale=rep.params["scale"])
+        assert rep.infeasibility == infeasibility(p, cs)
+        return rep, candidates
+
+    rep, candidates = run(params)
+    assert rep.converged and rep.iterations > 5
+    assert 1 <= len(calls) == candidates < rep.iterations
+    # cut one step short: the candidates met so far, plus the returned p
+    rep, candidates = run(dataclasses.replace(params,
+                                              max_iter=rep.iterations - 1))
+    assert not rep.converged
+    assert len(calls) == candidates + 1 < rep.iterations
+
+
+@pytest.mark.parametrize("algorithm", ["split-bregman", "chambolle-pock",
+                                       "chambolle-projection"])
+def test_infeasibility_cap_still_gates_the_stop(algorithm, monkeypatch):
+    """With the infeasibility read as 1.0, no TV-L2 solve converges: each
+    runs to max_iter past the step its gap stopped it at."""
+    prob, params, space = _stop_case(algorithm)
+    _, _, free = solve(prob, algorithm, params, space=space)
+    assert free.converged and free.stop_reason == "gap"
+    monkeypatch.setattr(solvers, "infeasibility", lambda p, cs: 1.0)
+    capped = dataclasses.replace(params, max_iter=free.iterations + 5)
+    _, _, rep = solve(prob, algorithm, capped, space=space)
+    assert not rep.converged and rep.stop_reason == "max_iter"
+    assert rep.iterations == capped.max_iter
+    assert rep.infeasibility == 1.0
