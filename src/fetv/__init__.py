@@ -4,27 +4,14 @@ meshes, with the dual constraint-set machinery and TV-L2 / TV-L1 solvers."""
 from .dtv import (
     ConstraintSetSpec,
     dtv,
-    dual_max_bruteforce,
-    dual_witness,
     infeasibility,
     project_feasible,
     tv_exact,
 )
 from .images import Raster, dg_to_raster, load_mask, load_pgm, raster_to_dg, save_pgm
-from .mesh import (
-    Mesh,
-    build_crossed_mesh,
-    build_diagonal_square,
-    load_mesh,
-    save_mesh,
-)
+from .mesh import Mesh, build_crossed_mesh, load_mesh, save_mesh
 from .metrics import NoiseSpec, add_noise, psnr
-from .operators import (
-    DgFunction,
-    GradJumpOperator,
-    divergence,
-    pairing,
-)
+from .operators import DgFunction, GradJumpOperator, divergence
 from .solvers import (
     ProblemSpec,
     SolverParams,
@@ -33,9 +20,7 @@ from .solvers import (
     chambolle_pock_l1,
     chambolle_pock_l2,
     chambolle_projection_l2,
-    dual_objective,
     gap,
-    primal_objective,
     prox_vector,
     shrink,
     solve,

@@ -148,10 +148,9 @@ def _cmd_solver(args, inpaint):
         masked = images.load_mask(args.mask, mesh)
     omega0 = None if masked is None else ~masked
 
-    fidelity = "l1" if args.algorithm in ("cp-l1", "admm-l1") else "l2"
     prob = ProblemSpec(mesh=mesh, degree=args.degree, f=f.coeffs,
                        omega0=omega0, beta=args.beta, s=args.s,
-                       fidelity=fidelity, huber_eps=args.huber_eps)
+                       huber_eps=args.huber_eps)
     params = SolverParams(lam=args.lam, sigma=args.sigma, tau=args.tau,
                           theta=args.theta, scale=args.scale,
                           eps_rel=args.tol_rel, max_iter=args.max_iter)

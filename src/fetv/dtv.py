@@ -1,5 +1,5 @@
-"""The discrete TV seminorm, the exact TV of a DG function, the dual
-constraint set with its projection, and duality witness/oracle machinery.
+"""The discrete TV seminorm, the exact TV of a DG function, and the dual
+constraint set with its projection and infeasibility measure.
 
 The seminorm interpolates |grad u|_s at the P_{r-1} cell nodes and the jump
 magnitude at the edge Lagrange nodes and integrates the interpolants with
@@ -31,16 +31,14 @@ __all__ = [
     "tv_exact",
     "ConstraintSetSpec",
     "project_feasible",
-    "dual_witness",
-    "dual_max_bruteforce",
     "infeasibility",
 ]
 
 _PRIMAL_S = (1, 2, math.inf)
 
 
-def _check_s(s, allowed=_PRIMAL_S):
-    if s not in allowed:
+def _check_s(s):
+    if s not in _PRIMAL_S:
         raise ValueError(f"anisotropy s={s!r} not supported here")
 
 
@@ -331,61 +329,3 @@ def infeasibility(p, spec: ConstraintSetSpec):
         hinge = _squared_hinge(np.abs(cell), spec.cell_bounds[..., None])
         total += float((hinge.sum(axis=-1) / w).sum())
     return total
-
-
-# -- duality ------------------------------------------------------------------
-
-
-def dual_witness(u: DgFunction, s=2):
-    """The maximizer of <p, Lambda u> over the unit constraint set P:
-    pairing it with Lambda u reproduces dtv(u, s) exactly."""
-    space = u.space
-    spec = ConstraintSetSpec(space, 1.0, s)
-    y = space.grad_jump().apply(u.coeffs)
-    p = space.new_y()
-    space.y_edge_view(p)[:] = np.sign(space.y_edge_view(y)) * spec.edge_bounds
-
-    w = space.y_cell_view(y)
-    c = spec.cell_bounds
-    cell = space.y_cell_view(p)
-    if s == math.inf:
-        lead = np.argmax(np.abs(w), axis=-1)
-        picked = np.take_along_axis(w, lead[..., None], axis=-1)[..., 0]
-        vals = np.sign(picked) * c
-        cell[:] = 0.0
-        np.put_along_axis(cell, lead[..., None], vals[..., None], axis=-1)
-    else:
-        norms = vector_norm(w, s)
-        safe = np.where(norms > 0, norms, 1.0)
-        scale = c / safe ** (s - 1)
-        cell[:] = (np.sign(w) * np.abs(w) ** (s - 1)
-                   * np.where(norms > 0, scale, 0.0)[..., None])
-    return p
-
-
-def dual_max_bruteforce(u: DgFunction, s=2, n_samples=10000, seed=0,
-                        include_witness=False):
-    """Maximum of <p, Lambda u> over random feasible p (uniform per-dof on
-    the constraint boxes, cell pairs projected onto the conjugate ball).
-    Weak duality bounds the result by dtv(u, s); meant for small meshes."""
-    _check_s(s)
-    space = u.space
-    if space.mesh.num_cells > 16:
-        raise ValueError("brute-force oracle is restricted to small meshes")
-    spec = ConstraintSetSpec(space, beta=1.0, s=s)
-    rng = np.random.default_rng(seed)
-    y = space.grad_jump().apply(u.coeffs)
-
-    eb = spec.edge_bounds.ravel()
-    edges = rng.uniform(-1.0, 1.0, size=(n_samples, eb.size)) * eb
-    cb = spec.cell_bounds.reshape(-1)
-    cells = rng.uniform(-1.0, 1.0,
-                        size=(n_samples, cb.size, 2)) * cb[None, :, None]
-    cells = _project_cell_ball(cells, np.broadcast_to(cb, cells.shape[:2]), s)
-    samples = np.concatenate([cells.reshape(n_samples, 2 * cb.size), edges],
-                             axis=1)
-    values = samples @ y
-    best = float(values.max()) if n_samples else -math.inf
-    if include_witness:
-        best = max(best, float(dual_witness(u, s) @ y))
-    return best

@@ -143,13 +143,9 @@ def raster_to_dg(raster: Raster, r):
     return mesh, DgFunction(space, coeffs)
 
 
-def dg_to_raster(u: DgFunction, width, height):
-    """The pixel means of a function on the mesh ``raster_to_dg`` builds
-    for a width x height raster, clamped to [0, 1].  A cell's mean comes
-    from the exact integrals of its nodal basis; the four cells of a pixel
-    have equal area, so the pixel value is the plain mean of theirs.
-    Raises ValueError on any other mesh."""
-    mesh = u.space.mesh
+def _check_pixel_mesh(mesh, width, height):
+    """Raise ValueError unless ``mesh`` is the crossed mesh that
+    ``raster_to_dg`` builds for a width x height raster."""
     if mesh.num_cells != 4 * width * height:
         raise ValueError(f"mesh has {mesh.num_cells} cells, not the "
                          f"{4 * width * height} of a {width}x{height} raster")
@@ -161,6 +157,15 @@ def dg_to_raster(u: DgFunction, width, height):
     if not np.allclose(centers.mean(axis=2), expected, rtol=0.0, atol=1e-12):
         raise ValueError(f"mesh is not the crossed mesh of a {width}x{height} "
                          "raster")
+
+
+def dg_to_raster(u: DgFunction, width, height):
+    """The pixel means of a function on the mesh ``raster_to_dg`` builds
+    for a width x height raster, clamped to [0, 1].  A cell's mean comes
+    from the exact integrals of its nodal basis; the four cells of a pixel
+    have equal area, so the pixel value is the plain mean of theirs.
+    Raises ValueError on any other mesh."""
+    _check_pixel_mesh(u.space.mesh, width, height)
     weights = np.array(reference_weights(u.degree).cell_full, dtype=float)
     means = u.space.cell_matrix(u.coeffs) @ weights
     # summed in pairs, so four equal cell means give that value exactly
@@ -172,19 +177,15 @@ def dg_to_raster(u: DgFunction, width, height):
 def load_mask(path, mesh):
     """Read an inpainting mask: either a text file with one 0-based cell
     index per line, or a PGM whose dark pixels (< 0.5) mark masked squares
-    (all four sub-triangles of the pixel).  Returns a boolean per-cell
-    array with True on masked cells; the complement carries the data."""
+    (all four sub-triangles of the pixel) and whose width and height are
+    those of ``mesh``'s raster.  Returns a boolean per-cell array with True
+    on masked cells; the complement carries the data."""
     with open(path, "rb") as fh:
         head = fh.read(2)
     masked = np.zeros(mesh.num_cells, dtype=bool)
     if head in (b"P2", b"P5"):
         raster = load_pgm(path)
-        if 4 * raster.width * raster.height != mesh.num_cells:
-            raise ValueError(
-                "mask raster does not match the mesh (expected "
-                f"{mesh.num_cells // 4} pixels, got "
-                f"{raster.width * raster.height})"
-            )
+        _check_pixel_mesh(mesh, raster.width, raster.height)
         dark = np.flipud(raster.values).ravel() < 0.5
         masked[:] = np.repeat(dark, 4)
         return masked

@@ -18,7 +18,6 @@ __all__ = [
     "MeshFormatError",
     "MeshTopologyError",
     "build_crossed_mesh",
-    "build_diagonal_square",
     "load_mesh",
     "save_mesh",
 ]
@@ -278,19 +277,6 @@ def build_crossed_mesh(nx, ny, width, height):
     cells[:, 2] = np.column_stack([tr, tl, c])
     cells[:, 3] = np.column_stack([tl, bl, c])
     return Mesh(vertices, cells.reshape(-1, 3))
-
-
-def build_diagonal_square(angle=0.0):
-    """Unit square split by one diagonal into two triangles, rotated by
-    ``angle`` about its center.  The single interior edge has length sqrt(2)
-    and normal (1, 1)/sqrt(2) at angle 0."""
-    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    c, s = math.cos(angle), math.sin(angle)
-    rot = np.array([[c, -s], [s, c]])
-    center = np.array([0.5, 0.5])
-    vertices = (corners - center) @ rot.T + center
-    cells = np.array([[0, 1, 3], [1, 2, 3]])
-    return Mesh(vertices, cells)
 
 
 # -- text format --------------------------------------------------------------

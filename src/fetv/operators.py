@@ -28,7 +28,6 @@ __all__ = [
     "GradJumpOperator",
     "InnerSolveError",
     "QuadraticSolver",
-    "pairing",
     "divergence",
 ]
 
@@ -184,12 +183,6 @@ def _csr_from_rows(data, cols, row_nnz, n_cols):
     indptr = np.zeros(len(row_nnz) + 1, dtype=np.int64)
     np.cumsum(row_nnz, out=indptr[1:])
     return sp.csr_matrix((data, cols, indptr), shape=(len(row_nnz), n_cols))
-
-
-def pairing(p, d):
-    """Duality pairing <p, d> of an RT dof vector with a Y vector; exact at
-    the coefficient level because the dofs are dual to the nodal bases."""
-    return float(np.asarray(p).ravel() @ np.asarray(d).ravel())
 
 
 def divergence(op, p, lumped=False):

@@ -53,10 +53,7 @@ __all__ = [
     "chambolle_pock_l1",
     "admm_l1",
     "solve",
-    "primal_objective",
-    "dual_objective",
     "gap",
-    "huber_regularizer",
     "estimate_operator_norm_sq",
     "ALGORITHMS",
 ]
@@ -107,7 +104,7 @@ class ProblemSpec:
     ``f`` holds the data coefficients (a DgFunction or flat array); values
     on masked cells are ignored and treated as zero.  ``omega0`` flags the
     cells carrying data (None means all of them); its complement is the
-    inpainting region.
+    inpainting region.  The fidelity, l2 or l1, is the solver's.
     """
 
     mesh: object
@@ -116,7 +113,6 @@ class ProblemSpec:
     omega0: object = None
     beta: float = 1e-3
     s: float = 2
-    fidelity: str = "l2"
     huber_eps: float = 0.0
 
     def __post_init__(self):
@@ -126,13 +122,6 @@ class ProblemSpec:
                              "undefined elsewhere)")
         if self.s not in (1, 2):
             raise ValueError("solvers support s in {1, 2}")
-        if self.fidelity not in ("l2", "l1"):
-            raise ValueError(f"unknown fidelity {self.fidelity!r}")
-        if self.fidelity == "l1" and self.degree not in (0, 1):
-            raise ValueError(
-                "l1 fidelity needs strictly positive lumped weights, which "
-                "restricts the degree to 0 or 1"
-            )
         if not 0 <= self.huber_eps < math.inf:
             raise ValueError("huber_eps must be nonnegative and finite")
         if self.huber_eps > 0 and self.s != 2:
@@ -207,11 +196,14 @@ class SolverReport:
 
 
 class _Context:
-    """Shared per-solve state: space, operator, masks and stopping data."""
+    """Shared per-solve state: space, operator, masks and stopping data;
+    ``fidelity`` is the solver's, "l2" or "l1"."""
 
-    def __init__(self, prob: ProblemSpec, params: SolverParams, space=None):
+    def __init__(self, prob: ProblemSpec, params: SolverParams, space=None,
+                 fidelity="l2"):
         self.prob = prob
         self.params = params
+        self.fidelity = fidelity
         self.space = space if space is not None else FeSpace(prob.mesh,
                                                              prob.degree)
         if self.space.mesh is not prob.mesh or self.space.degree != prob.degree:
@@ -247,7 +239,7 @@ class _Context:
 
         # the gap at u = f, p = 0 is the regularizer at f alone
         self.eta0 = (self.regularizer(self.op.apply(self.f))
-                     if prob.fidelity == "l2" else None)
+                     if fidelity == "l2" else None)
 
     # -- objective pieces --------------------------------------------------
 
@@ -261,7 +253,7 @@ class _Context:
         return support(self.cs, y, self.prob.huber_eps)
 
     def fidelity_value(self, u):
-        if self.prob.fidelity == "l2":
+        if self.fidelity == "l2":
             return 0.5 * self.data_norm_sq(u - self.f)
         res = np.abs(u - self.f) * self.space.lumped_weights
         return float(res[self.mask_dof].sum())
@@ -311,77 +303,57 @@ class _Context:
         return math.sqrt(p @ (p / self.yw))
 
 
-def estimate_operator_norm_sq(space, scale=1.0):
+def estimate_operator_norm_sq(space, scale=1.0, lumped=False):
     """Power-iteration estimate of L = sup ||Lambda u||_Y^2 / ||u||_{L2}^2,
     the Rayleigh quotient of M^-1 Lambda^T W Lambda after 60 steps from a
-    seeded random start.  The Chambolle-Pock steps are stable when
-    sigma * tau stays below 1/L; the projection iteration is stable for
-    steps below 1/L at scale 1, since ||div||^2 from Y* to L2 is the
-    squared norm of the adjoint.  A Rayleigh quotient approaches L from
-    below (0.7-1.5 % under it on 8x8 to 64x64 crossed meshes), so the
-    default steps 0.9 / L sit at about 0.91 of the bound.  The estimate is
-    kept on the space, one per scale, so later solves on it reuse it."""
-    if scale in space._norm_sq:
-        return space._norm_sq[scale]
+    seeded random start; ``lumped`` puts the lumped weights C in place of
+    M (r <= 1), the operator of the TV-L1 divergence.  The Chambolle-Pock
+    steps are stable when sigma * tau stays below 1/L; the projection
+    iteration is stable for steps below 1/L at scale 1, since ||div||^2
+    from Y* to L2 is the squared norm of the adjoint.  A Rayleigh quotient
+    approaches L from below (0.7-1.5 % under it on 8x8 to 64x64 crossed
+    meshes), so the default steps 0.9 / L sit at about 0.91 of the bound.
+    The estimate is kept on the space, one per scale and mass, so later
+    solves on it reuse it."""
+    key = (scale, lumped)
+    if key in space._norm_sq:
+        return space._norm_sq[key]
+    if lumped:
+        if space.degree > 1:
+            raise ValueError("the lumped weights vanish at degree 2")
+        c = space.lumped_weights
+        inner, inverse = (lambda a, b: float((a * c) @ b)), (lambda v: v / c)
+    else:
+        inner, inverse = space.l2_inner, space.apply_mass_inverse
     op = space.grad_jump()
     w = space.y_weight_vector(scale)
     v = np.random.default_rng(1).standard_normal(space.dim_dg)
     lam = 0.0
     for _ in range(60):
-        kv = space.apply_mass_inverse(op.transpose.dot(w * op.apply(v)))
-        lam = space.l2_inner(v, kv) / space.l2_inner(v, v)
-        kv_norm = math.sqrt(space.l2_inner(kv, kv))
+        kv = inverse(op.transpose.dot(w * op.apply(v)))
+        lam = inner(v, kv) / inner(v, v)
+        kv_norm = math.sqrt(inner(kv, kv))
         if kv_norm == 0.0:
             return 0.0
         v = kv / kv_norm
-    space._norm_sq[scale] = lam = float(lam)
+    space._norm_sq[key] = lam = float(lam)
     return lam
 
 
 def _default_tau(ctx, sigma, scale):
-    """``params.tau`` if set, else 0.9 / (sigma * L) with L the operator
-    norm estimate at ``scale``: inside the bound sigma * tau * L < 1 of
-    Chambolle & Pock (J. Math. Imaging Vis. 40, 2011) on any mesh.  The
-    lumped divergence of cp-l1 has a norm at most the consistent-mass L
-    (r <= 1), so there the step is stable too, if conservative."""
+    """``params.tau`` if set, else 0.9 / (sigma * L) with L the norm
+    estimate, at ``scale``, of the operator the solver iterates (the
+    lumped one for the l1 fidelity): inside the bound sigma * tau * L < 1
+    of Chambolle & Pock (J. Math. Imaging Vis. 40, 2011) on any mesh."""
     if ctx.params.tau is not None:
         return ctx.params.tau
-    return 0.9 / (sigma * estimate_operator_norm_sq(ctx.space, scale))
-
-
-def huber_regularizer(space, y, eps):
-    """G_eps(d): the s = 2 regularizer with the magnitude huberized, i.e.
-    quadratic |d|^2/(2 eps) below |d| = eps and |d| - eps/2 above (the
-    Moreau envelope of the absolute value; eps = 0 gives the plain sum)."""
-    return support(ConstraintSetSpec(space, 1.0, 2), y, eps)
-
-
-# -- objectives and gap --------------------------------------------------------
-
-
-def primal_objective(u: DgFunction, prob: ProblemSpec, context=None):
-    ctx = context if context is not None else _Context(prob, SolverParams(),
-                                                       space=u.space)
-    y = ctx.op.apply(u.coeffs)
-    return ctx.objective(u.coeffs, y)
-
-
-def dual_objective(p, prob: ProblemSpec, context=None, space=None):
-    ctx = context if context is not None else _Context(prob, SolverParams(),
-                                                       space=space)
-    if prob.fidelity == "l2":
-        divp = divergence(ctx.op, p)
-        return 0.5 * ctx.data_norm_sq(divp + ctx.f)
-    divp = divergence(ctx.op, p, lumped=True)
-    vals = divp * ctx.f * ctx.space.lumped_weights
-    return float(vals[ctx.mask_dof].sum())
+    return 0.9 / (sigma * estimate_operator_norm_sq(
+        ctx.space, scale, lumped=ctx.fidelity == "l1"))
 
 
 def gap(u: DgFunction, p, prob: ProblemSpec, context=None):
     """Primal-dual gap for the TV-L2 problem (sum of both objectives minus
     the constant data term); nonnegative for feasible p."""
-    if prob.fidelity != "l2":
-        raise ValueError("the primal-dual gap is defined for the l2 fidelity")
     ctx = context if context is not None else _Context(prob, SolverParams(),
                                                        space=u.space)
     y = ctx.op.apply(u.coeffs)
@@ -391,15 +363,19 @@ def gap(u: DgFunction, p, prob: ProblemSpec, context=None):
 # -- shared setup and dual step -----------------------------------------------
 
 
-def _setup(prob, params, space, fidelity, name, huber=False):
-    """Check that solver ``name`` handles the problem's fidelity (and the
-    Huber variant) and build its context."""
-    if prob.fidelity != fidelity:
-        raise ValueError(f"{name} expects the {fidelity} fidelity")
+def _setup(prob, params, space, fidelity="l2", huber=False):
+    """Check that the solver handles the problem (the degree of the l1
+    fidelity, the Huber variant) and build its context."""
+    if fidelity == "l1" and prob.degree not in (0, 1):
+        raise ValueError(
+            "l1 fidelity needs strictly positive lumped weights, which "
+            "restricts the degree to 0 or 1"
+        )
     if prob.huber_eps > 0 and not huber:
         raise ValueError("the Huber variant is implemented for the "
                          "Chambolle-Pock solvers")
-    return _Context(prob, params or SolverParams(), space=space)
+    return _Context(prob, params or SolverParams(), space=space,
+                    fidelity=fidelity)
 
 
 def _cp_dual_step(ctx, p, y, tau):
@@ -436,7 +412,7 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     u-subproblem is a CG solve warm-started at the previous u (stop rule
     in :class:`QuadraticSolver`), ``extras["inner_iterations"]`` their
     total CG iterations."""
-    ctx = _setup(prob, params, space, "l2", "split_bregman_l2")
+    ctx = _setup(prob, params, space)
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1e-3
     qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask)
@@ -488,7 +464,7 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
     """Primal-dual extragradient iteration for TV-L2 (supports masks and the
     Huber variant through `huber_eps`).  One divergence per iteration: with
     d_k = div p_k, div p_bar = d_k + theta (d_k - d_{k-1})."""
-    ctx = _setup(prob, params, space, "l2", "chambolle_pock_l2", huber=True)
+    ctx = _setup(prob, params, space, huber=True)
     params = ctx.params
     sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
     tau = _default_tau(ctx, sigma, ctx.scale)
@@ -535,7 +511,7 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
         raise ValueError("the projection algorithm is defined for s = 2")
     if prob.omega0 is not None and not prob.omega0.all():
         raise ValueError("the projection algorithm requires data on every cell")
-    ctx = _setup(prob, params, space, "l2", "chambolle_projection_l2")
+    ctx = _setup(prob, params, space)
     space = ctx.space
     # a unit primal step: the update is written in the unscaled Y* metric
     tau = _default_tau(ctx, 1.0, 1.0)
@@ -571,7 +547,7 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
     the lumped inner product, so the divergence step is lumped and the data
     prox is a per-dof shrink toward f.  The lumped div p of each new dual
     iterate serves both the certificate and the next primal step."""
-    ctx = _setup(prob, params, space, "l1", "chambolle_pock_l1", huber=True)
+    ctx = _setup(prob, params, space, "l1", huber=True)
     params = ctx.params
     sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
     tau = _default_tau(ctx, sigma, ctx.scale)
@@ -600,7 +576,7 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
     p and d take the dual step, and the u-subproblems are solved, as in
     :func:`split_bregman_l2` (CG iterations in ``extras["inner_iterations"]``);
     the certificate max |lambda g| is reported."""
-    ctx = _setup(prob, params, space, "l1", "admm_l1")
+    ctx = _setup(prob, params, space, "l1")
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1.0
     qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask,
@@ -746,7 +722,7 @@ def _echo_params(ctx, **resolved):
         "beta": prob.beta,
         "s": prob.s,
         "degree": prob.degree,
-        "fidelity": prob.fidelity,
+        "fidelity": ctx.fidelity,
         "huber_eps": prob.huber_eps,
         "theta": params.theta,
         "eps_rel": params.eps_rel,

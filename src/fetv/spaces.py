@@ -290,7 +290,7 @@ class FeSpace:
         self._det_dof = np.repeat(mesh.det_jacobian, self.dofs.n_cell_basis)
         self._det_dof.setflags(write=False)
         self._grad_jump = None
-        self._norm_sq = {}      # operator norm estimates by Y scale
+        self._norm_sq = {}      # operator norm estimates by (scale, lumped)
 
     # -- dimensions ----------------------------------------------------------
 

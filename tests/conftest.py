@@ -1,11 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
 from fetv.dtv import vector_norm
-from fetv.mesh import build_crossed_mesh, build_diagonal_square
+from fetv.mesh import Mesh, build_crossed_mesh
 from fetv.operators import DgFunction
 from fetv.solvers import prox_vector, shrink
 from fetv.spaces import FeSpace
+
+
+def build_diagonal_square(angle=0.0):
+    """Unit square split by one diagonal into two triangles, rotated by
+    ``angle`` about its center.  The single interior edge has length sqrt(2)
+    and normal (1, 1)/sqrt(2) at angle 0."""
+    corners = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    center = np.array([0.5, 0.5])
+    vertices = (corners - center) @ rot.T + center
+    cells = np.array([[0, 1, 3], [1, 2, 3]])
+    return Mesh(vertices, cells)
 
 
 def smooth_disc(pts, center=(0.5, 0.5), radius=0.3, band=0.15):

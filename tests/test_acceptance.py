@@ -8,10 +8,10 @@ import time
 import numpy as np
 import pytest
 
-from fetv.dtv import dtv, dual_max_bruteforce, dual_witness, tv_exact
-from fetv.mesh import build_crossed_mesh, build_diagonal_square
+from fetv.dtv import ConstraintSetSpec, dtv, support, tv_exact
+from fetv.mesh import build_crossed_mesh
 from fetv.metrics import NoiseSpec, add_noise, psnr
-from fetv.operators import DgFunction, divergence, pairing
+from fetv.operators import DgFunction, divergence
 from fetv.solvers import (
     ProblemSpec,
     SolverParams,
@@ -20,12 +20,12 @@ from fetv.solvers import (
     chambolle_pock_l2,
     chambolle_projection_l2,
     estimate_operator_norm_sq,
-    huber_regularizer,
     split_bregman_l2,
 )
 from fetv.spaces import FeSpace
 
-from conftest import random_dg, smooth_disc, sharp_disc
+from conftest import build_diagonal_square, random_dg, smooth_disc, sharp_disc
+from rt_oracle import dual_max_bruteforce, dual_witness
 
 ALL_S = (1, 2, math.inf)
 
@@ -83,7 +83,7 @@ def test_criterion_1_duality_oracle():
                 for _ in range(25):
                     u = random_dg(space, rng)
                     target = dtv(u, s)
-                    value = pairing(dual_witness(u, s), op.apply(u.coeffs))
+                    value = float(dual_witness(u, s) @ op.apply(u.coeffs))
                     assert abs(value - target) <= 1e-10 * (1 + target)
                 u = random_dg(space, rng)
                 best = dual_max_bruteforce(u, s, n_samples=10000, seed=3)
@@ -105,7 +105,7 @@ def test_criterion_2_adjoint_identity():
             for _ in range(100 // len(meshes) + 1):
                 u = rng.standard_normal(space.dim_dg)
                 p = rng.standard_normal(space.dim_y)
-                residual = abs(pairing(p, op.apply(u))
+                residual = abs(float(p @ op.apply(u))
                                + space.l2_inner(u, divergence(op, p)))
                 assert residual <= 1e-10 * (
                     1 + np.linalg.norm(u) * np.linalg.norm(p))
@@ -228,7 +228,7 @@ def test_criterion_8_l1_certificate():
     f = clean.coeffs.copy()
     flips = rng.random(space.dim_dg) < 0.10
     f[flips] = 1.0 - f[flips]
-    prob = ProblemSpec(mesh=mesh, degree=0, f=f, beta=1e-3, fidelity="l1")
+    prob = ProblemSpec(mesh=mesh, degree=0, f=f, beta=1e-3)
     u_admm, p_admm, rep_admm = admm_l1(
         prob, SolverParams(lam=1.0, max_iter=20000), space=space)
     assert rep_admm.converged
@@ -248,12 +248,12 @@ def test_criterion_9_huber_consistency():
     space = FeSpace(mesh, 1)
     rng = np.random.default_rng(9)
     op = space.grad_jump()
+    unit = ConstraintSetSpec(space, 1.0, 2)
     for _ in range(20):
         u = random_dg(space, rng)
         y = op.apply(u.coeffs)
-        plain = huber_regularizer(space, y, 0.0)
-        values = [huber_regularizer(space, y, eps)
-                  for eps in (1e-1, 1e-2, 1e-3)]
+        plain = support(unit, y, 0.0)
+        values = [support(unit, y, eps) for eps in (1e-1, 1e-2, 1e-3)]
         assert all(v <= plain + 1e-12 for v in values)
         assert values[0] <= values[1] <= values[2] <= plain + 1e-12
 

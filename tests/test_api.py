@@ -22,6 +22,38 @@ def test_all_names_resolve(name):
     assert not missing
 
 
+def _references(path):
+    """The names a source file uses: identifiers, attribute names and
+    string constants (the bench hooks name their targets), leaving out
+    the ``__all__`` lists; def and class statements are no references."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    listed = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in stmt.targets)
+              for node in ast.walk(stmt)}
+    for node in ast.walk(tree):
+        if id(node) in listed:
+            continue
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_exported_names_have_a_caller():
+    """Each name in a module's __all__ is used in src/fetv/ or bench/,
+    beyond its definition, its __all__ entry and the package's re-export,
+    so code that only tests call does not come back into the library."""
+    files = [path for path in (ROOT / "src" / "fetv").glob("*.py")
+             if path.name != "__init__.py"] + list((ROOT / "bench").glob("*.py"))
+    used = {name for path in files for name in _references(path)}
+    unused = [f"{module}.{name}" for module in MODULES
+              for name in importlib.import_module(f"fetv.{module}").__all__
+              if name not in used]
+    assert not unused
+
+
 def test_package_imports_are_exported():
     """Each name fetv/__init__.py imports from a submodule is in that
     module's __all__."""

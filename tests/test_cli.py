@@ -148,6 +148,18 @@ def test_inpaint_with_mask(tmp_path, disc_image, capsys):
     assert "stop_reason=gap" in capsys.readouterr().out.splitlines()
 
 
+def test_inpaint_rejects_a_mask_of_swapped_dimensions(tmp_path, capsys):
+    image = tmp_path / "wide.pgm"
+    save_pgm(Raster(4, 2, np.full((2, 4), 0.5)), image)
+    mask = tmp_path / "tall.pgm"
+    save_pgm(Raster(2, 4, np.ones((4, 2))), mask)
+    code = main(["inpaint", "--input", str(image), "--mask", str(mask)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fetv: error: mesh is not the crossed mesh")
+    assert err.count("\n") == 1
+
+
 def test_dtv_command(tmp_path, disc_image, capsys):
     code = main(["dtv", "--input", str(disc_image), "--degree", "1",
                  "--s", "2"])

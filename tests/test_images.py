@@ -199,3 +199,15 @@ def test_load_mask_raster(tmp_path):
     wrong = build_crossed_mesh(2, 2, 1.0, 1.0)
     with pytest.raises(ValueError):
         load_mask(path, wrong)
+
+
+def test_load_mask_raster_with_swapped_dimensions(tmp_path):
+    """A 2-wide, 4-high mask has the pixel count of a 4 x 2 image but not
+    its shape: its dark top row would land on pixels 6-7, not 0-1."""
+    mesh = build_crossed_mesh(4, 2, 1.0, 0.5)
+    vals = np.ones((4, 2))
+    vals[0] = 0.0
+    path = tmp_path / "mask.pgm"
+    save_pgm(Raster(2, 4, vals), path)
+    with pytest.raises(ValueError, match="not the crossed mesh of a 2x4"):
+        load_mask(path, mesh)

@@ -8,10 +8,11 @@ from fetv.mesh import (
     MeshFormatError,
     MeshTopologyError,
     build_crossed_mesh,
-    build_diagonal_square,
     load_mesh,
     save_mesh,
 )
+
+from conftest import build_diagonal_square
 
 
 def test_crossed_counts_single_square(unit_crossed):

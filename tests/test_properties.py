@@ -3,7 +3,8 @@ inverse, the adjoint identity, the feasible-set projection, the
 infeasibility measure, the radial prox, the split Bregman dual step and the
 gap monitor; and for the seminorms: their invariance under cell
 renumbering, the dual witness that attains dtv, and dtv against the exact
-TV; on jittered crossed meshes with drawn masks, degrees and inputs."""
+TV; on jittered crossed meshes and rotated two-cell squares with drawn
+masks, degrees and inputs."""
 
 import math
 from functools import lru_cache
@@ -11,16 +12,16 @@ from functools import lru_cache
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from fetv.dtv import (ConstraintSetSpec, _duffy_rule, dtv, dual_witness,
-                      infeasibility, project_feasible, support, tv_exact,
-                      vector_norm)
+from fetv.dtv import (ConstraintSetSpec, _duffy_rule, dtv, infeasibility,
+                      project_feasible, support, tv_exact, vector_norm)
 from fetv.mesh import Mesh, build_crossed_mesh
-from fetv.operators import DgFunction, divergence, pairing
+from fetv.operators import DgFunction, divergence
 from fetv.solvers import (ProblemSpec, SolverParams, _Context, _cp_dual_step,
                           prox_vector)
 from fetv.spaces import FeSpace
 
-from conftest import bregman_shrink
+from conftest import bregman_shrink, build_diagonal_square
+from rt_oracle import dual_witness
 
 # derandomized: the same examples on every run, so the suite is repeatable
 SETTINGS = settings(max_examples=20, deadline=None, derandomize=True)
@@ -37,13 +38,23 @@ def _space(n, jitter_seed, r):
     return FeSpace(Mesh(vertices, base.cells), r)
 
 
+@lru_cache(maxsize=None)
+def _square_space(angle, r):
+    """DG_r on the two-cell unit square rotated by ``angle``."""
+    return FeSpace(build_diagonal_square(angle), r)
+
+
 @st.composite
 def instances(draw, degrees=(0, 1, 2)):
-    """A space, a cell mask (kept cells True, possibly none) and a seed for
-    the input vectors."""
+    """A space on a jittered crossed mesh or a rotated two-cell square, a
+    cell mask (kept cells True, possibly none) and a seed for the input
+    vectors."""
     n = draw(st.integers(1, 3))
     r = draw(st.sampled_from(degrees))
-    space = _space(n, draw(st.integers(0, 3)), r)
+    if draw(st.booleans()):
+        space = _square_space(draw(st.floats(0.0, 2.0 * math.pi)), r)
+    else:
+        space = _space(n, draw(st.integers(0, 3)), r)
     mask = np.array(draw(st.lists(st.booleans(), min_size=space.mesh.num_cells,
                                   max_size=space.mesh.num_cells)))
     return space, mask, draw(st.integers(0, 2**32 - 1))
@@ -118,7 +129,7 @@ def test_adjoint_identity(instance):
     u = rng.standard_normal(space.dim_dg)
     p = rng.standard_normal(space.dim_y)
     op = space.grad_jump()
-    lhs = pairing(p, op.apply(u))
+    lhs = float(p @ op.apply(u))
     rhs = -space.l2_inner(u, divergence(op, p))
     assert math.isclose(lhs, rhs, rel_tol=1e-12,
                         abs_tol=1e-13 * np.linalg.norm(u) * np.linalg.norm(p))
@@ -245,7 +256,7 @@ def test_dual_witness_attains_dtv(instance, beta):
     for s in (1, 2):
         value = dtv(u, s)
         witness = dual_witness(u, s)
-        assert math.isclose(pairing(witness, y), value, rel_tol=1e-12)
+        assert math.isclose(float(witness @ y), value, rel_tol=1e-12)
         assert math.isclose(support(ConstraintSetSpec(space, beta, s), y),
                             beta * value, rel_tol=1e-12)
         spec = ConstraintSetSpec(space, 1.0, s)

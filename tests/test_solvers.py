@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fetv.dtv import (ConstraintSetSpec, dtv, infeasibility,
-                      project_feasible, vector_norm)
+                      project_feasible, support, vector_norm)
 from fetv.mesh import build_crossed_mesh
 from fetv.metrics import NoiseSpec, add_noise, psnr
 from fetv import solvers
@@ -21,11 +21,8 @@ from fetv.solvers import (
     chambolle_pock_l1,
     chambolle_pock_l2,
     chambolle_projection_l2,
-    dual_objective,
     estimate_operator_norm_sq,
     gap,
-    huber_regularizer,
-    primal_objective,
     prox_vector,
     shrink,
     solve,
@@ -65,8 +62,6 @@ def test_problem_spec_validation(unit_crossed):
     f = np.zeros(4)
     with pytest.raises(ValueError):
         ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=0.0)
-    with pytest.raises(ValueError):
-        ProblemSpec(mesh=unit_crossed, degree=2, f=f, beta=1.0, fidelity="l1")
     with pytest.raises(ValueError):
         ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=1.0, s=1,
                     huber_eps=0.1)
@@ -115,9 +110,10 @@ def test_projection_default_tau_uses_the_operator_norm():
     estimate, and they keep sigma * tau below 1 / L_true, computed densely
     on an 8x8 mesh: the estimate reads under L_true, by at most 2 %.  The
     projection method (sigma = 1, scale 1) steps in Y*, where ||div||^2
-    from Y* to L2 equals ||Lambda||^2 from L2 to Y.  cp-l1 takes the
-    consistent-mass L for its lumped divergence, whose norm is at most
-    that at r <= 1."""
+    from Y* to L2 equals ||Lambda||^2 from L2 to Y.  cp-l1 takes the L of
+    the lumped operator C^-1 Lambda^T W Lambda it iterates (r <= 1),
+    estimated the same way, so its sigma * tau * L_true is 0.9 within the
+    estimate's 1.5 %."""
     import scipy.linalg
 
     mesh = build_crossed_mesh(8, 8, 1.0, 1.0)
@@ -165,10 +161,15 @@ def test_projection_default_tau_uses_the_operator_norm():
         lumped_sq = np.linalg.eigvalsh(
             c[:, None] * (lam.T @ (w[:, None] * lam)) * c).max()
         assert lumped_sq <= lambda_sq
+        lumped_est = estimate_operator_norm_sq(space, scale, lumped=True)
+        assert 0.98 * lumped_sq <= lumped_est <= lumped_sq * (1 + 1e-12)
         _, _, rep = chambolle_pock_l1(
-            ProblemSpec(mesh=mesh, degree=r, f=f, beta=1e-2, fidelity="l1"),
+            ProblemSpec(mesh=mesh, degree=r, f=f, beta=1e-2),
             SolverParams(max_iter=1), space=space)
-        assert rep.params["sigma"] * rep.params["tau"] * lumped_sq < 1.0
+        steps = rep.params["sigma"] * rep.params["tau"]
+        assert steps * lumped_est == pytest.approx(0.9, rel=1e-12)
+        assert steps * lumped_sq == pytest.approx(0.9, rel=0.015)
+        assert steps * lumped_sq < 1.0
 
 
 def test_operator_norm_estimate_is_kept_per_scale(monkeypatch):
@@ -245,9 +246,9 @@ def test_gap_examples_and_weak_duality():
     zero_p = space.new_y()
     assert gap(f_fun, zero_p, prob) == pytest.approx(
         prob.beta * dtv(f_fun, 2), rel=1e-12)
-    assert primal_objective(f_fun, prob) == pytest.approx(
-        prob.beta * dtv(f_fun, 2), rel=1e-12)
-    assert dual_objective(zero_p, prob, space=space) == pytest.approx(
+    # the dual objective 0.5 ||div p + f||^2_M at p = 0
+    divp = divergence(space.grad_jump(), zero_p)
+    assert 0.5 * space.l2_norm_sq(divp + noisy.coeffs) == pytest.approx(
         0.5 * space.l2_norm_sq(noisy.coeffs), rel=1e-12)
 
     zero_prob = ProblemSpec(mesh=mesh, degree=0,
@@ -266,8 +267,7 @@ def test_gap_examples_and_weak_duality():
 def test_cp_l1_constant_and_dead_zone(spaces_2x2):
     space = spaces_2x2[0]
     f = np.full(space.dim_dg, 0.6)
-    prob = ProblemSpec(mesh=space.mesh, degree=0, f=f, beta=1e-2,
-                       fidelity="l1")
+    prob = ProblemSpec(mesh=space.mesh, degree=0, f=f, beta=1e-2)
     u, p, rep = chambolle_pock_l1(prob, SolverParams(sigma=0.5, tau=1e-2),
                                   space=space)
     assert rep.converged
@@ -279,8 +279,7 @@ def test_cp_l1_constant_and_dead_zone(spaces_2x2):
 def test_admm_constant(spaces_2x2):
     space = spaces_2x2[1]
     f = np.full(space.dim_dg, 0.2)
-    prob = ProblemSpec(mesh=space.mesh, degree=1, f=f, beta=1e-2,
-                       fidelity="l1")
+    prob = ProblemSpec(mesh=space.mesh, degree=1, f=f, beta=1e-2)
     u, p, rep = admm_l1(prob, SolverParams(lam=1.0), space=space)
     assert rep.converged
     assert np.abs(u.coeffs - f).max() <= 1e-12
@@ -296,7 +295,7 @@ def test_l1_solvers_certificate_and_agreement():
     f = clean.coeffs.copy()
     flips = rng.random(space.dim_dg) < 0.1
     f[flips] = 1.0 - f[flips]
-    prob = ProblemSpec(mesh=mesh, degree=0, f=f, beta=1e-3, fidelity="l1")
+    prob = ProblemSpec(mesh=mesh, degree=0, f=f, beta=1e-3)
     ksq = estimate_operator_norm_sq(space)
     u1, p1, rep1 = chambolle_pock_l1(
         prob, SolverParams(sigma=0.5, tau=1.8 / ksq, max_iter=20000),
@@ -324,7 +323,7 @@ def test_cp_l1_salt_pepper_restoration():
     f = clean.coeffs.copy()
     flips = rng.random(space.dim_dg) < 0.1
     f[flips] = 1.0 - f[flips]
-    prob = ProblemSpec(mesh=mesh, degree=0, f=f, beta=1e-3, fidelity="l1")
+    prob = ProblemSpec(mesh=mesh, degree=0, f=f, beta=1e-3)
     ksq = estimate_operator_norm_sq(space)
     u, p, rep = chambolle_pock_l1(
         prob, SolverParams(sigma=0.5, tau=1.8 / ksq, max_iter=30000),
@@ -337,11 +336,11 @@ def test_cp_l1_salt_pepper_restoration():
 def test_huber_values_monotone(spaces_2x2):
     space = spaces_2x2[1]
     rng = np.random.default_rng(12)
+    unit = ConstraintSetSpec(space, 1.0, 2)
     for _ in range(20):
         d = rng.standard_normal(space.dim_y)
-        plain = huber_regularizer(space, d, 0.0)
-        values = [huber_regularizer(space, d, eps)
-                  for eps in (1e-1, 1e-2, 1e-3)]
+        plain = support(unit, d, 0.0)
+        values = [support(unit, d, eps) for eps in (1e-1, 1e-2, 1e-3)]
         assert all(v <= plain + 1e-14 for v in values)
         assert values[0] <= values[1] <= values[2] <= plain + 1e-14
 
@@ -352,8 +351,8 @@ def test_huber_quadratic_branch(spaces_unit):
     space.y_edge_view(d)[0, 0] = 0.05
     eps = 0.2
     expected = space.edge_weights[0, 0] * 0.05 ** 2 / (2 * eps)
-    assert huber_regularizer(space, d, eps) == pytest.approx(expected,
-                                                             rel=1e-13)
+    assert support(ConstraintSetSpec(space, 1.0, 2), d, eps) \
+        == pytest.approx(expected, rel=1e-13)
 
 
 def test_huberized_cp_matches_plain():
@@ -415,38 +414,61 @@ def test_cp_inpainting_r0_does_not_stop_early():
         gap(DgFunction(space, f), space.new_y(), prob))
 
 
+def _primal_objective(u, prob, lumped):
+    """The fidelity over the data cells, 0.5 ||u - f||^2_M or the lumped
+    sum of C |u - f| (``lumped``), plus beta * dtv(u)."""
+    space = u.space
+    f = np.asarray(prob.f, dtype=float)
+    if lumped:
+        data = (np.ones(space.dim_dg, dtype=bool) if prob.omega0 is None
+                else np.repeat(prob.omega0, space.dofs.n_cell_basis))
+        fidelity = float((np.abs(u.coeffs - f) * space.lumped_weights)[data]
+                         .sum())
+    else:
+        fidelity = 0.5 * space.l2_norm_sq(u.coeffs - f, mask=prob.omega0)
+    return fidelity + prob.beta * dtv(u, prob.s)
+
+
 def test_trace_objective_is_primal_objective():
     """The monitor's shared fidelity/regularizer evaluation gives the
-    primal objective bit for bit, in all five algorithms; cp-l1 also
-    reports the multiplier bound on the masked dofs."""
+    context's primal objective bit for bit, and fidelity plus beta * dtv
+    to rounding, in all five algorithms; cp-l1 also reports the
+    multiplier bound on the masked dofs."""
     mesh, space, clean, noisy = _denoise_instance(n=8, r=1)
     omega0 = np.random.default_rng(6).random(mesh.num_cells) < 0.7
     ksq = estimate_operator_norm_sq(space, scale=1e-2)
     for mask in (None, omega0):
         prob = ProblemSpec(mesh=mesh, degree=1, f=noisy.coeffs, omega0=mask,
                            beta=1e-3)
-        l1 = ProblemSpec(mesh=mesh, degree=1, f=noisy.coeffs, omega0=mask,
-                         beta=1e-3, fidelity="l1")
-        cp_l1 = chambolle_pock_l1(l1, SolverParams(sigma=0.5,
-                                                   tau=0.9 / (0.5 * ksq),
-                                                   scale=1e-2, max_iter=300),
+        cp_l1 = chambolle_pock_l1(prob, SolverParams(sigma=0.5,
+                                                     tau=0.9 / (0.5 * ksq),
+                                                     scale=1e-2, max_iter=300),
                                   space=space)
         runs = [
-            (prob, split_bregman_l2(prob, SolverParams(lam=1e-3, scale=1e-2),
-                                    space=space)),
-            (prob, chambolle_pock_l2(prob, SolverParams(sigma=0.5,
-                                                        tau=0.9 / (0.5 * ksq),
-                                                        scale=1e-2),
-                                     space=space)),
-            (l1, cp_l1),
-            (l1, admm_l1(l1, SolverParams(scale=1e-2, max_iter=300),
-                         space=space)),
+            split_bregman_l2(prob, SolverParams(lam=1e-3, scale=1e-2),
+                             space=space),
+            chambolle_pock_l2(prob, SolverParams(sigma=0.5,
+                                                 tau=0.9 / (0.5 * ksq),
+                                                 scale=1e-2),
+                              space=space),
+            cp_l1,
+            admm_l1(prob, SolverParams(scale=1e-2, max_iter=300),
+                    space=space),
         ]
         if mask is None:
-            runs.append((prob, chambolle_projection_l2(
-                prob, SolverParams(max_iter=300), space=space)))
-        for pr, (u, p, rep) in runs:
-            assert rep.trace[-1]["objective"] == primal_objective(u, pr)
+            runs.append(chambolle_projection_l2(
+                prob, SolverParams(max_iter=300), space=space))
+        for u, p, rep in runs:
+            fidelity = rep.params["fidelity"]
+            ctx = solvers._Context(prob, SolverParams(), space=space,
+                                   fidelity=fidelity)
+            assert rep.trace[-1]["objective"] \
+                == ctx.objective(u.coeffs, ctx.op.apply(u.coeffs))
+            # to rounding: beta * dtv scales the weighted sum once, where
+            # the monitor's support function of beta*P scales each weight
+            assert rep.trace[-1]["objective"] == pytest.approx(
+                _primal_objective(u, prob, fidelity == "l1"), rel=1e-13,
+                abs=0.0)
             assert rep.objective == rep.trace[-1]["objective"]
             assert len(rep.trace) == rep.iterations
         if mask is not None:
@@ -469,8 +491,7 @@ def test_non_finite_data_rejected():
         f = noisy.coeffs.copy()
         f[0] = bad
         for algorithm in ALGORITHMS:
-            prob = ProblemSpec(mesh=mesh, degree=1, f=f, beta=1e-3,
-                               fidelity="l1" if "l1" in algorithm else "l2")
+            prob = ProblemSpec(mesh=mesh, degree=1, f=f, beta=1e-3)
             with pytest.raises(ValueError, match="NaN or infinite"):
                 solve(prob, algorithm, params, space=space)
     f = noisy.coeffs.copy()
@@ -483,14 +504,15 @@ def test_non_finite_data_rejected():
 def test_solver_input_validation(spaces_2x2):
     space = spaces_2x2[0]
     f = np.zeros(space.dim_dg)
-    l2 = ProblemSpec(mesh=space.mesh, degree=0, f=f, beta=1.0)
-    l1 = ProblemSpec(mesh=space.mesh, degree=0, f=f, beta=1.0, fidelity="l1")
-    with pytest.raises(ValueError):
-        split_bregman_l2(l1, space=space)
-    with pytest.raises(ValueError):
-        chambolle_pock_l1(l2, space=space)
-    with pytest.raises(ValueError):
-        admm_l1(l2, space=space)
+    # the l1 fidelity needs positive lumped weights: degree 0 or 1
+    quadratic = FeSpace(space.mesh, 2)
+    r2 = ProblemSpec(mesh=space.mesh, degree=2, f=np.zeros(quadratic.dim_dg),
+                     beta=1.0)
+    for solver in (chambolle_pock_l1, admm_l1):
+        with pytest.raises(ValueError, match="restricts the degree to 0 or 1"):
+            solver(r2, space=quadratic)
+    with pytest.raises(ValueError, match="vanish at degree 2"):
+        estimate_operator_norm_sq(quadratic, lumped=True)
     s1 = ProblemSpec(mesh=space.mesh, degree=0, f=f, beta=1.0, s=1)
     with pytest.raises(ValueError):
         chambolle_projection_l2(s1, space=space)
@@ -673,13 +695,14 @@ def test_adaptive_penalty_inpainting(r):
     assert rep.psnr >= psnr(DgFunction(space, f), clean) + 5.0
 
 
-def _cp_p_bar_reference(prob, params, space):
+def _cp_p_bar_reference(prob, params, space, lumped):
     """The Chambolle-Pock step with the extrapolated dual iterate p_bar kept
     as state and div p_bar formed directly (two divergences per step), run
-    through the shared loop: the reference for the one-divergence step."""
-    ctx = solvers._Context(prob, params, space=space)
+    through the shared loop: the reference for the one-divergence step;
+    ``lumped`` selects the TV-L1 step."""
+    ctx = solvers._Context(prob, params, space=space,
+                           fidelity="l1" if lumped else "l2")
     sigma, tau, theta = params.sigma, params.tau, params.theta
-    lumped = prob.fidelity == "l1"
     sigma_dof = np.where(ctx.mask_dof, sigma, 0.0)
     state = {"p_bar": space.new_y()}
 
@@ -720,34 +743,35 @@ def test_cp_shared_divergence_matches_p_bar_step(case, r):
     prob = ProblemSpec(
         mesh=mesh, degree=r, f=noisy.coeffs, beta=1e-3,
         omega0=np.arange(mesh.num_cells) % 4 > 0 if masked else None,
-        huber_eps=1e-4 if case == "huber" else 0.0,
-        fidelity="l1" if case == "l1" else "l2")
+        huber_eps=1e-4 if case == "huber" else 0.0)
     solver = chambolle_pock_l1 if case == "l1" else chambolle_pock_l2
     sigma = solvers.CP_STEP_DEFAULTS[r]
     tau = 0.9 / (sigma * estimate_operator_norm_sq(
         space, solvers.DEFAULT_SCALE[r]))
     capped = SolverParams(sigma=sigma, tau=tau, eps_rel=0.0, max_iter=200)
     u, p, rep = solver(prob, capped, space=space)
-    u_ref, p_ref, rep_ref = _cp_p_bar_reference(prob, capped, space)
+    u_ref, p_ref, rep_ref = _cp_p_bar_reference(prob, capped, space,
+                                                case == "l1")
     assert rep.iterations == rep_ref.iterations == 200
     assert _relative(u.coeffs, u_ref.coeffs) <= 1e-12
     assert _relative(p, p_ref) <= 1e-12
 
     params = SolverParams(sigma=sigma, tau=tau, max_iter=10000)
     _, _, rep = solver(prob, params, space=space)
-    _, _, rep_ref = _cp_p_bar_reference(prob, params, space)
+    _, _, rep_ref = _cp_p_bar_reference(prob, params, space, case == "l1")
     assert rep.converged and rep_ref.converged
     assert rep.iterations == rep_ref.iterations
 
 
-def _cp_out_of_place_reference(prob, params, space):
+def _cp_out_of_place_reference(prob, params, space, lumped):
     """The Chambolle-Pock steps written out of place, one new array per
     operation: the primal update, the dual candidate p + tau W y with its
     Huber factor, and its projection onto beta*P; run through the shared
-    loop, the reference the in-place steps must reproduce bit for bit."""
-    ctx = solvers._Context(prob, params, space=space)
+    loop, the reference the in-place steps must reproduce bit for bit;
+    ``lumped`` selects the TV-L1 steps."""
+    ctx = solvers._Context(prob, params, space=space,
+                           fidelity="l1" if lumped else "l2")
     sigma, tau, theta = params.sigma, params.tau, params.theta
-    lumped = prob.fidelity == "l1"
     sigma_dof = np.where(ctx.mask_dof, sigma, 0.0)
     cs = ctx.cs
     state = {"divp": np.zeros(space.dim_dg)}
@@ -801,15 +825,15 @@ def test_cp_in_place_steps_are_bit_identical(case, r):
     prob = ProblemSpec(
         mesh=mesh, degree=r, f=noisy.coeffs, beta=1e-3,
         omega0=np.arange(mesh.num_cells) % 4 > 0 if "mask" in case else None,
-        huber_eps=1e-4 if "huber" in case else 0.0,
-        fidelity="l1" if l1 else "l2")
+        huber_eps=1e-4 if "huber" in case else 0.0)
     sigma = solvers.CP_STEP_DEFAULTS[r]
     tau = 0.9 / (sigma * estimate_operator_norm_sq(
         space, solvers.DEFAULT_SCALE[r]))
     params = SolverParams(sigma=sigma, tau=tau, eps_rel=0.0, max_iter=300)
     solver = chambolle_pock_l1 if l1 else chambolle_pock_l2
     u, p, rep = solver(prob, params, space=space)
-    u_ref, p_ref, rep_ref = _cp_out_of_place_reference(prob, params, space)
+    u_ref, p_ref, rep_ref = _cp_out_of_place_reference(prob, params, space,
+                                                       l1)
     assert rep.iterations == rep_ref.iterations
     assert l1 or rep.iterations == 300
     assert np.array_equal(u.coeffs, u_ref.coeffs)
@@ -890,16 +914,17 @@ def test_cp_default_steps_are_the_denoising_presets():
 def test_cp_default_steps_follow_the_mesh(r):
     """On a 128x128 mesh, where the 64x64 steps are about 3x over the
     bound, the default steps of both Chambolle-Pock solvers give
-    sigma * tau * L = 0.9."""
+    sigma * tau * L = 0.9, L the estimate for the operator each iterates
+    (the lumped one for TV-L1)."""
     mesh = build_crossed_mesh(128, 128, 1.0, 1.0)
     space = FeSpace(mesh, r)
-    norm_sq = estimate_operator_norm_sq(space, solvers.DEFAULT_SCALE[r])
     f = space.interpolate(smooth_disc)
-    runs = [(chambolle_pock_l2, "l2")] + ([(chambolle_pock_l1, "l1")]
-                                          if r < 2 else [])
-    for solver, fidelity in runs:
-        prob = ProblemSpec(mesh=mesh, degree=r, f=f, beta=1e-3,
-                           fidelity=fidelity)
+    prob = ProblemSpec(mesh=mesh, degree=r, f=f, beta=1e-3)
+    runs = [(chambolle_pock_l2, False)] + ([(chambolle_pock_l1, True)]
+                                           if r < 2 else [])
+    for solver, lumped in runs:
+        norm_sq = estimate_operator_norm_sq(space, solvers.DEFAULT_SCALE[r],
+                                            lumped=lumped)
         _, _, rep = solver(prob, SolverParams(max_iter=1), space=space)
         assert rep.params["sigma"] * rep.params["tau"] * norm_sq \
             == pytest.approx(0.9, rel=1e-12)
@@ -937,9 +962,7 @@ def _stop_case(algorithm):
     1127 steps (2201 at 8x8)."""
     n = 4 if algorithm == "admm-l1" else 8
     mesh, space, clean, noisy = _denoise_instance(n=n)
-    fidelity = "l1" if algorithm in ("cp-l1", "admm-l1") else "l2"
-    prob = ProblemSpec(mesh=mesh, degree=0, f=noisy.coeffs, beta=1e-3,
-                       fidelity=fidelity)
+    prob = ProblemSpec(mesh=mesh, degree=0, f=noisy.coeffs, beta=1e-3)
     params = {"split-bregman": SolverParams(lam=1e-3),
               "cp-l1": SolverParams(sigma=0.5),
               "admm-l1": SolverParams(lam=1.0)}.get(algorithm,
@@ -1007,8 +1030,8 @@ def test_infeasibility_only_at_candidate_stops(algorithm, monkeypatch):
         calls.clear()
         gap_passes.clear()
         _, p, rep = solve(prob, algorithm, params, space=space)
-        candidates = (sum(gap_passes) if prob.fidelity == "l2"
-                      else _l1_candidate_stops(rep.trace))
+        candidates = (_l1_candidate_stops(rep.trace) if "l1" in algorithm
+                      else sum(gap_passes))
         cs = ConstraintSetSpec(space, beta=prob.beta, s=prob.s,
                                scale=rep.params["scale"])
         assert rep.infeasibility == infeasibility(p, cs)
