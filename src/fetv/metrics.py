@@ -114,9 +114,9 @@ def add_noise(u, spec: NoiseSpec):
     return values
 
 
-def psnr(u, u_ref, peak=1.0):
-    """Peak signal-to-noise ratio in dB with the exact DG mass-matrix norm;
-    identical inputs yield the infinity sentinel."""
+def psnr(u, u_ref):
+    """Peak signal-to-noise ratio in dB for peak 1 with the exact DG
+    mass-matrix norm; identical inputs yield the infinity sentinel."""
     space = u.space
     if u_ref.space is not space and u_ref.space.dim_dg != space.dim_dg:
         raise ValueError("functions live in different spaces")
@@ -124,4 +124,4 @@ def psnr(u, u_ref, peak=1.0):
     if err == 0.0:
         return math.inf
     domain_area = float(space.mesh.cell_areas.sum())
-    return 10.0 * math.log10(peak * peak * domain_area / err)
+    return 10.0 * math.log10(domain_area / err)

@@ -222,13 +222,12 @@ class QuadraticSolver:
     K = Lambda^T W Lambda is split once into its dense (n_t, n_k, n_k) cell
     blocks, the entries whose row and column fall in one cell, and the CSR
     matrix of its couplings, one -w entry per edge node between the edge's
-    two cells.  The fidelity block F is block diagonal: det B_T * mass_ref
-    on the data cells, or the lumped diagonal lam*scale*C_{T,k} when
-    ``lumped_fidelity`` is set.  ``set_lam`` forms the cell blocks of
-    A(lam), builds ``matrix`` as their block diagonal plus lam times the
-    couplings and inverts them into the block Jacobi preconditioner, equal
-    to a fresh build bit for bit.  The system is SPD and solved by
-    preconditioned CG.
+    two cells.  The fidelity block F is block diagonal and the caller's:
+    ``fidelity = (w, F_ref)`` means F_T = w_T * F_ref, by default the mass
+    (det B_T, mass_ref).  ``set_lam`` forms the cell blocks of A(lam),
+    builds ``matrix`` as their block diagonal plus lam times the couplings
+    and inverts them into the block Jacobi preconditioner, equal to a fresh
+    build bit for bit.  The system is SPD and solved by preconditioned CG.
 
     A cold solve (no ``x0``) stops at ||r|| <= ``_TOL`` ||b||.  A solve
     warm-started at ``x0`` stops at ||r|| <= max(``_TOL`` ||b||,
@@ -244,26 +243,21 @@ class QuadraticSolver:
     _REDUCTION = 3e-3   # residual reduction a warm-started solve must reach
     _MAX_ITER = 2000
 
-    def __init__(self, space, grad_op, lam, scale, mask=None,
-                 lumped_fidelity=False):
+    def __init__(self, space, grad_op, lam, scale, fidelity=None):
         if not lam > 0:
             raise ValueError("lam must be positive")
-        mesh = space.mesh
-        if mask is None:
-            mask = np.ones(mesh.num_cells, dtype=bool)
-        mask = np.asarray(mask, dtype=bool)
-        if not mask.any():
+        if fidelity is None:
+            fidelity = space.mesh.det_jacobian, space.mass_ref
+        self._fid_w, self._fid_ref = fidelity
+        if not np.any(self._fid_w):
             raise ValueError(
                 "no data cells: the quadratic subproblem is singular on a "
                 "fully masked mesh"
             )
         self.space = space
         self.iterations = 0
-        self._scale = scale
-        self._lumped = lumped_fidelity
-        self._det = np.where(mask, mesh.det_jacobian, 0.0)
 
-        n_t = mesh.num_cells
+        n_t = space.mesh.num_cells
         n_k = space.dofs.n_cell_basis
         lmat = grad_op.matrix
         self._k_blocks, self._couplings = _split_cell_blocks(
@@ -288,13 +282,7 @@ class QuadraticSolver:
         block_diag = self._block_inv
         blocks = block_diag.data.reshape(self._k_blocks.shape)
         np.multiply(lam, self._k_blocks, out=blocks)
-        if self._lumped:
-            n_k = blocks.shape[-1]
-            diag = blocks.reshape(len(blocks), -1)[:, ::n_k + 1]
-            diag += (lam * self._scale) * self.space.cell_matrix(
-                self.space.lumped_weights)
-        else:
-            blocks += self._det[:, None, None] * self.space.mass_ref
+        blocks += self._fid_w[:, None, None] * self._fid_ref
         self.matrix = None      # free the old system before the new sum
         self.matrix = block_diag + lam * self._couplings
         try:

@@ -5,20 +5,19 @@ operator, the diagonal Riesz map between gradient samples and RT dofs, and
 one nonlinear kernel, the projection onto beta*P: by Moreau's identity the
 split Bregman / ADMM multiplier update is the Chambolle-Pock dual step with
 tau = lam (Esser, Zhang & Chan, SIAM J. Imaging Sci. 3, 2010).  Each solver
-sets up its operators and a ``step(u, p) -> (u, p, y, divp, bounds)``
-closure with y = Lambda u; the one loop ``_iterate`` runs it from u = f,
-p = 0 and owns the timer, the monitor, the trace and the stop test.  The
-stop rule follows from the problem: TV-L2 steps return ``bounds = None``
-and stop on the primal-dual gap plus a feasibility cap; TV-L1 steps return
-the certificate max |lambda g| over the data and the masked dofs and stop
-on iterate stagnation plus |lambda g| <= 1 on the data dofs.  The
-feasibility cap is tested last, so the infeasibility of p is computed only
-when the rest of the stop test holds, and once more for the returned p.
+fixes its fidelity in its context and sets up a ``step(u, p) -> (u, p, y,
+divp)`` closure with y = Lambda u and divp = div p in the model's metric
+(lumped for l1), or None for the loop to compute; the one loop
+``_iterate`` runs it from u = f, p = 0 and owns the timer, the monitor, the
+trace and the stop test, whose rule follows from the fidelity.  TV-L2 stops
+on the primal-dual gap plus a feasibility cap; TV-L1 on iterate stagnation
+plus the certificate max |div p| <= 1 on the data dofs.  The feasibility
+cap is tested last, so the infeasibility of p is computed only when the
+rest of the stop test holds, and once more for the returned p.
 
 Each Chambolle-Pock iteration computes one divergence (Lambda^T, then
 M^-1 or the lumped weights), of the new dual iterate: the next primal
-step forms div p_bar from it by linearity, and a TV-L2 step returns it as
-``divp`` for the gap monitor (``None`` lets the loop compute it).
+step forms div p_bar from it by linearity, and the monitor reads it.
 
 The TV-L2 monitor applies no operator: the regularizer is ``dtv.support``
 at the step's y, and each mass norm is the space's Cholesky form of the
@@ -38,8 +37,9 @@ import numpy as np
 # (bench/spans.py), which hooks each module's binding
 from .dtv import (ConstraintSetSpec, _project_in_place, infeasibility,  # noqa: F401
                   project_feasible, support, vector_norm)
+from .metrics import psnr
 from .operators import DgFunction, QuadraticSolver, divergence
-from .spaces import FeSpace
+from .spaces import FeSpace, reference_weights
 
 __all__ = [
     "ProblemSpec",
@@ -191,18 +191,27 @@ class SolverReport:
         out.update(self.extras)
         return out
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2)
 
 
 class _Context:
     """Shared per-solve state: space, operator, masks and stopping data;
-    ``fidelity`` is the solver's, "l2" or "l1"."""
+    ``fidelity`` is the solver's, "l2" or "l1" (r <= 1), and a solver
+    without the Huber variant passes ``huber=False``."""
 
-    def __init__(self, prob: ProblemSpec, params: SolverParams, space=None,
-                 fidelity="l2"):
+    def __init__(self, prob: ProblemSpec, params: SolverParams = None,
+                 space=None, fidelity="l2", huber=True):
+        if fidelity == "l1" and prob.degree not in (0, 1):
+            raise ValueError(
+                "l1 fidelity needs strictly positive lumped weights, which "
+                "restricts the degree to 0 or 1"
+            )
+        if prob.huber_eps > 0 and not huber:
+            raise ValueError("the Huber variant is implemented for the "
+                             "Chambolle-Pock solvers")
         self.prob = prob
-        self.params = params
+        self.params = params = params or SolverParams()
         self.fidelity = fidelity
         self.space = space if space is not None else FeSpace(prob.mesh,
                                                              prob.degree)
@@ -290,10 +299,10 @@ class _Context:
             return True
         return 0.5 * self.space.l2_norm_sq(divp, mask=~self.mask) <= tol
 
-    def multiplier_bounds(self, g):
-        """max |lambda g| certificate of the TV-L1 runs over the data dofs
-        (and over the masked dofs), from the multiplier lambda g."""
-        v = np.abs(g)
+    def multiplier_bounds(self, divp):
+        """The TV-L1 certificate max |div p| over the data dofs (and over
+        the masked dofs), from the lumped divergence of p."""
+        v = np.abs(divp)
         on = float(v[self.mask_dof].max()) if self.mask_dof.any() else 0.0
         off = float(v[~self.mask_dof].max()) if (~self.mask_dof).any() else 0.0
         return on, off
@@ -322,15 +331,15 @@ def estimate_operator_norm_sq(space, scale=1.0, lumped=False):
         if space.degree > 1:
             raise ValueError("the lumped weights vanish at degree 2")
         c = space.lumped_weights
-        inner, inverse = (lambda a, b: float((a * c) @ b)), (lambda v: v / c)
+        inner = lambda a, b: float((a * c) @ b)  # noqa: E731
     else:
-        inner, inverse = space.l2_inner, space.apply_mass_inverse
+        inner = space.l2_inner
     op = space.grad_jump()
     w = space.y_weight_vector(scale)
     v = np.random.default_rng(1).standard_normal(space.dim_dg)
     lam = 0.0
     for _ in range(60):
-        kv = inverse(op.transpose.dot(w * op.apply(v)))
+        kv = -divergence(op, w * op.apply(v), lumped=lumped)
         lam = inner(v, kv) / inner(v, v)
         kv_norm = math.sqrt(inner(kv, kv))
         if kv_norm == 0.0:
@@ -354,28 +363,12 @@ def _default_tau(ctx, sigma, scale):
 def gap(u: DgFunction, p, prob: ProblemSpec, context=None):
     """Primal-dual gap for the TV-L2 problem (sum of both objectives minus
     the constant data term); nonnegative for feasible p."""
-    ctx = context if context is not None else _Context(prob, SolverParams(),
-                                                       space=u.space)
+    ctx = context if context is not None else _Context(prob, space=u.space)
     y = ctx.op.apply(u.coeffs)
     return ctx.eta(u.coeffs, p, y, divergence(ctx.op, p))[0]
 
 
-# -- shared setup and dual step -----------------------------------------------
-
-
-def _setup(prob, params, space, fidelity="l2", huber=False):
-    """Check that the solver handles the problem (the degree of the l1
-    fidelity, the Huber variant) and build its context."""
-    if fidelity == "l1" and prob.degree not in (0, 1):
-        raise ValueError(
-            "l1 fidelity needs strictly positive lumped weights, which "
-            "restricts the degree to 0 or 1"
-        )
-    if prob.huber_eps > 0 and not huber:
-        raise ValueError("the Huber variant is implemented for the "
-                         "Chambolle-Pock solvers")
-    return _Context(prob, params or SolverParams(), space=space,
-                    fidelity=fidelity)
+# -- the shared dual step -------------------------------------------------------
 
 
 def _cp_dual_step(ctx, p, y, tau):
@@ -412,10 +405,11 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     u-subproblem is a CG solve warm-started at the previous u (stop rule
     in :class:`QuadraticSolver`), ``extras["inner_iterations"]`` their
     total CG iterations."""
-    ctx = _setup(prob, params, space)
+    ctx = _Context(prob, params, space, huber=False)
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1e-3
-    qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask)
+    qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, fidelity=(
+        np.where(ctx.mask, prob.mesh.det_jacobian, 0.0), space.mass_ref))
     d = space.new_y()
     mf = space.apply_mass(ctx.f, mask=ctx.mask)
     report = SolverReport(algorithm="split-bregman",
@@ -437,7 +431,7 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
                 qs.set_lam(lam)
                 report.extras["lam_final"] = lam
                 report.extras["penalty_changes"] += 1
-        return u, p_new, y, None, None
+        return u, p_new, y, None
 
     return _iterate(ctx, report, step, reference)
 
@@ -464,7 +458,7 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
     """Primal-dual extragradient iteration for TV-L2 (supports masks and the
     Huber variant through `huber_eps`).  One divergence per iteration: with
     d_k = div p_k, div p_bar = d_k + theta (d_k - d_{k-1})."""
-    ctx = _setup(prob, params, space, huber=True)
+    ctx = _Context(prob, params, space)
     params = ctx.params
     sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
     tau = _default_tau(ctx, sigma, ctx.scale)
@@ -488,7 +482,7 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
         y = ctx.op.apply(u)
         p = _cp_dual_step(ctx, p, y, tau)
         divp_prev, divp = divp, divergence(ctx.op, p)
-        return u, p, y, divp, None
+        return u, p, y, divp
 
     report = SolverReport(algorithm="chambolle-pock",
                           params=_echo_params(ctx, sigma=sigma, tau=tau))
@@ -511,7 +505,7 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
         raise ValueError("the projection algorithm is defined for s = 2")
     if prob.omega0 is not None and not prob.omega0.all():
         raise ValueError("the projection algorithm requires data on every cell")
-    ctx = _setup(prob, params, space)
+    ctx = _Context(prob, params, space, huber=False)
     space = ctx.space
     # a unit primal step: the update is written in the unscaled Y* metric
     tau = _default_tau(ctx, 1.0, 1.0)
@@ -531,7 +525,7 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
         divp = divergence(ctx.op, p)
         u = divp + ctx.f
         y = ctx.op.apply(u)
-        return u, p, y, divp, None
+        return u, p, y, divp
 
     report = SolverReport(algorithm="chambolle-projection",
                           params=_echo_params(ctx, tau=tau))
@@ -547,7 +541,7 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
     the lumped inner product, so the divergence step is lumped and the data
     prox is a per-dof shrink toward f.  The lumped div p of each new dual
     iterate serves both the certificate and the next primal step."""
-    ctx = _setup(prob, params, space, "l1", huber=True)
+    ctx = _Context(prob, params, space, "l1")
     params = ctx.params
     sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
     tau = _default_tau(ctx, sigma, ctx.scale)
@@ -560,7 +554,7 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
         y = ctx.op.apply(u)
         p = _cp_dual_step(ctx, p, y, tau)
         divp_prev, divp = divp, divergence(ctx.op, p, lumped=True)
-        return u, p, y, None, ctx.multiplier_bounds(divp)
+        return u, p, y, divp
 
     report = SolverReport(algorithm="cp-l1",
                           params=_echo_params(ctx, sigma=sigma, tau=tau))
@@ -575,12 +569,14 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
     """ADMM for TV-L1 with the double splitting d = Lambda u, e = u - f.
     p and d take the dual step, and the u-subproblems are solved, as in
     :func:`split_bregman_l2` (CG iterations in ``extras["inner_iterations"]``);
-    the certificate max |lambda g| is reported."""
-    ctx = _setup(prob, params, space, "l1")
+    the u-system's fidelity block is lam * scale * C, C the lumped weights
+    on every cell."""
+    ctx = _Context(prob, params, space, "l1", huber=False)
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1.0
-    qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, mask=ctx.mask,
-                         lumped_fidelity=True)
+    qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, fidelity=(
+        lam * ctx.scale * prob.mesh.cell_areas,
+        np.diag(np.array(reference_weights(prob.degree).cell_full, float))))
     d = space.new_y()
     e = np.zeros(space.dim_dg)
     g = np.zeros(space.dim_dg)
@@ -598,7 +594,7 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
         z = u - ctx.f + g
         e = np.where(ctx.mask_dof, shrink(z, e_thr), z)
         g = g + u - ctx.f - e
-        return u, p_new, y, None, ctx.multiplier_bounds(lam * g)
+        return u, p_new, y, None
 
     report = SolverReport(algorithm="admm-l1",
                           params=_echo_params(ctx, lam=lam),
@@ -629,11 +625,14 @@ def solve(prob: ProblemSpec, algorithm, params: SolverParams = None,
 
 
 def _iterate(ctx, report, step, reference):
-    """Run ``step`` from u = f, p = 0 until the stop rule holds or
-    ``max_iter`` steps are made; returns (DgFunction u, p, report).  TV-L2
-    stops when ``_Context.l2_converged`` holds; TV-L1 after 5 consecutive
-    relative changes of u (in L2) and p (in Y*) of at most ``_CHANGE_TOL``
-    with the data multiplier bound at most 1.01.  Either stop also needs
+    """Run ``step(u, p) -> (u, p, y, divp)`` from u = f, p = 0 until the
+    stop rule of ``ctx.fidelity`` holds or ``max_iter`` steps are made;
+    returns (DgFunction u, p, report).  A step that returns divp = None
+    leaves div p to the loop, in the model's metric (lumped for l1).
+    TV-L2 stops when ``_Context.l2_converged`` holds; TV-L1 after 5
+    consecutive relative changes of u (in L2) and p (in Y*) of at most
+    ``_CHANGE_TOL`` with the certificate ``_Context.multiplier_bounds``
+    of div p at most 1.01 on the data dofs.  Either stop also needs
     the infeasibility of p under ``_INFEAS_CAP``.  That conjunct is tested
     last, so ``infeasibility`` runs once per candidate stop, not once per
     step.  Four of the five steps return p projected onto beta*P, whose
@@ -648,6 +647,7 @@ def _iterate(ctx, report, step, reference):
     ``extras["monitor_s"]`` the time spent on the objective, the gap and
     the stop test; together they are at most ``report.seconds``."""
     params, space = ctx.params, ctx.space
+    l1 = ctx.fidelity == "l1"
     # the clock starts before the allocations: that interval, which the
     # split leaves out, keeps step_s + monitor_s <= seconds under rounding
     start = time.perf_counter()
@@ -658,16 +658,17 @@ def _iterate(ctx, report, step, reference):
     tick = time.perf_counter()
     for _ in range(params.max_iter):
         u_prev, p_prev = u, p
-        u, p, y, divp, bounds = step(u, p)
+        u, p, y, divp = step(u, p)
         stepped = time.perf_counter()
         step_s += stepped - tick
-        if bounds is None:
-            if divp is None:
-                divp = divergence(ctx.op, p)
+        if divp is None:
+            divp = divergence(ctx.op, p, lumped=l1)
+        if not l1:
             eta_val, objective = ctx.eta(u, p, y, divp)
             _record(report, objective, eta_val)
             candidate = ctx.l2_converged(eta_val, divp)
         else:
+            bounds = ctx.multiplier_bounds(divp)
             change = max(math.sqrt(space.l2_norm_sq(u - u_prev))
                          / (math.sqrt(ctx.f_norm_sq) + 1e-300),
                          ctx.ystar_norm(p - p_prev)
@@ -682,7 +683,7 @@ def _iterate(ctx, report, step, reference):
         tick = time.perf_counter()
         monitor_s += tick - stepped
         if report.converged:
-            report.stop_reason = "gap" if bounds is None else "stagnation"
+            report.stop_reason = "stagnation" if l1 else "gap"
             break
     if not report.converged:
         report.stop_reason = "max_iter"
@@ -693,12 +694,10 @@ def _iterate(ctx, report, step, reference):
     report.seconds = end - start
     report.extras["step_s"] = step_s
     report.extras["monitor_s"] = monitor_s
-    if bounds is not None:
+    if l1:
         report.extras["multiplier_bound"] = bounds[0]
         report.extras["multiplier_bound_masked"] = bounds[1]
     if reference is not None:
-        from .metrics import psnr
-
         ref = reference.coeffs if isinstance(reference, DgFunction) else reference
         report.psnr = psnr(DgFunction(space, u),
                            DgFunction(space, np.asarray(ref, dtype=float)))

@@ -33,6 +33,8 @@ from math import factorial
 
 import numpy as np
 
+from .operators import GradJumpOperator
+
 __all__ = [
     "SUPPORTED_DEGREES",
     "LagrangeLayout",
@@ -357,8 +359,8 @@ class FeSpace:
         out /= self._det_dof
         return out
 
-    def l2_inner(self, u, v, mask=None):
-        return float(np.asarray(u).ravel() @ self.apply_mass(v, mask=mask))
+    def l2_inner(self, u, v):
+        return float(np.asarray(u).ravel() @ self.apply_mass(v))
 
     def l2_norm_sq(self, u, mask=None):
         return self._mass_norm_sq(u, self._det_weights(mask))
@@ -398,7 +400,5 @@ class FeSpace:
     def grad_jump(self):
         """The gradient/jump operator for this space (cached)."""
         if self._grad_jump is None:
-            from .operators import GradJumpOperator
-
             self._grad_jump = GradJumpOperator(self)
         return self._grad_jump

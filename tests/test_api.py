@@ -85,6 +85,16 @@ def test_readme_names_resolve():
             assert hasattr(fetv, name), name
 
 
+def test_readme_quick_start_runs(capsys):
+    """README.md's ```python block runs as written and prints its two
+    lines."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 2
+
+
 def test_readme_cli_examples_parse():
     """Every ``fetv <subcommand>`` line of README.md's shell blocks, with
     its continuation lines, is accepted by the CLI parser."""

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from fetv.mesh import Mesh, build_crossed_mesh
 from fetv.operators import InnerSolveError, QuadraticSolver, divergence
 from fetv.solvers import ProblemSpec, SolverParams, _Context
-from fetv.spaces import FeSpace
+from fetv.spaces import FeSpace, reference_weights
 
 from conftest import build_diagonal_square
 from rt_oracle import oracle_lumped_divergence, oracle_pairing, to_field_dofs
@@ -230,11 +230,22 @@ def test_transpose_is_the_one_assembled_copy(spaces_2x2, spaces_rotated):
         assert np.allclose(op.matrix.dot(u), op.apply(u), rtol=0, atol=1e-12)
 
 
+def _fidelity(space, mask=None, lumped=False, lam=None, scale=None):
+    """The (w, F_ref) fidelity pair of the u-systems: the mass on the data
+    cells (split Bregman), or ``lumped`` lam * scale * C on every cell
+    (ADMM)."""
+    if lumped:
+        return (lam * scale * space.mesh.cell_areas, np.diag(np.array(
+            reference_weights(space.degree).cell_full, dtype=float)))
+    det = space.mesh.det_jacobian
+    return (det if mask is None else np.where(mask, det, 0.0)), space.mass_ref
+
+
 def test_quadratic_solver_sorted_indices(spaces_2x2):
     for space in spaces_2x2.values():
         for mask in (None, np.arange(space.mesh.num_cells) % 3 > 0):
             qs = QuadraticSolver(space, space.grad_jump(), 1e-2, 1e-2,
-                                 mask=mask)
+                                 fidelity=_fidelity(space, mask))
             assert qs.matrix.has_sorted_indices
             # the sum of the block diagonal and the couplings keeps no
             # buffer longer than its two terms' entries together
@@ -263,10 +274,11 @@ def test_quadratic_solver_masked_and_errors(spaces_2x2):
     space = spaces_2x2[0]
     mask = np.zeros(space.mesh.num_cells, dtype=bool)
     with pytest.raises(ValueError):
-        QuadraticSolver(space, space.grad_jump(), lam=1.0, scale=1.0, mask=mask)
+        QuadraticSolver(space, space.grad_jump(), lam=1.0, scale=1.0,
+                        fidelity=_fidelity(space, mask))
     mask[:3] = True
     solver = QuadraticSolver(space, space.grad_jump(), lam=1e-2, scale=1.0,
-                             mask=mask)
+                             fidelity=_fidelity(space, mask))
     rng = np.random.default_rng(0)
     rhs = rng.standard_normal(space.dim_dg)
     x = solver.solve(rhs)
@@ -323,7 +335,8 @@ def _warm_starts(spaces_2x2):
     for space in spaces_2x2.values():
         for mask in (None, np.arange(space.mesh.num_cells) % 3 > 0):
             solver = QuadraticSolver(space, space.grad_jump(), 1e-2,
-                                     1e-2 if space.degree else 1.0, mask=mask)
+                                     1e-2 if space.degree else 1.0,
+                                     fidelity=_fidelity(space, mask))
             rhs = rng.standard_normal(space.dim_dg)
             x0 = solver.solve(rhs + 1e-2 * rng.standard_normal(space.dim_dg))
             yield solver, rhs, x0
@@ -381,7 +394,8 @@ def test_quadratic_solver_blocks_match_fancy_indexing(spaces_2x2):
     holes = 0
     for space, scale, mask, lumped in _solver_variants(spaces_2x2):
         qs = QuadraticSolver(space, space.grad_jump(), 1e-3, scale,
-                             mask=mask, lumped_fidelity=lumped)
+                             fidelity=_fidelity(space, mask, lumped, 1e-3,
+                                                scale))
         n_t, n_k = space.mesh.num_cells, space.dofs.n_cell_basis
         dof = np.arange(space.dim_dg).reshape(n_t, n_k)
         rows = np.broadcast_to(dof[:, :, None], (n_t, n_k, n_k)).ravel()
@@ -398,25 +412,18 @@ def test_quadratic_solver_blocks_match_fancy_indexing(spaces_2x2):
 
 def test_quadratic_solver_matrix_is_f_plus_lam_k(spaces_2x2):
     """Every stored entry of the u-system is F + lam * K with F built from
-    its definition (det B_T * mass_ref on the data cells' blocks, or the
-    lumped diagonal times lam * scale) and K = Lambda^T W Lambda, bit for
-    bit."""
+    the fidelity pair passed in, F_T = w_T * F_ref (det B_T * mass_ref on
+    the data cells' blocks, or lam * scale * |T| times the reference lumped
+    weights), and K = Lambda^T W Lambda, bit for bit."""
     lam = 3e-3
     for space, scale, mask, lumped in _solver_variants(spaces_2x2):
+        w, f_ref = _fidelity(space, mask, lumped, lam, scale)
         qs = QuadraticSolver(space, space.grad_jump(), lam, scale,
-                             mask=mask, lumped_fidelity=lumped)
+                             fidelity=(w, f_ref))
         lmat = space.grad_jump().matrix
         k = (lmat.T @ lmat.multiply(space.y_weight_vector(scale)[:, None])
              ).toarray()
-        if lumped:
-            fid = np.diag(lam * scale * space.lumped_weights)
-        else:
-            kept = np.ones(space.mesh.num_cells, dtype=bool) \
-                if mask is None else mask
-            fid = sp.block_diag(
-                list(space.mass_ref[None] * np.where(
-                    kept, space.mesh.det_jacobian, 0.0)[:, None, None])
-            ).toarray()
+        fid = sp.block_diag(list(f_ref[None] * w[:, None, None])).toarray()
         coo = qs.matrix.tocoo()
         want = lam * k[coo.row, coo.col] + fid[coo.row, coo.col]
         assert np.array_equal(coo.data, want), (space.degree, mask, lumped)
@@ -434,8 +441,8 @@ def test_set_lam_matches_fresh_build(spaces_2x2, factors):
     lam, bit for bit, in the preconditioner's storage."""
     for space, scale, mask, lumped in _solver_variants(spaces_2x2):
         op = space.grad_jump()
-        qs = QuadraticSolver(space, op, 1e-3, scale, mask=mask,
-                             lumped_fidelity=lumped)
+        fidelity = _fidelity(space, mask, lumped, 1e-3, scale)
+        qs = QuadraticSolver(space, op, 1e-3, scale, fidelity=fidelity)
         block_inv = qs._block_inv.data
         lam = 1e-3
         for f in factors:
@@ -443,8 +450,7 @@ def test_set_lam_matches_fresh_build(spaces_2x2, factors):
             qs.set_lam(lam)
         assert qs.lam == lam
         assert qs._block_inv.data is block_inv
-        fresh = QuadraticSolver(space, op, lam, scale, mask=mask,
-                                lumped_fidelity=lumped)
+        fresh = QuadraticSolver(space, op, lam, scale, fidelity=fidelity)
         case = (space.degree, mask is not None, lumped)
         assert np.array_equal(qs.matrix.indptr, fresh.matrix.indptr), case
         assert np.array_equal(qs.matrix.indices, fresh.matrix.indices), case
