@@ -26,6 +26,6 @@ from .solvers import (
     solve,
     split_bregman_l2,
 )
-from .spaces import FeSpace, reference_weights
+from .spaces import FeSpace
 
 __version__ = "0.1.0"

@@ -129,10 +129,14 @@ def _apply_preset(argv, parser):
     if unknown:
         raise ValueError(f"preset {known.preset}: unknown option "
                          f"{', '.join(map(repr, unknown))}")
+    null = [key for key, value in preset.items() if value is None]
+    if null:
+        raise ValueError(f"preset {known.preset}: null value for "
+                         f"{', '.join(map(repr, null))}")
     # as strings, which argparse passes through each option's type, so a
     # value of the wrong type is a usage error like a bad flag
     for sub, dests in zip(subs, flags):
-        sub.set_defaults(**{dests[key]: None if value is None else str(value)
+        sub.set_defaults(**{dests[key]: str(value)
                             for key, value in preset.items() if key in dests})
 
 

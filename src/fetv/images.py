@@ -16,7 +16,7 @@ import numpy as np
 
 from .mesh import _text_lines, build_crossed_mesh
 from .operators import DgFunction
-from .spaces import FeSpace, reference_weights
+from .spaces import FeSpace
 
 __all__ = [
     "Raster",
@@ -166,8 +166,7 @@ def dg_to_raster(u: DgFunction, width, height):
     have equal area, so the pixel value is the plain mean of theirs.
     Raises ValueError on any other mesh."""
     _check_pixel_mesh(u.space.mesh, width, height)
-    weights = np.array(reference_weights(u.degree).cell_full, dtype=float)
-    means = u.space.cell_matrix(u.coeffs) @ weights
+    means = u.space.cell_matrix(u.coeffs) @ u.space.layout.cell_full
     # summed in pairs, so four equal cell means give that value exactly
     pixels = 0.25 * means.reshape(height, width, 2, 2).sum(axis=3).sum(axis=2)
     return Raster(width=width, height=height,

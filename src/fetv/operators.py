@@ -141,11 +141,8 @@ class GradJumpOperator:
         n_t = dofs.num_cells
         n_e = dofs.num_edges
 
-        # facet-node lookup: (facet, orientation index) -> cell node ids
-        table = np.empty((3, 2, n_j), dtype=np.int64)
-        for f in range(3):
-            table[f, 0] = lay.facet_node_ids(f, -1)
-            table[f, 1] = lay.facet_node_ids(f, +1)
+        # (facet, orientation index) -> cell node ids
+        table = lay.facet_nodes
         oi_plus = (mesh.edge_orientations[:, 0] + 1) // 2
         oi_minus = (mesh.edge_orientations[:, 1] + 1) // 2
         plus = mesh.edge_cells[:, [0]] * n_k + table[mesh.edge_facets[:, 0], oi_plus]

@@ -5,17 +5,21 @@ vertices (0,0), (1,0), (0,1).  Cell nodes are ordered vertices first, then
 edge nodes (edges in the order (0,1), (0,2), (1,2), nodes by increasing
 parameter from the lower endpoint), then interior nodes.
 
-Each degree holds one basis, the nodal P_r cell basis (one exact
-Vandermonde inverse), and derives the rest: the P_{r-1} samples come from
-the degree r-1 layout ``sub``, the edge basis is the cell basis on facet 0
-(y = 0), the C_{T,k} are the exact mass row sums (the basis sums to 1),
-the c_{T,i} are the degree r-1 C_{T,k}, and the c_{E,j} integrate the
-facet-0 basis along y = 0.  All are exact rationals, scaled by cell area /
-edge length at assembly.
+Each degree has one reference element, the cached ``LagrangeLayout``: the
+nodal P_r cell basis (one exact Vandermonde inverse) and every table
+derived from it, built once per degree.  The exact mass is C^T H C, C the
+basis coefficients and H the monomial integrals; the C_{T,k} are its row
+sums (the basis sums to 1), the c_{T,i} are the C_{T,k} of the degree r-1
+layout ``sub``, the P_{r-1} samples are taken at its nodes, the edge basis
+is the cell basis on facet 0 (y = 0), and the c_{E,j} integrate it along
+y = 0.  All are exact rationals per unit cell area / edge length; their
+float forms, with the mass inverse, its Cholesky factor and the facet-node
+table, are read-only and shared by every space of the degree, which keeps
+only its per-mesh arrays.
 
 The DG mass and inverse mass are applied as one BLAS product of the
 (cells, n_k) coefficient view with the transposed reference matrix, stored
-C-contiguous once per space (the F-ordered view ``ref.T`` takes a slower
+C-contiguous once per degree (the F-ordered view ``ref.T`` takes a slower
 BLAS path), scaled by a per-dof copy of det B_T in one flat pass; no
 global mass matrix is stored.  A cell mask restricts the mass by scaling
 with det B_T on the kept cells and 0 on the others, the same values as
@@ -38,18 +42,11 @@ from .operators import GradJumpOperator
 __all__ = [
     "SUPPORTED_DEGREES",
     "LagrangeLayout",
-    "ReferenceWeights",
     "DofMap",
     "FeSpace",
-    "reference_weights",
 ]
 
 SUPPORTED_DEGREES = (0, 1, 2)
-
-
-def _check_degree(r):
-    if r not in SUPPORTED_DEGREES:
-        raise ValueError(f"polynomial degree {r} not supported (expected 0, 1 or 2)")
 
 
 def _cell_monomials(r):
@@ -70,6 +67,16 @@ def _cell_lattice(r):
                           verts[a][1] + t * (verts[b][1] - verts[a][1])))
     # interior lattice nodes first appear at r = 3; none for r <= 2
     return nodes
+
+
+def _facet_nodes(r):
+    """Cell-node indices on each facet f, from vertex f to vertex f+1 at
+    [f, 1] and reversed at [f, 0], shape (3, 2, n_j); index 0 is the single
+    node at r = 0."""
+    # the edge nodes of facets (0,1), (1,2), (2,0) at r = 2
+    mid = ([3], [5], [4]) if r == 2 else ([], [], [])
+    ids = [[f, *mid[f], (f + 1) % 3] if r else [0] for f in range(3)]
+    return [[row[::-1], row] for row in ids]
 
 
 def _invert_exact(mat):
@@ -94,45 +101,69 @@ def _cell_monomial_integral(a, b):
     return Fraction(factorial(a) * factorial(b), factorial(a + b + 2))
 
 
-def _to_float(mat):
-    return np.array([[float(x) for x in row] for row in mat], dtype=float)
-
-
-@dataclass(frozen=True)
-class ReferenceWeights:
-    """Exact nodal-quadrature weights per unit cell area / edge length.
-
-    Physical weights are ``cell_interior * |T|`` (the c_{T,i}),
-    ``cell_full * |T|`` (the C_{T,k}) and ``edge * |E|`` (the c_{E,j}).
-    """
-
-    degree: int
-    cell_interior: tuple
-    cell_full: tuple
-    edge: tuple
+def _frozen(values, dtype=float):
+    """A read-only array of ``values``; exact rationals are rounded once."""
+    out = np.array(values, dtype=dtype)
+    out.setflags(write=False)
+    return out
 
 
 class LagrangeLayout:
-    """Nodes and the nodal P_r cell basis of one degree; ``sub`` is the
-    degree r-1 layout (None at r = 0)."""
+    """The reference element of one degree: nodes, the nodal P_r cell basis
+    and every table derived from it; ``sub`` is the degree r-1 layout (None
+    at r = 0).
+
+    Exact rationals: ``mass_exact`` (per unit det B_T), ``cell_full_exact``
+    (the C_{T,k}), ``cell_interior_exact`` (the c_{T,i}) and ``edge_exact``
+    (the c_{E,j}), per unit cell area / edge length.  Their read-only float
+    forms drop the suffix; ``mass_inv_t`` is the C-contiguous transposed
+    inverse of ``mass_ref``, ``mass_chol`` its Cholesky factor, and
+    ``facet_nodes`` the (3, 2, n_j) table of ``_facet_nodes``.
+    """
 
     def __init__(self, r):
-        _check_degree(r)
+        if r not in SUPPORTED_DEGREES:
+            raise ValueError(f"polynomial degree {r} not supported "
+                             "(expected 0, 1 or 2)")
         self.degree = r
         self.sub = lagrange_layout(r - 1) if r else None
 
-        self._cell_exps = _cell_monomials(r)
+        self._cell_exps = exps = _cell_monomials(r)
         self._cell_nodes_exact = _cell_lattice(r)
         # column k holds the monomial coefficients of the basis function
         # dual to node k
-        self._cell_coeffs_exact = _invert_exact(
-            [[x ** a * y ** b for a, b in self._cell_exps]
-             for x, y in self._cell_nodes_exact])
-        self.cell_nodes = _to_float(self._cell_nodes_exact)
-        self._cell_coeffs = _to_float(self._cell_coeffs_exact)
-        self.n_cell = len(self._cell_nodes_exact)
+        coeffs = np.array(_invert_exact(
+            [[x ** a * y ** b for a, b in exps]
+             for x, y in self._cell_nodes_exact]), dtype=object)
+        self.cell_nodes = _frozen(self._cell_nodes_exact)
+        self._cell_coeffs = _frozen(coeffs)
+        self.n_cell = len(exps)
         self.n_sub = self.sub.n_cell if self.sub else 0
-        self.n_edge = len(self.facet_node_ids(0, 1))
+        self.facet_nodes = _frozen(_facet_nodes(r), dtype=np.int64)
+        self.n_edge = self.facet_nodes.shape[2]
+
+        monomial_integrals = np.array(
+            [[_cell_monomial_integral(a1 + a2, b1 + b2) for a2, b2 in exps]
+             for a1, b1 in exps], dtype=object)
+        self.mass_exact = coeffs.T @ monomial_integrals @ coeffs
+        # the basis sums to 1, so row k of the mass integrates phi_k; the
+        # reference triangle has area 1/2
+        self.cell_full_exact = tuple(2 * self.mass_exact.sum(axis=1))
+        self.cell_interior_exact = self.sub.cell_full_exact if r else ()
+        # on facet 0 (y = 0) only the monomials x^a survive
+        self.edge_exact = tuple(
+            sum(coeffs[m, k] / (a + 1) for m, (a, b) in enumerate(exps) if b == 0)
+            for k in self.facet_nodes[0, 1])
+
+        self.cell_full = _frozen(self.cell_full_exact)
+        self.cell_interior = _frozen(self.cell_interior_exact)
+        self.edge = _frozen(self.edge_exact)
+        self.mass_ref = _frozen(self.mass_exact)
+        # right factor of the cell products u_T @ inv(mass_ref)^T; mass_ref
+        # is exactly symmetric and serves as its own
+        self.mass_inv_t = _frozen(np.ascontiguousarray(
+            np.linalg.inv(self.mass_ref).T))
+        self.mass_chol = _frozen(np.linalg.cholesky(self.mass_ref))
 
         # reference gradients of the P_r cell basis at the P_{r-1} nodes,
         # shape (n_sub, n_cell, 2): integer coefficients at nodes 0 and 1
@@ -163,65 +194,10 @@ class LagrangeLayout:
                 out[:, :, 1] += dy[:, None] * self._cell_coeffs[m][None, :]
         return out
 
-    # -- facet bookkeeping ---------------------------------------------------
-
-    def facet_node_ids(self, facet, orientation):
-        """Cell-node indices sitting on a facet, ordered along the global
-        edge direction (orientation -1 reverses the local traversal)."""
-        r = self.degree
-        if r == 0:
-            return [0]
-        va, vb = facet, (facet + 1) % 3
-        if r == 1:
-            ids = [va, vb]
-        else:
-            mid = {frozenset((0, 1)): 3, frozenset((0, 2)): 4,
-                   frozenset((1, 2)): 5}[frozenset((va, vb))]
-            ids = [va, mid, vb]
-        return ids if orientation == 1 else ids[::-1]
-
 
 @lru_cache(maxsize=None)
 def lagrange_layout(r) -> LagrangeLayout:
     return LagrangeLayout(r)
-
-
-@lru_cache(maxsize=None)
-def reference_weights(r) -> ReferenceWeights:
-    """Exact integrals of the nodal bases over the reference elements,
-    normalized per unit area (cells) / unit length (edges)."""
-    _check_degree(r)
-    lay = lagrange_layout(r)
-    area = _cell_monomial_integral(0, 0)  # 1/2
-    # the basis sums to 1, so row k of the mass integrates phi_k
-    cell_full = tuple(sum(row) / area for row in _reference_mass_exact(r))
-    # on facet 0 (y = 0) only the monomials x^a survive
-    edge = tuple(sum(lay._cell_coeffs_exact[m][k] * Fraction(1, a + 1)
-                     for m, (a, b) in enumerate(lay._cell_exps) if b == 0)
-                 for k in lay.facet_node_ids(0, 1))
-    return ReferenceWeights(
-        degree=r,
-        cell_interior=reference_weights(r - 1).cell_full if r else (),
-        cell_full=cell_full,
-        edge=edge,
-    )
-
-
-@lru_cache(maxsize=None)
-def _reference_mass_exact(r):
-    lay = lagrange_layout(r)
-    n = lay.n_cell
-    mass = [[Fraction(0)] * n for _ in range(n)]
-    for m1, (a1, b1) in enumerate(lay._cell_exps):
-        for m2, (a2, b2) in enumerate(lay._cell_exps):
-            integral = _cell_monomial_integral(a1 + a2, b1 + b2)
-            for k in range(n):
-                ck = lay._cell_coeffs_exact[m1][k]
-                if ck == 0:
-                    continue
-                for l in range(n):
-                    mass[k][l] += ck * lay._cell_coeffs_exact[m2][l] * integral
-    return mass
 
 
 @dataclass(frozen=True)
@@ -270,25 +246,14 @@ class FeSpace:
     tables needed by the seminorm, the constraint set and the solvers."""
 
     def __init__(self, mesh, r):
-        _check_degree(r)
         self.mesh = mesh
         self.degree = r
-        self.layout = lagrange_layout(r)
+        self.layout = lay = lagrange_layout(r)
         self.dofs = DofMap(degree=r, num_cells=mesh.num_cells,
                            num_edges=mesh.num_interior_edges)
-        ref = reference_weights(r)
-
-        area = mesh.cell_areas
-        self.cell_weights = area[:, None] * _to_float([ref.cell_interior])  # c_{T,i}
-        self.edge_weights = mesh.edge_lengths[:, None] * _to_float([ref.edge])
-
-        mass = _reference_mass_exact(r)
-        self.mass_ref = _to_float(mass)              # per unit det B_T
-        self.mass_ref_inv = np.linalg.inv(self.mass_ref)
-        # right factor of the cell products u_T @ mass_ref_inv^T,
-        # C-contiguous; mass_ref is exactly symmetric and serves as its own
-        self._mass_ref_inv_t = np.ascontiguousarray(self.mass_ref_inv.T)
-        self._mass_chol = np.linalg.cholesky(self.mass_ref)
+        self.cell_weights = mesh.cell_areas[:, None] * lay.cell_interior  # c_{T,i}
+        self.edge_weights = mesh.edge_lengths[:, None] * lay.edge
+        self.mass_ref = lay.mass_ref                 # per unit det B_T
         self._det_dof = np.repeat(mesh.det_jacobian, self.dofs.n_cell_basis)
         self._det_dof.setflags(write=False)
         self._grad_jump = None
@@ -355,7 +320,7 @@ class FeSpace:
         return out
 
     def apply_mass_inverse(self, coeffs):
-        out = self._cell_product(coeffs, self._mass_ref_inv_t).reshape(-1)
+        out = self._cell_product(coeffs, self.layout.mass_inv_t).reshape(-1)
         out /= self._det_dof
         return out
 
@@ -368,7 +333,7 @@ class FeSpace:
     def _mass_norm_sq(self, u, det_weights):
         """||u||^2_M from the per-dof weights of ``_det_weights``: z = U R
         on the (n_t, n_k) view, squared in place, and one dot."""
-        z = self._cell_product(u, self._mass_chol)
+        z = self._cell_product(u, self.layout.mass_chol)
         z *= z
         return float(z.reshape(-1) @ det_weights)
 
@@ -376,8 +341,7 @@ class FeSpace:
     def full_weights(self):
         """The C_{T,k}, made on first use: only the lumped (TV-L1) paths
         read them, and a DG vector more per space raises peak memory."""
-        ref = reference_weights(self.degree)
-        return self.mesh.cell_areas[:, None] * _to_float([ref.cell_full])
+        return self.mesh.cell_areas[:, None] * self.layout.cell_full
 
     @property
     def lumped_weights(self):

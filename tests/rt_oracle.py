@@ -44,7 +44,7 @@ def edge_basis(layout, t):
     facet 0 (y = 0), its nodes in the edge's order."""
     t = np.atleast_1d(np.asarray(t, dtype=float))
     pts = np.column_stack([t, np.zeros_like(t)])
-    return layout.eval_cell(pts)[:, layout.facet_node_ids(0, 1)]
+    return layout.eval_cell(pts)[:, layout.facet_nodes[0, 1]]
 
 
 def _monomials_2d(r):

@@ -3,16 +3,15 @@ the unit tests and the acceptance suite)."""
 
 import sympy as sym
 
-from fetv.spaces import lagrange_layout, reference_weights
+from fetv.spaces import lagrange_layout
 
 
 def assert_weights_match_symbolic(r):
     """Rebuild every nodal basis with sympy and compare the exact integrals
-    and the gradient samples against the packaged tables (rational
-    equality)."""
+    (the mass entries and the weights) and the gradient samples against
+    the packaged tables (rational equality)."""
     x, y, t = sym.symbols("x y t")
     lay = lagrange_layout(r)
-    w = reference_weights(r)
 
     def sym_cell_basis(nodes_exact, exps):
         monos = [x ** a * y ** b for a, b in exps]
@@ -26,18 +25,24 @@ def assert_weights_match_symbolic(r):
     def tri_integral(expr):
         return sym.integrate(sym.integrate(expr, (y, 0, 1 - x)), (x, 0, 1))
 
+    def rational(q):
+        return sym.Rational(q.numerator, q.denominator)
+
     cell_basis = sym_cell_basis(lay._cell_nodes_exact, lay._cell_exps)
     for k, phi in enumerate(cell_basis):
         exact = tri_integral(phi) / sym.Rational(1, 2)
-        assert sym.Rational(w.cell_full[k].numerator,
-                            w.cell_full[k].denominator) == exact
+        assert rational(lay.cell_full_exact[k]) == exact
+    # every entry of the mass, int phi_k phi_l over the reference triangle
+    assert lay.mass_exact.shape == (len(cell_basis),) * 2
+    for k, phi_k in enumerate(cell_basis):
+        for l, phi_l in enumerate(cell_basis):
+            assert rational(lay.mass_exact[k, l]) == tri_integral(phi_k * phi_l)
 
     if r >= 1:
         sub_nodes = lay.sub._cell_nodes_exact
         for i, phi in enumerate(sym_cell_basis(sub_nodes, lay.sub._cell_exps)):
             exact = tri_integral(phi) / sym.Rational(1, 2)
-            assert sym.Rational(w.cell_interior[i].numerator,
-                                w.cell_interior[i].denominator) == exact
+            assert rational(lay.cell_interior_exact[i]) == exact
         # every gradient sample, the float converted exactly
         assert lay.grad_at_sub.shape == (len(sub_nodes), len(cell_basis), 2)
         for i, (nx, ny) in enumerate(sub_nodes):
@@ -56,9 +61,8 @@ def assert_weights_match_symbolic(r):
     monos = [t ** a for a in range(r + 1)]
     vander = sym.Matrix([[m.subs(t, tn) for m in monos] for tn in edge_nodes])
     coeff = vander.inv()
-    assert len(w.edge) == r + 1
+    assert len(lay.edge_exact) == r + 1
     for j in range(r + 1):
         phi = sum(coeff[m, j] * monos[m] for m in range(len(monos)))
         exact = sym.integrate(phi, (t, 0, 1))
-        assert sym.Rational(w.edge[j].numerator,
-                            w.edge[j].denominator) == exact
+        assert rational(lay.edge_exact[j]) == exact

@@ -281,13 +281,13 @@ def test_criterion_10_weight_tables():
 
     from symbolic_weights import assert_weights_match_symbolic
 
-    from fetv.spaces import reference_weights
+    from fetv.spaces import lagrange_layout
 
     for r in (0, 1, 2):
         assert_weights_match_symbolic(r)
-    w2 = reference_weights(2)
-    assert w2.cell_full[:3] == (Fraction(0), Fraction(0), Fraction(0))
-    assert all(c > 0 for c in w2.cell_full[3:])
+    w2 = lagrange_layout(2)
+    assert w2.cell_full_exact[:3] == (Fraction(0), Fraction(0), Fraction(0))
+    assert all(c > 0 for c in w2.cell_full_exact[3:])
 
 
 @criterion(11, "isotropy of the rotated step at s = 2; exact s = 1 profile")

@@ -110,3 +110,27 @@ def test_readme_cli_examples_parse():
                                             "make-mesh", "add-noise"}
     for cmd in commands:
         build_parser().parse_args(cmd[1:])
+
+
+def test_module_imports_are_used():
+    """Every module-level import of src/fetv/*.py is used in its module,
+    except in a statement whose first line ends in ``# noqa: F401``; the
+    package's re-exports are checked by test_package_imports_are_exported."""
+    unused = []
+    for path in sorted((ROOT / "src" / "fetv").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)) \
+                    or getattr(stmt, "module", None) == "__future__" \
+                    or lines[stmt.lineno - 1].endswith("# noqa: F401"):
+                continue
+            for alias in stmt.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}: {name}")
+    assert not unused

@@ -349,6 +349,22 @@ def test_preset_value_of_wrong_type(tmp_path, disc_image, capsys):
         assert f"error: argument {flag}: invalid" in err[-1]
 
 
+@pytest.mark.parametrize("key", ["theta", "beta", "max-iter"])
+def test_preset_null_value(tmp_path, disc_image, capsys, key):
+    """A null preset value is refused with one error line naming the key,
+    not passed on as the option's default."""
+    preset = tmp_path / "preset.json"
+    preset.write_text(json.dumps({key: None, "lambda": 1e-3}))
+    report = tmp_path / "rep.json"
+    code = main(["denoise", "--input", str(disc_image),
+                 "--preset", str(preset), "--report", str(report)])
+    assert code == 1
+    assert not report.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("fetv: error: ")
+    assert repr(key) in err[0]
+
+
 def _converges_on_disc(tmp_path, preset):
     """``fetv denoise --preset`` on a 32x32 smooth disc exits 0 and
     reports a converged run."""

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from fetv.mesh import Mesh, build_crossed_mesh
 from fetv.operators import InnerSolveError, QuadraticSolver, divergence
 from fetv.solvers import ProblemSpec, SolverParams, _Context
-from fetv.spaces import FeSpace, reference_weights
+from fetv.spaces import FeSpace
 
 from conftest import build_diagonal_square
 from rt_oracle import oracle_lumped_divergence, oracle_pairing, to_field_dofs
@@ -235,8 +235,8 @@ def _fidelity(space, mask=None, lumped=False, lam=None, scale=None):
     cells (split Bregman), or ``lumped`` lam * scale * C on every cell
     (ADMM)."""
     if lumped:
-        return (lam * scale * space.mesh.cell_areas, np.diag(np.array(
-            reference_weights(space.degree).cell_full, dtype=float)))
+        return (lam * scale * space.mesh.cell_areas,
+                np.diag(space.layout.cell_full))
     det = space.mesh.det_jacobian
     return (det if mask is None else np.where(mask, det, 0.0)), space.mass_ref
 

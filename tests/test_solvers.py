@@ -543,6 +543,10 @@ def test_solver_input_validation(spaces_2x2):
         SolverParams(theta=1.5)
     with pytest.raises(ValueError):
         SolverParams(lam=-1.0)
+    for max_iter in (2.5, 0, "10", None):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverParams(max_iter=max_iter)
+    assert SolverParams(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_anisotropic_s1_solvers_agree():

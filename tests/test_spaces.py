@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fetv.mesh import build_crossed_mesh
-from fetv.spaces import FeSpace, lagrange_layout, reference_weights
+from fetv.spaces import FeSpace, lagrange_layout
 
 from rt_oracle import edge_basis
 
@@ -12,29 +12,29 @@ F = Fraction
 
 
 def test_reference_weights_r0():
-    w = reference_weights(0)
-    assert w.cell_interior == ()
-    assert w.edge == (F(1),)
-    assert w.cell_full == (F(1),)
+    w = lagrange_layout(0)
+    assert w.cell_interior_exact == ()
+    assert w.edge_exact == (F(1),)
+    assert w.cell_full_exact == (F(1),)
 
 
 def test_reference_weights_r1():
-    w = reference_weights(1)
-    assert w.cell_interior == (F(1),)
-    assert w.edge == (F(1, 2), F(1, 2))
-    assert w.cell_full == (F(1, 3), F(1, 3), F(1, 3))
+    w = lagrange_layout(1)
+    assert w.cell_interior_exact == (F(1),)
+    assert w.edge_exact == (F(1, 2), F(1, 2))
+    assert w.cell_full_exact == (F(1, 3), F(1, 3), F(1, 3))
 
 
 def test_reference_weights_r2():
-    w = reference_weights(2)
-    assert w.cell_interior == (F(1, 3), F(1, 3), F(1, 3))
-    assert w.edge == (F(1, 6), F(2, 3), F(1, 6))       # Simpson
-    assert w.cell_full == (F(0), F(0), F(0), F(1, 3), F(1, 3), F(1, 3))
+    w = lagrange_layout(2)
+    assert w.cell_interior_exact == (F(1, 3), F(1, 3), F(1, 3))
+    assert w.edge_exact == (F(1, 6), F(2, 3), F(1, 6))       # Simpson
+    assert w.cell_full_exact == (F(0), F(0), F(0), F(1, 3), F(1, 3), F(1, 3))
 
 
 def test_reference_weights_rejects_degree():
     with pytest.raises(ValueError):
-        reference_weights(3)
+        lagrange_layout(3)
 
 
 def test_weights_match_symbolic_integration():
@@ -48,15 +48,15 @@ def test_weights_match_symbolic_integration():
 
 def test_weight_positivity():
     for r in (0, 1, 2):
-        w = reference_weights(r)
-        assert all(c > 0 for c in w.cell_interior)
-        assert all(c > 0 for c in w.edge)
+        w = lagrange_layout(r)
+        assert all(c > 0 for c in w.cell_interior_exact)
+        assert all(c > 0 for c in w.edge_exact)
         if r < 2:
-            assert all(c > 0 for c in w.cell_full)
-    w2 = reference_weights(2)
-    assert [c == 0 for c in w2.cell_full] == [True] * 3 + [False] * 3
-    assert sum(w2.cell_full) == 1 and sum(w2.cell_interior) == 1
-    assert sum(w2.edge) == 1
+            assert all(c > 0 for c in w.cell_full_exact)
+    w2 = lagrange_layout(2)
+    assert [c == 0 for c in w2.cell_full_exact] == [True] * 3 + [False] * 3
+    assert sum(w2.cell_full_exact) == 1 and sum(w2.cell_interior_exact) == 1
+    assert sum(w2.edge_exact) == 1
 
 
 def test_nodal_duality():
@@ -80,8 +80,25 @@ def test_derived_tables_come_from_one_basis_per_degree():
         lay = lagrange_layout(r)
         assert lay.sub is lagrange_layout(r - 1)
         assert lay.n_sub == lay.sub.n_cell == r * (r + 1) // 2
-        assert reference_weights(r).cell_interior \
-            == reference_weights(r - 1).cell_full
+        assert lay.cell_interior_exact == lay.sub.cell_full_exact
+
+
+def test_layout_tables_are_read_only_and_shared(spaces_unit, spaces_2x2):
+    """The float tables are built once per degree, cannot be written, and
+    every space of the degree references the layout's objects."""
+    tables = ("cell_full", "cell_interior", "edge", "mass_ref", "mass_inv_t",
+              "mass_chol", "facet_nodes")
+    for r in (0, 1, 2):
+        lay = lagrange_layout(r)
+        for name in tables:
+            assert not getattr(lay, name).flags.writeable, (r, name)
+        assert lay.mass_inv_t.flags.c_contiguous
+        a, b = spaces_unit[r], spaces_2x2[r]
+        assert a.layout is b.layout is lay
+        assert a.mass_ref is b.mass_ref is lay.mass_ref
+        with pytest.raises(ValueError):
+            a.mass_ref[0, 0] = 1.0
+    assert lagrange_layout(2).facet_nodes[1].tolist() == [[2, 5, 1], [1, 5, 2]]
 
 
 def test_eval_basis_examples():
@@ -111,12 +128,11 @@ def test_quadrature_exact_on_own_space():
 
     for r in (0, 1, 2):
         lay = lagrange_layout(r)
-        w = reference_weights(r)
         for a in range(r + 1):
             for b in range(r + 1 - a):
                 total = sum(
                     (wk / 2) * xk ** a * yk ** b
-                    for wk, (xk, yk) in zip(w.cell_full,
+                    for wk, (xk, yk) in zip(lay.cell_full_exact,
                                             lay._cell_nodes_exact))
                 exact = F(factorial(a) * factorial(b), factorial(a + b + 2))
                 assert total == exact
@@ -139,9 +155,9 @@ def test_dofmap_paper_scale():
 
 def test_mass_matrix_row_sums(spaces_unit):
     for r, space in spaces_unit.items():
-        w = reference_weights(r)
+        w = lagrange_layout(r)
         rows = space.mass_ref.sum(axis=1)
-        expect = np.array([float(c) for c in w.cell_full]) / 2.0
+        expect = np.array([float(c) for c in w.cell_full_exact]) / 2.0
         assert np.abs(rows - expect).max() <= 1e-15
         # physical mass of the constant 1 is the domain area
         ones = np.ones(space.dim_dg)
