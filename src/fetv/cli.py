@@ -158,8 +158,12 @@ def _cmd_solver(args, inpaint):
     params = SolverParams(lam=args.lam, sigma=args.sigma, tau=args.tau,
                           theta=args.theta, scale=args.scale,
                           eps_rel=args.tol_rel, max_iter=args.max_iter)
-    u, p, report = solve(prob, args.algorithm, params=params, space=space,
-                         reference=clean)
+    try:
+        u, p, report = solve(prob, args.algorithm, params=params, space=space,
+                             reference=clean)
+    except InnerSolveError as exc:
+        _write_report(args.report, exc.report)
+        raise
 
     if inpaint:
         baseline = f.copy()
@@ -171,9 +175,7 @@ def _cmd_solver(args, inpaint):
     if args.output:
         out = images.dg_to_raster(u, raster.width, raster.height)
         images.save_pgm(out, args.output)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+    _write_report(args.report, report)
     print(f"algorithm={report.algorithm}")
     print(f"iterations={report.iterations}")
     if "lam_final" in report.extras:
@@ -184,6 +186,12 @@ def _cmd_solver(args, inpaint):
     if report.psnr is not None:
         print(f"psnr={report.psnr:.4f}")
     return EXIT_OK if report.converged else EXIT_NOT_CONVERGED
+
+
+def _write_report(path, report):
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
 
 
 def _cmd_dtv(args):

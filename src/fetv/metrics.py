@@ -10,6 +10,17 @@ reproduced bit-for-bit in any language:
 * consecutive pairs (u1, u2) feed the Box-Muller transform,
   z0 = sqrt(-2 ln u1) * cos(2 pi u2), z1 = sqrt(-2 ln u1) * sin(2 pi u2),
   and the normals are consumed in order z0, z1.
+
+``random_words`` computes that stream in numpy lanes rather than one word
+at a time; the words are the same.  n words are cut into L = isqrt(n) lanes
+of m = ceil(n / L) consecutive words, and all lanes step together.  The
+xoshiro256 state update T is linear over GF(2), so T^m is fixed by the
+images of the 256 unit states, which m steps on 256 lanes at once give as
+columns of a jump table.  Lane 0 starts at the seeded state and lane j + 1
+at T^m of lane j's start: the XOR of the columns that the set bits of that
+start pick out (Haramoto et al., "Efficient jump ahead for F2-linear random
+number generators", 2008).  Every operand is a numpy uint64, so the result
+does not depend on how a numpy version casts Python integers.
 """
 
 from __future__ import annotations
@@ -31,8 +42,29 @@ __all__ = [
 _MASK = (1 << 64) - 1
 
 
-def _rotl(x, k):
-    return ((x << k) | (x >> (64 - k))) & _MASK
+_U64 = np.uint64
+_STATE_BITS = 256
+
+
+def _rotl(x, k, tmp):
+    """x = rotl(x, k) in place on a uint64 array; tmp is scratch of its
+    shape."""
+    np.left_shift(x, _U64(k), out=tmp)
+    x >>= _U64(64 - k)
+    x |= tmp
+
+
+def _step(s, tmp):
+    """One xoshiro256 state update, in place on the rows s0, s1, s2, s3 of
+    the (4, lanes) uint64 array s; tmp is scratch of one row's shape."""
+    s0, s1, s2, s3 = s
+    np.left_shift(s1, _U64(17), out=tmp)
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= tmp
+    _rotl(s3, 45, tmp)
 
 
 def _splitmix64(state):
@@ -44,24 +76,38 @@ def _splitmix64(state):
 
 
 def random_words(n, seed):
-    """First n outputs of xoshiro256++ seeded via SplitMix64."""
+    """First n outputs of xoshiro256++ seeded via SplitMix64, computed in
+    jump-ahead lanes (module docstring)."""
+    lanes = max(1, math.isqrt(n))
+    m = -(-n // lanes)
+    # little-endian words, so a start's bytes unpack to its 256 bits in the
+    # order of the table columns on any host
+    starts = np.empty((lanes, 4), dtype="<u8")
     state = int(seed) & _MASK
-    s = []
-    for _ in range(4):
-        state, z = _splitmix64(state)
-        s.append(z)
-    s0, s1, s2, s3 = s
-    out = np.empty(n, dtype=np.uint64)
-    for i in range(n):
-        out[i] = (_rotl((s0 + s3) & _MASK, 23) + s0) & _MASK
-        t = (s1 << 17) & _MASK
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-    return out
+    for i in range(4):
+        state, starts[0, i] = _splitmix64(state)
+    if lanes > 1:
+        bit = np.arange(_STATE_BITS)
+        table = np.zeros((4, _STATE_BITS), dtype=np.uint64)
+        table[bit // 64, bit] = _U64(1) << (bit % 64).astype(np.uint64)
+        tmp = np.empty(_STATE_BITS, dtype=np.uint64)
+        for _ in range(m):
+            _step(table, tmp)
+        columns = table.T.copy()
+        for j in range(1, lanes):
+            picked = np.unpackbits(starts[j - 1].view(np.uint8),
+                                   bitorder="little").view(bool)
+            np.bitwise_xor.reduce(columns[picked], axis=0, out=starts[j])
+    s = np.ascontiguousarray(starts.T, dtype=np.uint64)
+    s0, s3 = s[0], s[3]
+    tmp = np.empty(lanes, dtype=np.uint64)
+    out = np.empty((m, lanes), dtype=np.uint64)
+    for row in out:
+        np.add(s0, s3, out=row)
+        _rotl(row, 23, tmp)
+        row += s0
+        _step(s, tmp)
+    return out.T.reshape(-1)[:n]
 
 
 def standard_normals(n, seed):

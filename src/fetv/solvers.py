@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -39,7 +40,8 @@ from .dtv import (ConstraintSetSpec, _project_in_place, infeasibility,
 # (bench/spans.py), which hooks each module's binding
 from .dtv import project_feasible  # noqa: F401
 from .metrics import psnr
-from .operators import DgFunction, QuadraticSolver, divergence
+from .operators import (DgFunction, InnerSolveError, QuadraticSolver,
+                        divergence)
 from .spaces import FeSpace
 
 __all__ = [
@@ -148,6 +150,12 @@ class SolverParams:
     max_iter: int = 5000
 
     def __post_init__(self):
+        for name in ("lam", "sigma", "tau", "scale", "theta", "eps_rel"):
+            v = getattr(self, name)
+            unset = v is None and name not in ("theta", "eps_rel")
+            if not unset and (isinstance(v, bool)
+                              or not isinstance(v, numbers.Real)):
+                raise ValueError(f"{name} must be a real number, got {v!r}")
         for name in ("lam", "sigma", "tau", "scale"):
             v = getattr(self, name)
             if v is not None and not 0 < v < math.inf:
@@ -643,7 +651,10 @@ def _iterate(ctx, report, step, reference):
     the same cap.  ``report.infeasibility`` is the value at the returned
     p, computed once more when the run stops at ``max_iter``.
 
-    ``report.stop_reason`` is ``gap``, ``stagnation`` or ``max_iter``.
+    ``report.stop_reason`` is ``gap``, ``stagnation`` or ``max_iter``.  A
+    step that raises InnerSolveError ends the run with the exception,
+    which carries the report so far as ``exc.report``, its stop reason
+    ``inner_stall``.
     ``extras["step_s"]`` is the time spent in ``step`` and
     ``extras["monitor_s"]`` the time spent on the objective, the gap and
     the stop test; together they are at most ``report.seconds``."""
@@ -659,7 +670,13 @@ def _iterate(ctx, report, step, reference):
     tick = time.perf_counter()
     for _ in range(params.max_iter):
         u_prev, p_prev = u, p
-        u, p, y, divp = step(u, p)
+        try:
+            u, p, y, divp = step(u, p)
+        except InnerSolveError as exc:
+            report.stop_reason = "inner_stall"
+            report.seconds = time.perf_counter() - start
+            exc.report = report
+            raise
         stepped = time.perf_counter()
         step_s += stepped - tick
         if divp is None:

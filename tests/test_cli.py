@@ -126,7 +126,24 @@ def test_stalled_inner_solve_exit_code(tmp_path, disc_image, monkeypatch,
     assert err.startswith("fetv: error: inner solver stalled")
     assert err.endswith("after 1 iterations\n")
     assert err.count("\n") == 1
-    assert not out.exists() and not report.exists()
+    assert not out.exists()
+
+
+def test_stalled_inner_solve_writes_report(tmp_path, disc_image,
+                                           monkeypatch):
+    """A stall exits 2 but still writes the report up to the stall, its
+    stop reason ``inner_stall``."""
+    monkeypatch.setattr(QuadraticSolver, "_MAX_ITER", 1)
+    report = tmp_path / "rep.json"
+    code = main(["denoise", "--input", str(disc_image),
+                 "--report", str(report), "--algorithm", "split-bregman",
+                 "--degree", "0", "--noise-sigma", "0.1"])
+    assert code == 2
+    data = json.loads(report.read_text())
+    assert data["stop_reason"] == "inner_stall"
+    assert data["converged"] is False
+    assert data["algorithm"] == "split-bregman"
+    assert data["iterations"] == len(data["trace"])
 
 
 def test_inpaint_with_mask(tmp_path, disc_image, capsys):

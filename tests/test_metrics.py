@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from fetv.metrics import (
 )
 from fetv.operators import DgFunction
 from fetv.spaces import FeSpace
+
+from noise_oracle import oracle_words
 
 
 def test_splitmix64_reference_vectors():
@@ -32,6 +36,38 @@ def test_word_stream_golden():
         "0x53175d61490b23df", "0x61da6f3dc380d507", "0x5c0fdf91ec9a7bfc"]
     assert [hex(int(w)) for w in random_words(3, 42)] == [
         "0xd0764d4f4476689f", "0x519e4174576f3791", "0xfbe07cfb0c24ed8c"]
+
+
+# n = k * k fills k lanes of k words exactly, so k * k - 1 and k * k + 1
+# sit one below and one above a lane boundary
+_LANE_EDGES = (99, 101, 16383, 16385, 65535, 65537)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**64 - 1, np.uint64(2**64 - 1)])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 255, 256, 257, 4097, *_LANE_EDGES])
+def test_word_stream_matches_scalar_oracle(n, seed):
+    words = random_words(n, seed)
+    assert words.shape == (n,)
+    assert np.array_equal(words, oracle_words(n, seed))
+
+
+def test_word_stream_long_hash():
+    """98304 words (the DG_2 dof count of the 64x64 crossed mesh) hash to
+    the value the scalar generator gave."""
+    digest = hashlib.sha256(random_words(98304, 7).astype("<u8").tobytes())
+    assert digest.hexdigest() == (
+        "0115c8b1b4b41f9670242f0536ed2d21a9c37580a1c2b3f1461bbbf2cf09422d")
+
+
+@pytest.mark.parametrize("seed", [5, 2**64 - 1, np.uint64(2**64 - 1),
+                                  np.int64(3)])
+def test_word_stream_is_uint64_without_warnings(seed):
+    """No cast of a mixed Python-int / uint64 expression, whose result
+    differs between value-based casting and NEP 50, reaches the stream."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (0, 1, 5, 4097):
+            assert random_words(n, seed).dtype == np.uint64
 
 
 def test_normals_golden():

@@ -11,7 +11,8 @@ from fetv.dtv import (ConstraintSetSpec, dtv, infeasibility,
 from fetv.mesh import build_crossed_mesh
 from fetv.metrics import NoiseSpec, add_noise, psnr
 from fetv import solvers
-from fetv.operators import DgFunction, QuadraticSolver, divergence
+from fetv.operators import (DgFunction, InnerSolveError, QuadraticSolver,
+                            divergence)
 from fetv.solvers import (
     ALGORITHMS,
     ProblemSpec,
@@ -543,10 +544,33 @@ def test_solver_input_validation(spaces_2x2):
         SolverParams(theta=1.5)
     with pytest.raises(ValueError):
         SolverParams(lam=-1.0)
+    for name, bad in (("theta", None), ("eps_rel", None), ("lam", "1"),
+                      ("sigma", "0.5"), ("tau", [1.0]), ("scale", True),
+                      ("theta", "1"), ("eps_rel", 1j)):
+        with pytest.raises(ValueError, match=f"{name} must be a real number"):
+            SolverParams(**{name: bad})
+    assert SolverParams(lam=np.float64(2.0), theta=1, eps_rel=0).theta == 1
     for max_iter in (2.5, 0, "10", None):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             SolverParams(max_iter=max_iter)
     assert SolverParams(max_iter=np.int64(3)).max_iter == 3
+
+
+@pytest.mark.parametrize("solver", [split_bregman_l2, admm_l1])
+def test_inner_stall_carries_the_report(solver, monkeypatch):
+    """An inner stall ends the run with InnerSolveError carrying the report
+    so far; its stop reason round-trips through to_dict and JSON."""
+    monkeypatch.setattr(QuadraticSolver, "_MAX_ITER", 1)
+    mesh, space, _, noisy = _denoise_instance(n=8, r=0)
+    prob = ProblemSpec(mesh=mesh, degree=0, f=noisy.coeffs, beta=1e-2)
+    with pytest.raises(InnerSolveError) as info:
+        solver(prob, space=space)
+    report = info.value.report
+    assert report.stop_reason == "inner_stall" and not report.converged
+    assert report.iterations == len(report.trace)
+    assert report.seconds > 0
+    assert report.to_dict()["stop_reason"] == "inner_stall"
+    assert json.loads(report.to_json())["stop_reason"] == "inner_stall"
 
 
 def test_anisotropic_s1_solvers_agree():
