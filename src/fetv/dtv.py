@@ -108,7 +108,7 @@ def _duffy_rule(n):
 
 
 _TRI_QUAD = None
-_CELL_BLOCK = 1024      # cells per block of quadrature-point gradients
+_CELL_BLOCK = 256       # cells per block of quadrature-point gradients
 
 
 def _triangle_quadrature():
@@ -164,6 +164,10 @@ def tv_exact(u: DgFunction, s=2):
     Edge contributions are integrated exactly by splitting |jump| at its
     roots; cell contributions are exact for r <= 1 (piecewise constant
     gradient) and use a degree-10 symmetric quadrature rule for r = 2.
+    Only the terms with something to integrate are computed: a constant
+    jump integrates to |jump|, and an r = 2 cell whose gradient samples
+    are all zero contributes an exact 0.  Both keep their place in the
+    full-length arrays that are summed, so the sums see the same terms.
     """
     _check_s(s)
     space = u.space
@@ -172,11 +176,16 @@ def tv_exact(u: DgFunction, s=2):
     j = space.y_edge_view(y)
     norms = vector_norm(space.mesh.edge_normals, s)
 
-    # a constant (r = 0) jump is affine with equal ends: the integral is |j|
-    if r <= 1:
-        integral = _edge_abs_integral_affine(j[:, 0], j[:, -1])
-    else:
-        integral = _edge_abs_integral_quadratic(j[:, 0], j[:, 1], j[:, 2])
+    # a jump that is the same at every edge node is constant along the edge
+    # (column by column: a reduction over the short node axis is slow)
+    integral = np.abs(j[:, 0])
+    varying = np.zeros(len(j), dtype=bool)
+    for k in range(1, j.shape[1]):
+        varying |= j[:, k] != j[:, 0]
+    if varying.any():
+        edge_abs_integral = (_edge_abs_integral_affine if r == 1
+                             else _edge_abs_integral_quadratic)
+        integral[varying] = edge_abs_integral(*j[varying].T)
     edge_total = float((integral * norms * space.mesh.edge_lengths).sum())
 
     if r <= 1:
@@ -186,14 +195,20 @@ def tv_exact(u: DgFunction, s=2):
     else:
         # grad u is P1 on each cell and Lambda u holds it exactly at the P1
         # nodes, so the P1 basis carries it to the quadrature points; in
-        # blocks of cells, since the (n_t, nq, 2) samples of a whole mesh
-        # and their norm temporaries would set the peak memory
+        # blocks of the cells with a nonzero sample, since the (n_t, nq, 2)
+        # samples of a whole mesh and their norm temporaries would set the
+        # peak memory.  The blocks share one sample buffer: a fresh one per
+        # block would be mapped and faulted in anew each time
         pts, wts = _triangle_quadrature()
         basis = space.layout.sub.eval_cell(pts)
         grads = space.y_cell_view(y)
-        vals = np.concatenate([                          # per cell, ref measure
-            vector_norm(basis @ grads[i:i + _CELL_BLOCK], s) @ wts
-            for i in range(0, len(grads), _CELL_BLOCK)])
+        live = np.flatnonzero(grads.reshape(len(grads), -1).any(axis=1))
+        vals = np.zeros(len(grads))                     # per cell, ref measure
+        samples = np.empty((min(len(live), _CELL_BLOCK), len(pts), 2))
+        for i in range(0, len(live), _CELL_BLOCK):
+            block = live[i:i + _CELL_BLOCK]
+            np.matmul(basis, grads[block], out=samples[:len(block)])
+            vals[block] = vector_norm(samples[:len(block)], s) @ wts
         cell_total = float((vals * space.mesh.det_jacobian).sum())
     return edge_total + cell_total
 

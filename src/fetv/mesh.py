@@ -9,6 +9,7 @@ the lower-indexed adjacent cell (``cell_plus``) into the higher-indexed one
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -132,43 +133,39 @@ class Mesh:
     # -- connectivity ------------------------------------------------------
 
     def _build_edges(self):
-        n_t = len(self.cells)
-        # facet k of a cell runs from local vertex k to k+1 (mod 3)
+        # facet f = 3 * cell + k runs from local vertex k to k+1 (mod 3)
         va = self.cells.ravel()
         vb = self.cells[:, [1, 2, 0]].ravel()
-        owner = np.repeat(np.arange(n_t), 3)
-        facet = np.tile(np.arange(3), n_t)
         lo = np.minimum(va, vb)
         hi = np.maximum(va, vb)
-        forward = (va == lo).astype(np.int8)  # local direction matches (lo, hi)
 
-        order = np.lexsort((hi, lo))
-        lo, hi, owner, facet, forward = (
-            lo[order], hi[order], owner[order], facet[order], forward[order]
-        )
-        new_group = np.ones(len(lo), dtype=bool)
-        new_group[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        # one stable sort on the key lo * N_V + hi groups the facets by
+        # (lo, hi) and keeps each group in facet order, so the first facet
+        # of a twin pair belongs to the lower-indexed cell
+        key = lo * len(self.vertices) + hi
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        new_group = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=new_group[1:])
         group_start = np.flatnonzero(new_group)
-        counts = np.diff(np.append(group_start, len(lo)))
+        counts = np.diff(np.append(group_start, len(key)))
         if (counts > 2).any():
-            g = group_start[np.argmax(counts > 2)]
+            g = order[group_start[np.argmax(counts > 2)]]
             raise MeshTopologyError(
                 f"edge ({lo[g]}, {hi[g]}) is shared by {counts[counts > 2][0]} cells"
             )
 
         interior = group_start[counts == 2]
-        boundary = group_start[counts == 1]
-
-        s0, s1 = interior, interior + 1
-        swap = owner[s0] > owner[s1]
-        first = np.where(swap, s1, s0)
-        second = np.where(swap, s0, s1)
+        first, second = order[interior], order[interior + 1]
+        boundary = order[group_start[counts == 1]]
 
         self.edge_vertices = np.column_stack([lo[first], hi[first]])
-        self.edge_cells = np.column_stack([owner[first], owner[second]])
-        self.edge_facets = np.column_stack([facet[first], facet[second]])
-        ori = np.column_stack([forward[first], forward[second]]).astype(np.int8)
-        self.edge_orientations = np.where(ori == 1, 1, -1).astype(np.int8)
+        self.edge_cells = np.column_stack([first // 3, second // 3])
+        self.edge_facets = np.column_stack([first % 3, second % 3])
+        # +1 where the facet's local direction matches (lo, hi)
+        forward = np.column_stack([va[first] == lo[first],
+                                   va[second] == lo[second]])
+        self.edge_orientations = np.where(forward, 1, -1).astype(np.int8)
 
         p0 = self.vertices[self.edge_vertices[:, 0]]
         p1 = self.vertices[self.edge_vertices[:, 1]]
@@ -182,8 +179,8 @@ class Mesh:
         self.edge_lengths = length
 
         self.boundary_edge_vertices = np.column_stack([lo[boundary], hi[boundary]])
-        self.boundary_edge_cells = owner[boundary].copy()
-        self.boundary_edge_facets = facet[boundary].copy()
+        self.boundary_edge_cells = boundary // 3
+        self.boundary_edge_facets = boundary % 3
 
         self._check_hanging_nodes()
         for a in (self.edge_vertices, self.edge_cells, self.edge_facets,
@@ -194,32 +191,40 @@ class Mesh:
 
     def _check_hanging_nodes(self):
         """A hanging node shows up as a vertex strictly inside a facet that
-        was classified as boundary (its twin is split into sub-facets)."""
+        was classified as boundary (its twin is split into sub-facets).
+        The candidates, the vertices in the ball that has a boundary facet
+        as its diameter, are tested as one array in (facet, vertex) order,
+        and the first offender in that order is reported."""
         if not len(self.boundary_edge_vertices):
             return
         from scipy.spatial import cKDTree
 
-        tree = cKDTree(self.vertices)
-        p0 = self.vertices[self.boundary_edge_vertices[:, 0]]
-        p1 = self.vertices[self.boundary_edge_vertices[:, 1]]
-        mid = 0.5 * (p0 + p1)
+        ends = self.boundary_edge_vertices
+        p0 = self.vertices[ends[:, 0]]
+        p1 = self.vertices[ends[:, 1]]
         half = 0.5 * np.hypot(*(p1 - p0).T)
-        for e, cand in enumerate(tree.query_ball_point(mid, half * (1 + 1e-9))):
-            a, b = self.boundary_edge_vertices[e]
-            t = p1[e] - p0[e]
-            lsq = t @ t
-            for v in cand:
-                if v == a or v == b:
-                    continue
-                d = self.vertices[v] - p0[e]
-                s = (d @ t) / lsq
-                off = abs(d[0] * t[1] - d[1] * t[0]) / math.sqrt(lsq)
-                if 1e-12 < s < 1 - 1e-12 and off <= 1e-12 * math.sqrt(lsq):
-                    raise MeshTopologyError(
-                        f"hanging node: vertex {v} lies inside facet "
-                        f"{self.boundary_edge_facets[e]} of cell "
-                        f"{self.boundary_edge_cells[e]}"
-                    )
+        cand = cKDTree(self.vertices).query_ball_point(
+            0.5 * (p0 + p1), half * (1 + 1e-9), return_sorted=True)
+        counts = np.fromiter(map(len, cand), dtype=np.int64, count=len(cand))
+        e = np.repeat(np.arange(len(cand)), counts)
+        v = np.fromiter(itertools.chain.from_iterable(cand), dtype=np.int64,
+                        count=int(counts.sum()))
+        keep = (v != ends[e, 0]) & (v != ends[e, 1])
+        e, v = e[keep], v[keep]
+        t = (p1 - p0)[e]
+        d = self.vertices[v] - p0[e]
+        lsq = t[:, 0] * t[:, 0] + t[:, 1] * t[:, 1]
+        s = (d[:, 0] * t[:, 0] + d[:, 1] * t[:, 1]) / lsq
+        length = np.sqrt(lsq)
+        off = np.abs(d[:, 0] * t[:, 1] - d[:, 1] * t[:, 0]) / length
+        hanging = (1e-12 < s) & (s < 1 - 1e-12) & (off <= 1e-12 * length)
+        if hanging.any():
+            k = int(np.argmax(hanging))
+            raise MeshTopologyError(
+                f"hanging node: vertex {v[k]} lies inside facet "
+                f"{self.boundary_edge_facets[e[k]]} of cell "
+                f"{self.boundary_edge_cells[e[k]]}"
+            )
 
     # -- queries -----------------------------------------------------------
 

@@ -137,47 +137,64 @@ class GradJumpOperator:
         dofs = space.dofs
         n_k = dofs.n_cell_basis
         n_i = dofs.n_sub_basis
-        n_j = dofs.n_edge_basis
         n_t = dofs.num_cells
-        n_e = dofs.num_edges
-
-        # (facet, orientation index) -> cell node ids
-        table = lay.facet_nodes
-        oi_plus = (mesh.edge_orientations[:, 0] + 1) // 2
-        oi_minus = (mesh.edge_orientations[:, 1] + 1) // 2
-        plus = mesh.edge_cells[:, [0]] * n_k + table[mesh.edge_facets[:, 0], oi_plus]
-        minus = mesh.edge_cells[:, [1]] * n_k + table[mesh.edge_facets[:, 1], oi_minus]
+        n_y_cell = dofs.dim_y_cell
+        n_y_edge = dofs.dim_y_edge
 
         # Lambda_ref: per cell, the nonzero reference gradient entries of row
-        # (node i, component d); per edge row, the gather pair (+1, -1)
-        n_rows = n_e * n_j
+        # (node i, component d); per edge row, the gather pair (+1, -1).  The
+        # data and column arrays are written in place, at full length and in
+        # the index type of the matrix, so that no temporary of their size
+        # is made
         grad = lay.grad_at_sub.transpose(0, 2, 1).reshape(2 * n_i, n_k)
         grad_row, grad_k = np.nonzero(grad)
+        n_cell = n_t * len(grad_k)
+        data = np.empty(n_cell + 2 * n_y_edge)
+        cols = np.empty(len(data), dtype=_index_dtype(
+            len(data), n_y_cell + n_y_edge, dofs.dim_dg))
+        data[:n_cell].reshape(n_t, len(grad_k))[:] = grad[grad_row, grad_k]
+        np.add.outer(np.arange(0, n_t * n_k, n_k), grad_k,
+                     out=cols[:n_cell].reshape(n_t, len(grad_k)),
+                     casting="same_kind")
+        data[n_cell:].reshape(-1, 2)[:] = (1.0, -1.0)
+        # the cell node ids of an edge node on the plus and minus side, from
+        # the (facet, orientation index) table
+        ends = cols[n_cell:].reshape(dofs.num_edges, dofs.n_edge_basis, 2)
+        for side in (0, 1):
+            oi = (mesh.edge_orientations[:, side] + 1) // 2
+            np.add(mesh.edge_cells[:, [side]] * n_k,
+                   lay.facet_nodes[mesh.edge_facets[:, side], oi],
+                   out=ends[..., side], casting="same_kind")
         ref = _csr_from_rows(
-            np.concatenate([np.tile(grad[grad_row, grad_k], n_t),
-                            np.tile([1.0, -1.0], n_rows)]),
-            np.concatenate([((np.arange(n_t) * n_k)[:, None] + grad_k).ravel(),
-                            np.column_stack([plus.ravel(), minus.ravel()]).ravel()]),
+            data, cols,
             np.concatenate([np.tile(np.bincount(grad_row, minlength=2 * n_i), n_t),
-                            np.full(n_rows, 2)]),
+                            np.full(n_y_edge, 2)]),
             n_cols=dofs.dim_dg)
         if not n_i:
             return None, ref
 
-        # J: inv_jacobian_t[t] on the row pair of each cell node
-        pairs = (np.arange(n_t * n_i) * 2)[:, None, None] + np.arange(2)
+        # J: inv_jacobian_t[t] on the row pair (2m, 2m + 1) of each cell node
+        # m, both rows with the columns 2m, 2m + 1
+        pairs = np.arange(n_y_cell, dtype=_index_dtype(2 * n_y_cell))
         jac = _csr_from_rows(
             np.repeat(mesh.inv_jacobian_t, n_i, axis=0).ravel(),
-            np.broadcast_to(pairs, (n_t * n_i, 2, 2)).ravel(),
-            np.full(dofs.dim_y_cell, 2),
-            n_cols=dofs.dim_y_cell)
+            np.tile(pairs.reshape(-1, 2), 2).ravel(),
+            np.full(n_y_cell, 2),
+            n_cols=n_y_cell)
         return jac, ref
+
+
+def _index_dtype(*sizes):
+    """int32 when every index and count up to ``sizes`` fits in it, else
+    int64: the index type scipy gives a sparse matrix of those sizes."""
+    return np.int32 if max(sizes) <= np.iinfo(np.int32).max else np.int64
 
 
 def _csr_from_rows(data, cols, row_nnz, n_cols):
     """CSR matrix whose row m holds the next row_nnz[m] entries of (data,
-    cols), in order."""
-    indptr = np.zeros(len(row_nnz) + 1, dtype=np.int64)
+    cols), in order.  The row pointers take the index type of ``cols``, and
+    scipy keeps both arrays without a copy when it is the type it picks."""
+    indptr = np.zeros(len(row_nnz) + 1, dtype=cols.dtype)
     np.cumsum(row_nnz, out=indptr[1:])
     return sp.csr_matrix((data, cols, indptr), shape=(len(row_nnz), n_cols))
 

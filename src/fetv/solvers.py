@@ -413,7 +413,7 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     then on; a budget of 0 gives the paper's fixed-lam iteration.  Each
     u-subproblem is a CG solve warm-started at the previous u (stop rule
     in :class:`QuadraticSolver`), ``extras["inner_iterations"]`` their
-    total CG iterations."""
+    total CG iterations, a stalled solve's included."""
     ctx = _Context(prob, params, space, huber=False)
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1e-3
@@ -428,8 +428,11 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
 
     def step(u, p):
         nonlocal d, lam
-        u = qs.solve(mf + ctx.op.transpose.dot(lam * ctx.yw * d - p), x0=u)
-        report.extras["inner_iterations"] = qs.iterations
+        try:
+            u = qs.solve(mf + ctx.op.transpose.dot(lam * ctx.yw * d - p),
+                         x0=u)
+        finally:    # a stalled solve's iterations count too
+            report.extras["inner_iterations"] = qs.iterations
         y = ctx.op.apply(u)
         p_new = _cp_dual_step(ctx, p, y, lam)
         d_prev, d = d, y + (p - p_new) / (lam * ctx.yw)
@@ -595,8 +598,10 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
         nonlocal d, e, g
         rhs = lam * ctx.scale * space.lumped_weights * (e + ctx.f - g) \
             + ctx.op.transpose.dot(lam * ctx.yw * d - p)
-        u = qs.solve(rhs, x0=u)
-        report.extras["inner_iterations"] = qs.iterations
+        try:
+            u = qs.solve(rhs, x0=u)
+        finally:    # a stalled solve's iterations count too
+            report.extras["inner_iterations"] = qs.iterations
         y = ctx.op.apply(u)
         p_new = _cp_dual_step(ctx, p, y, lam)
         d = y + (p - p_new) / (lam * ctx.yw)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -34,6 +35,17 @@ def smooth_disc(pts, center=(0.5, 0.5), radius=0.3, band=0.15):
 def sharp_disc(pts, center=(0.5, 0.5), radius=0.3):
     d = np.hypot(pts[:, 0] - center[0], pts[:, 1] - center[1])
     return (d <= radius).astype(float)
+
+
+def array_digest(*arrays):
+    """sha256 over the dtype, shape and bytes of each array in turn: a pin
+    that any change of type, layout or a single bit breaks."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()
 
 
 def random_dg(space, rng, scale=1.0):

@@ -132,7 +132,8 @@ def test_stalled_inner_solve_exit_code(tmp_path, disc_image, monkeypatch,
 def test_stalled_inner_solve_writes_report(tmp_path, disc_image,
                                            monkeypatch):
     """A stall exits 2 but still writes the report up to the stall, its
-    stop reason ``inner_stall``."""
+    stop reason ``inner_stall`` and its inner iterations those of the
+    stalled solve too."""
     monkeypatch.setattr(QuadraticSolver, "_MAX_ITER", 1)
     report = tmp_path / "rep.json"
     code = main(["denoise", "--input", str(disc_image),
@@ -144,6 +145,7 @@ def test_stalled_inner_solve_writes_report(tmp_path, disc_image,
     assert data["converged"] is False
     assert data["algorithm"] == "split-bregman"
     assert data["iterations"] == len(data["trace"])
+    assert data["inner_iterations"] >= QuadraticSolver._MAX_ITER
 
 
 def test_inpaint_with_mask(tmp_path, disc_image, capsys):

@@ -16,6 +16,7 @@ from fetv.dtv import (
     _project_l1_ball,
     _project_l2_ball,
 )
+from fetv.images import Raster, raster_to_dg
 from fetv.mesh import build_crossed_mesh
 from fetv.operators import DgFunction
 from fetv.spaces import FeSpace
@@ -194,6 +195,69 @@ def test_tv_exact_r2_cell_blocks(s, monkeypatch):
     # the package's dtv function shadows the module of the same name
     monkeypatch.setattr(sys.modules["fetv.dtv"], "_CELL_BLOCK", 7)
     assert tv_exact(u, s) == pytest.approx(whole, rel=1e-14)
+
+
+def _tv_exact_r2_everywhere(u, s):
+    """tv_exact at r = 2 as first written: the root split on every edge
+    and the cell quadrature on every cell, whatever their samples."""
+    from fetv.dtv import _edge_abs_integral_quadratic, _triangle_quadrature
+
+    space = u.space
+    y = space.grad_jump().apply(u.coeffs)
+    j = space.y_edge_view(y)
+    integral = _edge_abs_integral_quadratic(j[:, 0], j[:, 1], j[:, 2])
+    edge_total = float((integral * vector_norm(space.mesh.edge_normals, s)
+                        * space.mesh.edge_lengths).sum())
+    pts, wts = _triangle_quadrature()
+    basis = space.layout.sub.eval_cell(pts)
+    vals = vector_norm(basis @ space.y_cell_view(y), s) @ wts
+    return edge_total + float((vals * space.mesh.det_jacobian).sum())
+
+
+@pytest.mark.parametrize("s", ALL_S)
+@pytest.mark.parametrize("seed, block", [(35, None), (36, None), (37, 7)])
+def test_tv_exact_r2_skips_only_what_is_zero(s, seed, block, monkeypatch):
+    """An r = 2 function with constant cells beside varying ones has cells
+    with zero and nonzero gradients, and edges with constant, varying and
+    sign-changing jumps; tv_exact, which integrates only the nonzero
+    cells and the varying edges, matches the integral over all of them,
+    also when the nonzero cells fill several blocks, the last ragged."""
+    if block is not None:
+        monkeypatch.setattr(sys.modules["fetv.dtv"], "_CELL_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    space = FeSpace(build_crossed_mesh(6, 5, 1.0, 0.8), 2)
+    cells = space.cell_matrix(rng.standard_normal(space.dim_dg)).copy()
+    flat = rng.random(len(cells)) < 0.5
+    cells[flat] = rng.standard_normal(flat.sum())[:, None]
+    u = DgFunction(space, cells.ravel())
+
+    y = space.grad_jump().apply(u.coeffs)
+    zero = ~space.y_cell_view(y).reshape(len(cells), -1).any(axis=1)
+    assert 0 < zero.sum() < len(cells)
+    j = space.y_edge_view(y)
+    constant = (j == j[:, :1]).all(axis=1)
+    crossing = (j.min(axis=1) < 0) & (j.max(axis=1) > 0)
+    assert constant.any() and (~constant & ~crossing).any() and crossing.any()
+    assert tv_exact(u, s) == pytest.approx(_tv_exact_r2_everywhere(u, s),
+                                           rel=1e-14)
+
+
+@pytest.mark.parametrize("s", ALL_S)
+def test_tv_exact_of_a_raster_has_an_exact_zero_cell_part(s):
+    """A raster is ingested piecewise constant: every cell gradient sample
+    is an exact 0 and every jump is constant, so tv_exact is the sum of
+    |jump| times |n_E|_s times the edge length, to the bit."""
+    raster = Raster(7, 5, np.random.default_rng(38).random((5, 7)))
+    mesh, u = raster_to_dg(raster, 2)
+    y = u.space.grad_jump().apply(u.coeffs)
+    assert not u.space.y_cell_view(y).any()
+    j = u.space.y_edge_view(y)
+    assert (j == j[:, :1]).all()
+    edge_total = float((np.abs(j[:, 0]) * vector_norm(mesh.edge_normals, s)
+                        * mesh.edge_lengths).sum())
+    assert tv_exact(u, s) == edge_total
+    assert tv_exact(u, s) == pytest.approx(_tv_exact_r2_everywhere(u, s),
+                                           rel=1e-14)
 
 
 def test_error_decay_rate_dg2():

@@ -12,7 +12,7 @@ from fetv.mesh import (
     save_mesh,
 )
 
-from conftest import build_diagonal_square
+from conftest import array_digest, build_diagonal_square
 
 
 def test_crossed_counts_single_square(unit_crossed):
@@ -166,6 +166,26 @@ def test_hanging_node_rejected():
         Mesh(vertices, cells)
 
 
+@pytest.mark.parametrize("vertices, cells, message", [
+    # one hanging node on the big cell's bottom facet, one on its left
+    # facet; the bottom facet (0, 1) sorts first
+    ([(0, 0), (2, 0), (0, 2), (1, 0), (1, -1), (0, 1), (-1, 1)],
+     [(5, 2, 6), (0, 5, 6), (3, 1, 4), (0, 3, 4), (0, 1, 2)],
+     "hanging node: vertex 3 lies inside facet 0 of cell 4"),
+    # two hanging nodes on one facet: the lower vertex index is reported
+    ([(0, 0), (3, 0), (0, 3), (2, 0), (1, 0), (1, -1), (2, -1)],
+     [(1, 2, 0), (0, 4, 5), (4, 3, 6), (4, 6, 5), (3, 1, 6)],
+     "hanging node: vertex 3 lies inside facet 2 of cell 0"),
+])
+def test_two_hanging_nodes_report_the_first(vertices, cells, message):
+    """Of two hanging nodes the first in (boundary facet, vertex) order is
+    reported, in the words the per-facet loop that first checked them
+    used."""
+    with pytest.raises(MeshTopologyError) as info:
+        Mesh(vertices, cells)
+    assert str(info.value) == message
+
+
 def test_cell_geometry_maps_reference_vertices():
     m = build_crossed_mesh(2, 1, 2.0, 1.0)
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -187,3 +207,90 @@ def test_negative_orientation_rewound():
 def test_degenerate_cell_rejected():
     with pytest.raises(MeshTopologyError):
         Mesh([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
+
+
+# sha256 (conftest.array_digest) of every array of two crossed meshes, as
+# first built by a lexsort of the facets and a per-facet hanging-node loop
+_MESH_DIGESTS = {
+    (64, 64, 1, 1): {
+        "vertices":
+            "0206a3e540bb3be0150d8c9d33f66070f8a40ec8793c737195927da744739dba",
+        "cells":
+            "e82a09bd82ab3f0d5405314db7301e01d2cbed76829e8f40e918defc1df389ed",
+        "jacobian":
+            "3526e456f91a46425b0e634c5bbb964b9bfb75aae6d54af2b67646c737bd5ae6",
+        "shift":
+            "870b43cef484a50cf3cfb5905ea262d16ec3f67c971d79bc8712e15911ab02d1",
+        "det_jacobian":
+            "540ba09cb156d0f290d9eb46ebd82d134d44e04230813a4cca2cf2446e5228b3",
+        "inv_jacobian":
+            "eda01da3984936817873f1a709300e1569ffad4a7dc1c28c2460864c0187b3dc",
+        "inv_jacobian_t":
+            "96d3f750bd31307cf115f02052fb669babde9fdb7d226489237a732954b883d7",
+        "cell_areas":
+            "279af2d37a7ef889c229fc6bd18296e9d989a44ec0a3336fb063d2a4fc30cabb",
+        "edge_vertices":
+            "291d320163d473034c5d9132236f5d50cc78ec02bc456c11730a2a02021cb4ce",
+        "edge_cells":
+            "1524922f008963e7439859864676d887dcd9b1b122833b42259287542a2de9c1",
+        "edge_facets":
+            "2cf62820956b1e101d5b57c6b638b4a8a1be22a2ce0d762958da1faee5dfb90a",
+        "edge_orientations":
+            "7888c9c796a8db701e2943be3f893b7cbf3b864d71f7656d538d6d875974e786",
+        "edge_normals":
+            "6bd89aea51edc38d92680630c44131f893bf34b02be56a38fb5286a0869d616a",
+        "edge_lengths":
+            "66604121651481195845d5c743c823f2562336d39d0b6d3d7a500cc47e941234",
+        "boundary_edge_vertices":
+            "8913bac5aba945874df736d0739b8f001452d436e2a92ee422537f949d5a7f61",
+        "boundary_edge_cells":
+            "d7f6eba4feca62683eb8d2e86a4273ce4f715e4bb3c7923fb34a6eb0189d7a44",
+        "boundary_edge_facets":
+            "419e7ebeccad1d0cd1aba6c63ba45876e6e1fcbfcf7759c48129a38503cb5fc0",
+    },
+    (5, 3, 1.0, 0.6): {
+        "vertices":
+            "17c9153aa06a43a46ac43d167d4a2ff23ee54281a9587714a0502f3acfb9e738",
+        "cells":
+            "8bf44dfc32d84128fb5009478d979640cf3e9700d11d1bb893e1df5e4db6b296",
+        "jacobian":
+            "553cb4220ce3c2bf34526ddc4aa5a7962254973fec68f6c0ffe492c324667976",
+        "shift":
+            "cdd598a72fc23150a50edd0bc30c22fce59611621f23f016826657da7df134eb",
+        "det_jacobian":
+            "d5ae8990f9becad0cd36c0636a5bd5e24420976d898e0111db8c577c3d1c6173",
+        "inv_jacobian":
+            "72f90129cf51ed9669c4a6c040fd11b41972fc3cc852ea06a29802bcf1e400a4",
+        "inv_jacobian_t":
+            "c510e67d68ff41872203c4cf5c5d921c2bf5de595af26ec38fb19c5c50d16db5",
+        "cell_areas":
+            "b596f0174262fc060f0d8dea0f1cb747395690fb40c1a12ea19c759c942bee17",
+        "edge_vertices":
+            "7bb4a7f7e0a62825b26c7024f06ad4b96f3950144e26ce9a7e842533e55dbda0",
+        "edge_cells":
+            "c5c4358e842bad87d61b5afb01303712c754f8823d78bc4b9101e0c44998cd04",
+        "edge_facets":
+            "63a025495b4d9db1991265cf4d7ceff13b58ec5c81aa0b866d978e149059a0cc",
+        "edge_orientations":
+            "20a3487843e2d3a7203c626289dc55a6214f212e7ce3e69ece4791d162cf7fae",
+        "edge_normals":
+            "c55f80e879280b3142abff321e0ed878aa0d0f6daafd62384fccbfce5d9cf6ef",
+        "edge_lengths":
+            "723fe61afae3130ccbe211e17cab37b208fd5cae56ab0d5d8d457b268ad29040",
+        "boundary_edge_vertices":
+            "2eb945dcc1fa908f97b41e601c24bca40352dfa85dec596c1a123cf60d7e95c8",
+        "boundary_edge_cells":
+            "8cf26a5e10771fa93b464b3e2399ce5e65b47c5fe2bd97a4b3441c0a71317a13",
+        "boundary_edge_facets":
+            "847172c418bb1bee750302fef6c71ece11598be01dbbdb1f8233a2553f16c683",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(_MESH_DIGESTS))
+def test_crossed_mesh_arrays_are_pinned(args):
+    """Every mesh array keeps its dtype, shape and bits, so the spaces and
+    operators built on the mesh, and every solver iterate, keep theirs."""
+    mesh = build_crossed_mesh(*args)
+    assert {name: array_digest(getattr(mesh, name))
+            for name in _MESH_DIGESTS[args]} == _MESH_DIGESTS[args]

@@ -9,7 +9,7 @@ from fetv.operators import InnerSolveError, QuadraticSolver, divergence
 from fetv.solvers import ProblemSpec, SolverParams, _Context
 from fetv.spaces import FeSpace
 
-from conftest import build_diagonal_square
+from conftest import array_digest, build_diagonal_square
 from rt_oracle import oracle_lumped_divergence, oracle_pairing, to_field_dofs
 
 
@@ -483,3 +483,49 @@ def test_large_lambda_shrinks_gradient(spaces_2x2):
         u = solver.solve(mf)
         norms.append(np.linalg.norm(op.apply(u)))
     assert norms[0] > norms[1] > norms[2]
+
+
+# sha256 (conftest.array_digest) of the data, indices and indptr of J,
+# Lambda_ref and the assembled Lambda^T on the 64x64 crossed mesh, as
+# first assembled; J is None at r = 0, where Lambda_ref is the CSC view
+# of Lambda^T
+_LAMBDA_DIGESTS = {
+    0: (
+        None,
+        ("csc",
+         "fc57d0df307c2a8dfc1494bf9e292585113524eb8e8cd0d3eca2d225bbfaf0c2"),
+        ("csr",
+         "fc57d0df307c2a8dfc1494bf9e292585113524eb8e8cd0d3eca2d225bbfaf0c2"),
+    ),
+    1: (
+        ("csr",
+         "031d73ee72d1317f2f69bc90e01e8d5e535dea2e7b1f7fe76ee32ed1fb4eaee3"),
+        ("csr",
+         "1b742f362de895dc4044d9cef0f04e456cdbef6aec9b6b1718626be72b97e036"),
+        ("csr",
+         "212a01d32d09d88bfb7a193af9da49f0154ef3ac85bce439a279088294c6a9d6"),
+    ),
+    2: (
+        ("csr",
+         "8f77103651ec4d8bd5eb8e748a408bc29fa6f551bbb58f4cc7cc63f09d41481a"),
+        ("csr",
+         "7d9b0168104f026043c80168733da79595b81b7e434846e07100eeeff232ebb6"),
+        ("csr",
+         "d42f6a7883134c07719981e5245064c992065535cb72de0783b1618d402999f0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_lambda_factors_are_pinned(r):
+    """J, Lambda_ref and Lambda^T keep their format, dtypes and bits, so
+    every product with them, and every solver iterate, keeps its bits."""
+    op = FeSpace(build_crossed_mesh(64, 64, 1, 1), r).grad_jump()
+
+    def digest(m):
+        return None if m is None else (
+            m.format, array_digest(m.data, m.indices, m.indptr))
+
+    jac, ref = op.factors
+    assert (digest(jac), digest(ref), digest(op.transpose)) \
+        == _LAMBDA_DIGESTS[r]

@@ -559,7 +559,8 @@ def test_solver_input_validation(spaces_2x2):
 @pytest.mark.parametrize("solver", [split_bregman_l2, admm_l1])
 def test_inner_stall_carries_the_report(solver, monkeypatch):
     """An inner stall ends the run with InnerSolveError carrying the report
-    so far; its stop reason round-trips through to_dict and JSON."""
+    so far; its stop reason round-trips through to_dict and JSON, and its
+    inner iteration count includes the stalled solve's."""
     monkeypatch.setattr(QuadraticSolver, "_MAX_ITER", 1)
     mesh, space, _, noisy = _denoise_instance(n=8, r=0)
     prob = ProblemSpec(mesh=mesh, degree=0, f=noisy.coeffs, beta=1e-2)
@@ -567,6 +568,7 @@ def test_inner_stall_carries_the_report(solver, monkeypatch):
         solver(prob, space=space)
     report = info.value.report
     assert report.stop_reason == "inner_stall" and not report.converged
+    assert report.extras["inner_iterations"] >= info.value.iterations >= 1
     assert report.iterations == len(report.trace)
     assert report.seconds > 0
     assert report.to_dict()["stop_reason"] == "inner_stall"
