@@ -9,6 +9,7 @@ linear solve stalled (nothing is written).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -74,11 +75,13 @@ def build_parser():
 
     p = subs.add_parser("denoise", help="TV denoising of a PGM image")
     _solver_arguments(p)
+    p.set_defaults(run=functools.partial(_cmd_solver, inpaint=False))
 
     p = subs.add_parser("inpaint", help="TV inpainting (and denoising)")
     _solver_arguments(p)
     p.add_argument("--mask", required=True,
                    help="cell-index text file or PGM (dark pixels masked)")
+    p.set_defaults(run=functools.partial(_cmd_solver, inpaint=True))
 
     p = subs.add_parser("dtv", help="print dtv, exact tv and their difference")
     p.add_argument("--input", default=None, help="PGM image input")
@@ -87,6 +90,7 @@ def build_parser():
                    help="coefficient file (one value per line)")
     p.add_argument("--degree", type=int, default=0, choices=(0, 1, 2))
     p.add_argument("--s", type=int, default=2, choices=(1, 2))
+    p.set_defaults(run=_cmd_dtv)
 
     p = subs.add_parser("make-mesh", help="generate a crossed-diagonal mesh")
     p.add_argument("nx", type=int)
@@ -96,12 +100,14 @@ def build_parser():
     p.add_argument("--height", type=float, default=None,
                    help="domain height (default: width * ny / nx)")
     p.add_argument("--output", required=True)
+    p.set_defaults(run=_cmd_make_mesh)
 
     p = subs.add_parser("add-noise", help="add Gaussian noise to a PGM image")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
     p.add_argument("--sigma", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=_cmd_add_noise)
     return parser
 
 
@@ -242,17 +248,7 @@ def main(argv=None):
     try:
         _apply_preset(argv, parser)
         args = parser.parse_args(argv[1:])
-        if args.command == "denoise":
-            return _cmd_solver(args, inpaint=False)
-        if args.command == "inpaint":
-            return _cmd_solver(args, inpaint=True)
-        if args.command == "dtv":
-            return _cmd_dtv(args)
-        if args.command == "make-mesh":
-            return _cmd_make_mesh(args)
-        if args.command == "add-noise":
-            return _cmd_add_noise(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_ERROR

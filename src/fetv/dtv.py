@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -107,15 +107,12 @@ def _duffy_rule(n):
             np.concatenate([wq, wq, wq]) / 3.0)
 
 
-_TRI_QUAD = None
 _CELL_BLOCK = 256       # cells per block of quadrature-point gradients
 
 
+@cache
 def _triangle_quadrature():
-    global _TRI_QUAD
-    if _TRI_QUAD is None:
-        _TRI_QUAD = _duffy_rule(6)  # degree 10
-    return _TRI_QUAD
+    return _duffy_rule(6)  # degree 10
 
 
 def _edge_abs_integral_affine(v0, v1):
@@ -134,8 +131,6 @@ def _edge_abs_integral_quadratic(v0, vm, v1):
     b = -3.0 * v0 + 4.0 * vm - v1
     c = v0
 
-    r1 = np.zeros_like(a)
-    r2 = np.zeros_like(a)
     quad = np.abs(a) > 1e-14 * (np.abs(b) + np.abs(c) + np.abs(a))
     with np.errstate(invalid="ignore", divide="ignore"):
         disc = b * b - 4.0 * a * c

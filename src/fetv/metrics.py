@@ -112,8 +112,6 @@ def random_words(n, seed):
 
 def standard_normals(n, seed):
     """n standard normal draws by Box-Muller over the pinned word stream."""
-    if n == 0:
-        return np.zeros(0)
     pairs = (n + 1) // 2
     words = random_words(2 * pairs, seed)
     u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
@@ -138,8 +136,9 @@ class NoiseSpec:
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got "
                              f"{self.sigma}")
-        if not (isinstance(self.seed, numbers.Integral)
-                and 0 <= int(self.seed) <= _MASK):
+        if (isinstance(self.seed, bool)
+                or not isinstance(self.seed, numbers.Integral)
+                or not 0 <= int(self.seed) <= _MASK):
             raise ValueError(f"seed must be an integer in [0, 2^64), got "
                              f"{self.seed!r}")
 
@@ -148,11 +147,7 @@ def add_noise(u, spec: NoiseSpec):
     """Add sigma * N(0, 1) draws to every coefficient; deterministic per
     seed.  Accepts a DgFunction (returning one) or a plain array."""
     if hasattr(u, "coeffs"):
-        noisy = u.copy()
-        if spec.sigma > 0:
-            noisy.coeffs += spec.sigma * standard_normals(noisy.coeffs.size,
-                                                          spec.seed)
-        return noisy
+        return type(u)(u.space, add_noise(u.coeffs, spec))
     values = np.array(u, dtype=float)
     if spec.sigma > 0:
         values += spec.sigma * standard_normals(values.size, spec.seed) \

@@ -30,7 +30,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -119,11 +119,12 @@ class ProblemSpec:
     huber_eps: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.beta < math.inf:
+        if isinstance(self.beta, (bool, np.bool_)) \
+                or not 0 < self.beta < math.inf:
             raise ValueError("beta must be positive and finite (beta = 0 "
                              "reduces to u = f on the data region and is "
                              "undefined elsewhere)")
-        if self.s not in (1, 2):
+        if isinstance(self.s, (bool, np.bool_)) or self.s not in (1, 2):
             raise ValueError("solvers support s in {1, 2}")
         if not 0 <= self.huber_eps < math.inf:
             raise ValueError("huber_eps must be nonnegative and finite")
@@ -164,13 +165,16 @@ class SolverParams:
             raise ValueError("eps_rel must be nonnegative and finite")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+        if isinstance(self.max_iter, bool) or not isinstance(
+                self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
 
 
 @dataclass
 class SolverReport:
+    # the field order is the key order of to_dict, which adds extras last
     algorithm: str
+    params: dict = field(default_factory=dict)
     iterations: int = 0
     seconds: float = 0.0
     objective: float = None
@@ -179,29 +183,21 @@ class SolverReport:
     psnr: float = None
     converged: bool = False
     stop_reason: str = None
-    params: dict = field(default_factory=dict)
     trace: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
     def to_dict(self):
-        out = {
-            "algorithm": self.algorithm,
-            "params": self.params,
-            "iterations": self.iterations,
-            "seconds": self.seconds,
-            "objective": self.objective,
-            "gap": self.gap,
-            "infeasibility": self.infeasibility,
-            "psnr": self.psnr,
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "trace": self.trace,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "extras"}
         out.update(self.extras)
         return out
 
     def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
+        """The report as RFC 8259 JSON: non-finite floats (the psnr of an
+        exact reconstruction is inf) are written as null."""
+        text = json.dumps(self.to_dict())     # with Infinity / NaN tokens
+        return json.dumps(json.loads(text, parse_constant=lambda _: None),
+                          indent=2)
 
 
 class _Context:

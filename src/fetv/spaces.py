@@ -30,7 +30,7 @@ same per-dof weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import factorial
@@ -209,20 +209,11 @@ class DofMap:
     the edge block, edge-major with nodes by increasing parameter.
     """
 
-    degree: int
     num_cells: int
     num_edges: int
-    # the layout's counts, stored: cell_matrix reads n_cell_basis on every
-    # mass product
-    n_cell_basis: int = field(init=False)
-    n_sub_basis: int = field(init=False)
-    n_edge_basis: int = field(init=False)
-
-    def __post_init__(self):
-        lay = lagrange_layout(self.degree)
-        object.__setattr__(self, "n_cell_basis", lay.n_cell)
-        object.__setattr__(self, "n_sub_basis", lay.n_sub)
-        object.__setattr__(self, "n_edge_basis", lay.n_edge)
+    n_cell_basis: int
+    n_sub_basis: int
+    n_edge_basis: int
 
     @property
     def dim_dg(self):
@@ -249,8 +240,8 @@ class FeSpace:
         self.mesh = mesh
         self.degree = r
         self.layout = lay = lagrange_layout(r)
-        self.dofs = DofMap(degree=r, num_cells=mesh.num_cells,
-                           num_edges=mesh.num_interior_edges)
+        self.dofs = DofMap(mesh.num_cells, mesh.num_interior_edges,
+                           lay.n_cell, lay.n_sub, lay.n_edge)
         self.cell_weights = mesh.cell_areas[:, None] * lay.cell_interior  # c_{T,i}
         self.edge_weights = mesh.edge_lengths[:, None] * lay.edge
         self.mass_ref = lay.mass_ref                 # per unit det B_T

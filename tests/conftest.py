@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -46,6 +47,14 @@ def array_digest(*arrays):
         h.update(f"{a.dtype.str}{a.shape}".encode())
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+def strict_json(text):
+    """Parse RFC 8259 JSON: the Infinity and NaN tokens that Python's json
+    writes and reads by default are errors."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
 
 
 def random_dg(space, rng, scale=1.0):

@@ -8,8 +8,9 @@ from fetv.cli import _apply_preset, build_parser, main
 from fetv.images import Raster, load_pgm, save_pgm
 from fetv.mesh import load_mesh
 from fetv.operators import QuadraticSolver
+from fetv.solvers import ALGORITHMS
 
-from conftest import smooth_disc
+from conftest import smooth_disc, strict_json
 
 
 PRESETS = pathlib.Path(__file__).resolve().parents[1] / "presets"
@@ -93,6 +94,22 @@ def test_invalid_config_exit_code(tmp_path, disc_image, capsys):
     assert code == 1
     code = main(["denoise", "--input", str(tmp_path / "missing.pgm")])
     assert code == 1
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_report_of_an_exact_reconstruction_is_strict_json(
+        tmp_path, capsys, algorithm):
+    """A constant image is reconstructed exactly, so its PSNR is infinite:
+    stdout prints psnr=inf and the report writes null."""
+    image = tmp_path / "const.pgm"
+    save_pgm(Raster(8, 8, np.full(64, 0.5)), image)
+    report = tmp_path / "rep.json"
+    code = main(["denoise", "--input", str(image), "--algorithm", algorithm,
+                 "--report", str(report)])
+    assert code == 0
+    assert "psnr=inf" in capsys.readouterr().out.splitlines()
+    data = strict_json(report.read_text())
+    assert data["psnr"] is None and data["converged"] is True
 
 
 def test_non_convergence_exit_code(tmp_path, disc_image, capsys):

@@ -77,6 +77,12 @@ def test_normals_golden():
          1.4264823081293445, 0.10285171497850024], abs=1e-15)
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_no_normals_is_an_empty_float64_array(seed):
+    z = standard_normals(0, seed)
+    assert z.shape == (0,) and z.dtype == np.float64
+
+
 def test_normals_statistics():
     z = standard_normals(100000, 123)
     assert abs(z.mean()) <= 3.0 / math.sqrt(100000)
@@ -92,6 +98,20 @@ def test_add_noise_deterministic(spaces_2x2):
     assert (a.coeffs == b.coeffs).all()
     c = add_noise(u, NoiseSpec(sigma=0.1, seed=8))
     assert (a.coeffs != c.coeffs).any()
+
+
+def test_add_noise_is_the_same_on_a_function_and_its_coefficients(
+        spaces_2x2):
+    space = spaces_2x2[2]
+    u = DgFunction(space, np.linspace(0, 1, space.dim_dg))
+    before = u.coeffs.copy()
+    spec = NoiseSpec(sigma=0.3, seed=11)
+    noisy = add_noise(u, spec)
+    assert isinstance(noisy, DgFunction) and noisy.space is space
+    assert np.array_equal(noisy.coeffs, add_noise(u.coeffs, spec))
+    assert np.array_equal(noisy.coeffs,
+                          add_noise(u.coeffs.reshape(-1, 6), spec).ravel())
+    assert np.array_equal(u.coeffs, before)
 
 
 def test_add_noise_sigma_zero_identity(spaces_2x2):
@@ -113,7 +133,7 @@ def test_noise_spec_validation():
 def test_noise_spec_takes_64_bit_seeds_only():
     """The seed is the SplitMix64 seed itself: an integer in [0, 2^64);
     anything else is an error, not reduced mod 2^64 or truncated."""
-    for seed in (-1, 2**64, 2**65 + 7, 1.0, 7.5, "7", None):
+    for seed in (-1, 2**64, 2**65 + 7, 1.0, 7.5, "7", None, True):
         with pytest.raises(ValueError, match=r"seed must be an integer in "
                                              r"\[0, 2\^64\)"):
             NoiseSpec(seed=seed)

@@ -31,7 +31,7 @@ from fetv.solvers import (
 )
 from fetv.spaces import FeSpace
 
-from conftest import bregman_shrink, sharp_disc, smooth_disc
+from conftest import bregman_shrink, sharp_disc, smooth_disc, strict_json
 
 
 def _denoise_instance(n=16, r=0, sigma=0.1, seed=42):
@@ -72,6 +72,12 @@ def test_problem_spec_validation(unit_crossed):
     with pytest.raises(ValueError):
         solve(ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=1.0),
               "unknown-algorithm")
+    # a bool is no number here, though True == 1
+    for bad in (True, np.True_):
+        with pytest.raises(ValueError, match="beta must be positive"):
+            ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=bad)
+        with pytest.raises(ValueError, match=r"s in \{1, 2\}"):
+            ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=1.0, s=bad)
 
 
 def test_split_bregman_constant_one_iteration(spaces_2x2):
@@ -550,7 +556,7 @@ def test_solver_input_validation(spaces_2x2):
         with pytest.raises(ValueError, match=f"{name} must be a real number"):
             SolverParams(**{name: bad})
     assert SolverParams(lam=np.float64(2.0), theta=1, eps_rel=0).theta == 1
-    for max_iter in (2.5, 0, "10", None):
+    for max_iter in (2.5, 0, "10", None, True):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             SolverParams(max_iter=max_iter)
     assert SolverParams(max_iter=np.int64(3)).max_iter == 3
@@ -616,6 +622,44 @@ def test_report_json_roundtrip():
     assert data["stop_reason"] == rep.stop_reason == "gap"
     assert data["step_s"] == rep.extras["step_s"]
     assert data["monitor_s"] == rep.extras["monitor_s"]
+
+
+def _fixed_report(psnr, trace_gap):
+    return SolverReport(
+        algorithm="chambolle-pock", iterations=2, seconds=0.5,
+        objective=0.25, gap=np.float64(1e-05), infeasibility=0.0, psnr=psnr,
+        converged=True, stop_reason="gap",
+        params={"sigma": 0.1, "tau": 2.5, "degree": 1},
+        trace=[{"gap": 0.5}, {"gap": trace_gap}],
+        extras={"step_s": 0.375, "inner_iterations": 7})
+
+
+def test_report_keys_and_json_are_frozen():
+    """The report's key order is its fields' order with params second, then
+    its extras; the JSON text is pinned byte for byte."""
+    report = _fixed_report(31.5, 1e-05)
+    assert list(report.to_dict()) == [
+        "algorithm", "params", "iterations", "seconds", "objective", "gap",
+        "infeasibility", "psnr", "converged", "stop_reason", "trace",
+        "step_s", "inner_iterations"]
+    assert report.to_json() == (
+        '{\n  "algorithm": "chambolle-pock",\n  "params": {\n'
+        '    "sigma": 0.1,\n    "tau": 2.5,\n    "degree": 1\n  },\n'
+        '  "iterations": 2,\n  "seconds": 0.5,\n  "objective": 0.25,\n'
+        '  "gap": 1e-05,\n  "infeasibility": 0.0,\n  "psnr": 31.5,\n'
+        '  "converged": true,\n  "stop_reason": "gap",\n  "trace": [\n'
+        '    {\n      "gap": 0.5\n    },\n    {\n      "gap": 1e-05\n'
+        '    }\n  ],\n  "step_s": 0.375,\n  "inner_iterations": 7\n}')
+
+
+def test_report_json_writes_non_finite_values_as_null():
+    """to_json is RFC 8259 JSON: inf and nan, at the top or nested, become
+    null, and every other value is written as before."""
+    report = _fixed_report(math.inf, math.nan)
+    assert report.to_dict()["psnr"] == math.inf
+    data = strict_json(report.to_json())
+    assert data["psnr"] is None and data["trace"][1]["gap"] is None
+    assert report.to_json() == _fixed_report(None, None).to_json()
 
 
 def _inexact_cases():

@@ -148,6 +148,17 @@ def test_dofmap_dimensions(unit_crossed):
     assert d2.dim_dg == 24 and d2.dim_y == 4 * 6 + 4 * 3
 
 
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_dofmap_counts_are_the_layout_counts(unit_crossed, r):
+    dofs = FeSpace(unit_crossed, r).dofs
+    lay = lagrange_layout(r)
+    assert (dofs.num_cells, dofs.num_edges) \
+        == (unit_crossed.num_cells, unit_crossed.num_interior_edges)
+    assert (dofs.n_cell_basis, dofs.n_sub_basis, dofs.n_edge_basis) \
+        == (lay.n_cell, lay.n_sub, lay.n_edge) \
+        == ((r + 1) * (r + 2) // 2, r * (r + 1) // 2, r + 1)
+
+
 def test_dofmap_paper_scale():
     mesh = build_crossed_mesh(256, 256, 256.0, 256.0)
     assert FeSpace(mesh, 1).dofs.dim_dg == 786432
