@@ -133,7 +133,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.sigma < math.inf:
+        if isinstance(self.sigma, (bool, np.bool_)) \
+                or not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be nonnegative and finite, got "
                              f"{self.sigma}")
         if (isinstance(self.seed, bool)

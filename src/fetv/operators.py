@@ -6,10 +6,11 @@ Lambda is applied in the factored form J * Lambda_ref (see
 :class:`GradJumpOperator`), the assembled product is stored once, as the
 CSR matrix of Lambda^T, and serves the divergence and the quadratic form
 K = Lambda^T W Lambda.  :class:`QuadraticSolver` splits K once into its
-dense cell blocks and the sparse couplings between the two cells of each
-edge.  At each lam the u-system F + lam * K is rebuilt as the block
-diagonal of its cell blocks plus lam times the couplings, and the inverses
-of those cell blocks form the block Jacobi preconditioner.
+dense cell blocks and the sparse couplings C between the two cells of each
+edge.  At each lam it writes the cell blocks B of the u-system
+F + lam * K = B + lam * C and their inverses, the block Jacobi
+preconditioner, in place; a CG iteration multiplies only lam * C and
+carries B times its search direction in the recurrence.
 
 Dual vector fields never appear as pointwise functions here: an RT function
 is represented solely by its integral dof vector, laid out exactly like a
@@ -235,13 +236,20 @@ class QuadraticSolver:
 
     K = Lambda^T W Lambda is split once into its dense (n_t, n_k, n_k) cell
     blocks, the entries whose row and column fall in one cell, and the CSR
-    matrix of its couplings, one -w entry per edge node between the edge's
-    two cells.  The fidelity block F is block diagonal and the caller's:
-    ``fidelity = (w, F_ref)`` means F_T = w_T * F_ref, by default the mass
-    (det B_T, mass_ref).  ``set_lam`` forms the cell blocks of A(lam),
-    builds ``matrix`` as their block diagonal plus lam times the couplings
-    and inverts them into the block Jacobi preconditioner, equal to a fresh
-    build bit for bit.  The system is SPD and solved by preconditioned CG.
+    matrix C of its couplings, one -w entry per edge node between the
+    edge's two cells.  The fidelity block F is block diagonal and the
+    caller's: ``fidelity = (w, F_ref)`` means F_T = w_T * F_ref, by default
+    the mass (det B_T, mass_ref).  So A(lam) = B + lam * C with B the block
+    diagonal of the cell blocks B_T = w_T * F_ref + lam * K_T.  ``set_lam``
+    writes B, lam * C and the block Jacobi preconditioner B^-1 into storage
+    of fixed size, equal to a fresh build bit for bit.  ``matrix``, the
+    assembled A(lam), is built only when read.
+
+    The system is SPD and solved by preconditioned CG.  With z = B^-1 r and
+    p <- z + beta p, the product B p follows the recurrence q <- r + beta q
+    from q = r (Eisenstat, SIAM J. Sci. Stat. Comput. 2, 1981), so a CG
+    iteration multiplies only lam * C.  q equals B p up to the rounding of
+    the computed inverse.
 
     A cold solve (no ``x0``) stops at ||r|| <= ``_TOL`` ||b||.  A solve
     warm-started at ``x0`` stops at ||r|| <= max(``_TOL`` ||b||,
@@ -277,33 +285,52 @@ class QuadraticSolver:
         self._k_blocks, self._couplings = _split_cell_blocks(
             lmat.T @ lmat.multiply(space.y_weight_vector(scale)[:, None]),
             n_k)
-        # the block-diagonal CSR preconditioner; its data is the row-major
-        # (n_t, n_k, n_k) stack of the blocks
+        c = self._couplings
+        self._lam_couplings = sp.csr_matrix(
+            (np.empty_like(c.data), c.indices, c.indptr), shape=c.shape)
+        # B and B^-1 as block-diagonal CSR matrices on one indptr/indices;
+        # the data of each is the row-major (n_t, n_k, n_k) stack of blocks
         self._block_inv = sp.bsr_matrix(
             (np.zeros((n_t, n_k, n_k)), np.arange(n_t), np.arange(n_t + 1)),
-            shape=self._couplings.shape).tocsr()
+            shape=c.shape).tocsr()
+        inv = self._block_inv
+        self._block = sp.csr_matrix(
+            (np.empty_like(inv.data), inv.indices, inv.indptr),
+            shape=c.shape)
         self.set_lam(lam)
 
     def set_lam(self, lam):
-        """Change the penalty to ``lam``: ``matrix`` is rebuilt from the
-        lam-free parts, and the inverses of its cell blocks are written into
-        the preconditioner's storage."""
+        """Change the penalty to ``lam``: the cell blocks of A(lam), lam * C
+        and the block inverses are rewritten in their storage, and
+        ``matrix`` is reassembled on its next read."""
         if not lam > 0:
             raise ValueError("lam must be positive")
         self.lam = lam
-        # the cell blocks of A(lam) are formed in the preconditioner's
-        # storage, summed with the couplings, then inverted in place
-        block_diag = self._block_inv
-        blocks = block_diag.data.reshape(self._k_blocks.shape)
+        self._matrix = None
+        np.multiply(lam, self._couplings.data, out=self._lam_couplings.data)
+        blocks = self._block.data.reshape(self._k_blocks.shape)
         np.multiply(lam, self._k_blocks, out=blocks)
         blocks += self._fid_w[:, None, None] * self._fid_ref
-        self.matrix = None      # free the old system before the new sum
-        self.matrix = block_diag + lam * self._couplings
         try:
-            blocks[:] = np.linalg.inv(blocks)
+            self._block_inv.data.reshape(blocks.shape)[:] = \
+                np.linalg.inv(blocks)
         except np.linalg.LinAlgError as exc:  # pragma: no cover
             raise RuntimeError("singular cell block in preconditioner") \
                 from exc
+
+    @property
+    def matrix(self):
+        """The assembled A(lam) = B + lam * C as CSR, built on first read
+        after a change of lam."""
+        if self._matrix is None:
+            self._matrix = self._block + self._lam_couplings
+        return self._matrix
+
+    def _apply(self, x):
+        """A(lam) x as B x + lam * C x, without the assembled matrix."""
+        ax = self._block.dot(x)
+        ax += self._lam_couplings.dot(x)
+        return ax
 
     def _precondition(self, r):
         return self._block_inv.dot(r)
@@ -312,37 +339,44 @@ class QuadraticSolver:
         """Solve by preconditioned CG to ||r|| <= ``_TOL`` ||b|| from zero,
         or to ||r|| <= max(``_TOL`` ||b||, ``_REDUCTION`` ||b - A x0||) from
         ``x0``; raises InnerSolveError, with the residual relative to ||b||,
-        when ``_MAX_ITER`` steps do not get there."""
+        when ``_MAX_ITER`` steps do not get there.  The stop test reads the
+        recurrence residual; the true residual b - A x differs from it by
+        the rounding of B B^-1 carried in q."""
         b = np.asarray(rhs).ravel()
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros_like(b)
-        a = self.matrix
         x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-        r = b - a.dot(x)
+        r = b - self._apply(x)
         rnorm = np.linalg.norm(r)
         tol = self._TOL * bnorm
         if x0 is not None:
             tol = max(tol, self._REDUCTION * rnorm)
+        lam_c = self._lam_couplings
         z = self._precondition(r)
         p = z.copy()
+        q = r.copy()                    # B p
         rz = r @ z
         for it in range(self._MAX_ITER):
             if rnorm <= tol:
                 self.iterations += it
                 return x
-            ap = a.dot(p)
+            ap = lam_c.dot(p)
+            ap += q
             alpha = rz / (p @ ap)
             x += alpha * p
             r -= alpha * ap
             rnorm = np.linalg.norm(r)
             z = self._precondition(r)
             rz_new = r @ z
-            p *= rz_new / rz
+            beta = rz_new / rz
+            p *= beta
             p += z
+            q *= beta
+            q += r
             rz = rz_new
         self.iterations += self._MAX_ITER
-        res = np.linalg.norm(b - a.dot(x))
+        res = np.linalg.norm(b - self._apply(x))
         if res <= tol:
             return x
         raise InnerSolveError(res / bnorm, self._MAX_ITER)

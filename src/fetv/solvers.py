@@ -119,6 +119,11 @@ class ProblemSpec:
     huber_eps: float = 0.0
 
     def __post_init__(self):
+        if isinstance(self.degree, bool) \
+                or not isinstance(self.degree, numbers.Integral) \
+                or self.degree not in (0, 1, 2):
+            raise ValueError(f"degree must be an integer in {{0, 1, 2}}, "
+                             f"got {self.degree!r}")
         if isinstance(self.beta, (bool, np.bool_)) \
                 or not 0 < self.beta < math.inf:
             raise ValueError("beta must be positive and finite (beta = 0 "
@@ -126,7 +131,8 @@ class ProblemSpec:
                              "undefined elsewhere)")
         if isinstance(self.s, (bool, np.bool_)) or self.s not in (1, 2):
             raise ValueError("solvers support s in {1, 2}")
-        if not 0 <= self.huber_eps < math.inf:
+        if isinstance(self.huber_eps, (bool, np.bool_)) \
+                or not 0 <= self.huber_eps < math.inf:
             raise ValueError("huber_eps must be nonnegative and finite")
         if self.huber_eps > 0 and self.s != 2:
             raise ValueError("the Huber variant is defined for s = 2 only")

@@ -124,7 +124,7 @@ def test_add_noise_sigma_zero_identity(spaces_2x2):
 
 
 def test_noise_spec_validation():
-    for sigma in (-0.1, -math.inf, math.inf, math.nan):
+    for sigma in (-0.1, -math.inf, math.inf, math.nan, True, np.True_):
         with pytest.raises(ValueError, match="nonnegative and finite"):
             NoiseSpec(sigma=sigma)
     assert NoiseSpec(sigma=0.0).sigma == 0.0

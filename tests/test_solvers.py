@@ -78,6 +78,16 @@ def test_problem_spec_validation(unit_crossed):
             ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=bad)
         with pytest.raises(ValueError, match=r"s in \{1, 2\}"):
             ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=1.0, s=bad)
+        with pytest.raises(ValueError, match="huber_eps must be nonnegative"):
+            ProblemSpec(mesh=unit_crossed, degree=0, f=f, huber_eps=bad)
+    # the degree is one of the three the spaces are built for, and an int:
+    # True and 1.0 would otherwise run as DG_1 and be echoed in the report
+    for bad in (True, np.True_, 1.0, np.float64(0.0), 3, -1, "1", None):
+        with pytest.raises(ValueError, match=r"degree must be an integer in "
+                                             r"\{0, 1, 2\}"):
+            ProblemSpec(mesh=unit_crossed, degree=bad, f=f)
+    for r in (0, 1, 2, np.int64(2)):
+        assert ProblemSpec(mesh=unit_crossed, degree=r, f=f).degree == r
 
 
 def test_split_bregman_constant_one_iteration(spaces_2x2):
@@ -660,6 +670,52 @@ def test_report_json_writes_non_finite_values_as_null():
     data = strict_json(report.to_json())
     assert data["psnr"] is None and data["trace"][1]["gap"] is None
     assert report.to_json() == _fixed_report(None, None).to_json()
+
+
+def _sb_bench_instance():
+    """Split Bregman at r = 2 on the 64x64 denoising protocol: smooth disc,
+    sigma = 0.1, beta = 1e-3, lam = 1e-3."""
+    mesh, space, _, noisy = _denoise_instance(n=64, r=2, seed=1)
+    prob = ProblemSpec(mesh=mesh, degree=2, f=noisy.coeffs, beta=1e-3)
+    return split_bregman_l2, prob, SolverParams(lam=1e-3, max_iter=2000), \
+        space
+
+
+def _admm_instance():
+    """ADMM at r = 1 for 300 steps on the 16x16 sharp disc with 10 % of
+    the dofs flipped, beta = 1e-2."""
+    mesh = build_crossed_mesh(16, 16, 1.0, 1.0)
+    space = FeSpace(mesh, 1)
+    f = space.interpolate(sharp_disc)
+    flips = np.random.default_rng(0).random(space.dim_dg) < 0.10
+    f[flips] = 1.0 - f[flips]
+    prob = ProblemSpec(mesh=mesh, degree=1, f=f, beta=1e-2)
+    return admm_l1, prob, SolverParams(max_iter=300), space
+
+
+@pytest.mark.parametrize("instance", [_sb_bench_instance, _admm_instance])
+def test_inner_solves_meet_their_bound_on_real_runs(instance, monkeypatch):
+    """The CG stop test reads the recurrence residual, in which B p is
+    carried, not multiplied; on every inner solve of a full run the true
+    residual ||b - A x|| still meets max(_TOL ||b||, _REDUCTION ||r0||)."""
+    solve = QuadraticSolver.solve
+    ratios = []
+
+    def checked(self, rhs, x0=None):
+        x = solve(self, rhs, x0)
+        a = self.matrix
+        bound = QuadraticSolver._TOL * np.linalg.norm(rhs)
+        if x0 is not None:
+            bound = max(bound, QuadraticSolver._REDUCTION
+                        * np.linalg.norm(rhs - a.dot(x0)))
+        ratios.append(np.linalg.norm(rhs - a.dot(x)) / bound)
+        return x
+
+    monkeypatch.setattr(QuadraticSolver, "solve", checked)
+    solver, prob, params, space = instance()
+    _, _, rep = solver(prob, params, space=space)
+    assert len(ratios) == rep.iterations
+    assert max(ratios) <= 1.0
 
 
 def _inexact_cases():
