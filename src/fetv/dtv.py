@@ -1,5 +1,6 @@
 """The discrete TV seminorm, the exact TV of a DG function, and the dual
-constraint set with its projection and infeasibility measure.
+constraint set with its projection, from which the infeasibility measure
+(the squared Y*-distance to the set) is taken.
 
 The seminorm interpolates |grad u|_s at the P_{r-1} cell nodes and the jump
 magnitude at the edge Lagrange nodes and integrates the interpolants with
@@ -125,32 +126,29 @@ def _edge_abs_integral_affine(v0, v1):
 
 
 def _edge_abs_integral_quadratic(v0, vm, v1):
-    """Exact integral of |v| over [0, 1] for the quadratic with nodal values
-    (v0, vm, v1) at t = 0, 1/2, 1, by splitting at the interior roots."""
+    """Exact integral of |v| over [0, 1] for v = a t^2 + b t + c with nodal
+    values (v0, vm, v1) at t = 0, 1/2, 1: the sum of |F| over the pieces
+    between two break points, F(t) = ((a/3 t + b/2) t + c) t.  They are the
+    stable root pair q/a, c/q, q = -(b + sign(b) sqrt(max(b^2 - 4ac, 0)))/2,
+    each moved to 0 unless it lies in (0, 1); one where v keeps its sign
+    (a = 0, b = 0, complex roots) leaves the sum as it is."""
     a = 2.0 * v0 - 4.0 * vm + 2.0 * v1
     b = -3.0 * v0 + 4.0 * vm - v1
     c = v0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (b + np.copysign(
+            np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+        # a non-finite break point fails both comparisons
+        t1, t2 = (np.where((t > 0.0) & (t < 1.0), t, 0.0)
+                  for t in (q / a, c / q))
+    a3, b2 = a / 3.0, b / 2.0
 
-    quad = np.abs(a) > 1e-14 * (np.abs(b) + np.abs(c) + np.abs(a))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        disc = b * b - 4.0 * a * c
-        has_roots = quad & (disc > 0.0)
-        sqrt_disc = np.sqrt(np.where(has_roots, disc, 0.0))
-        q = -0.5 * (b + np.sign(b + (b == 0)) * sqrt_disc)
-        ra = np.where(has_roots & (a != 0), q / np.where(a == 0, 1, a), 0.0)
-        rb = np.where(has_roots & (q != 0), c / np.where(q == 0, 1, q), 0.0)
-        lin = ~quad & (np.abs(b) > 0)
-        rl = np.where(lin, -c / np.where(b == 0, 1, b), 0.0)
-    r1 = np.where(has_roots, ra, np.where(lin, rl, 0.0))
-    r2 = np.where(has_roots, rb, 0.0)
-    r1 = np.clip(r1, 0.0, 1.0)
-    r2 = np.clip(r2, 0.0, 1.0)
+    def anti(t):
+        return ((a3 * t + b2) * t + c) * t
 
-    ts = np.stack([np.zeros_like(a), np.minimum(r1, r2),
-                   np.maximum(r1, r2), np.ones_like(a)], axis=-1)
-    anti = a[..., None] * ts ** 3 / 3.0 + b[..., None] * ts ** 2 / 2.0 \
-        + c[..., None] * ts
-    return np.abs(np.diff(anti, axis=-1)).sum(axis=-1)
+    lo = anti(np.minimum(t1, t2))
+    hi = anti(np.maximum(t1, t2))
+    return np.abs(lo) + np.abs(hi - lo) + np.abs(anti(1.0) - hi)
 
 
 def tv_exact(u: DgFunction, s=2):
@@ -216,9 +214,9 @@ class ConstraintSetSpec:
     """The scaled admissible set beta*P for RT dof vectors.
 
     Edge dofs are bounded by beta*|n_E|_s*c_{E,j}; each cell dof pair is
-    bounded in the conjugate norm by beta*c_{T,i}.  ``scale`` is the Y
-    scaling parameter entering the Y* metric (used by the infeasibility
-    measure, not by the projection).
+    bounded in the conjugate norm by beta*c_{T,i}.  ``scale`` sets the Y*
+    metric in which ``infeasibility`` measures the distance from p to its
+    projection; the projection itself does not depend on it.
     """
 
     space: object
@@ -306,36 +304,11 @@ def project_feasible(p, spec: ConstraintSetSpec):
     return _project_in_place(np.array(p, dtype=float), spec)
 
 
-def _squared_hinge(mag, bound):
-    """max(mag - bound, 0)^2, computed in the buffer of ``mag``."""
-    mag -= bound
-    np.maximum(mag, 0.0, out=mag)
-    mag *= mag
-    return mag
-
-
 def infeasibility(p, spec: ConstraintSetSpec):
-    """Squared Y*-distance-to-feasibility (hinge violations weighted by the
-    inverse quadrature weights); zero iff p lies in beta*P.  Edges within
-    their bounds (NaN is not) sum to the 0.0 left in place of their hinges;
-    the projection keeps the edges of a dual iterate there."""
-    if spec.s not in (1, 2):
-        raise ValueError("infeasibility is defined for s in {1, 2}")
-    space = spec.space
+    """Squared Y*-distance from p to beta*P, taken from the projection that
+    defines the set: d = p - proj(p) weighted by the inverse lumped Y
+    weights at ``spec.scale``.  Exactly 0.0 for p in beta*P, where the
+    projection leaves every dof as it is, and NaN if p holds a NaN."""
     p = np.asarray(p, dtype=float)
-    total = 0.0
-    edge = np.abs(space.y_edge_view(p))
-    if not (edge <= spec.edge_bounds).all():
-        viol = _squared_hinge(edge, spec.edge_bounds)
-        viol /= space.edge_weights
-        total = float(viol.sum())
-    cell = space.y_cell_view(p)
-    w = spec.scale * space.cell_weights
-    if spec.s == 2:
-        hinge = _squared_hinge(vector_norm(cell, 2), spec.cell_bounds)
-        hinge /= w
-        total += float(hinge.sum())
-    else:
-        hinge = _squared_hinge(np.abs(cell), spec.cell_bounds[..., None])
-        total += float((hinge.sum(axis=-1) / w).sum())
-    return total
+    d = p - _project_in_place(p.copy(), spec)
+    return float(d @ (d / spec.space.y_weight_vector(spec.scale)))

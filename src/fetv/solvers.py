@@ -329,7 +329,7 @@ def estimate_operator_norm_sq(space, scale=1.0, lumped=False):
     seeded random start; ``lumped`` puts the lumped weights C in place of
     M (r <= 1), the operator of the TV-L1 divergence.  The Chambolle-Pock
     steps are stable when sigma * tau stays below 1/L; the projection
-    iteration is stable for steps below 1/L at scale 1, since ||div||^2
+    iteration is stable for steps below 1/L at its scale, since ||div||^2
     from Y* to L2 is the squared norm of the adjoint.  A Rayleigh quotient
     approaches L from below (0.7-1.5 % under it on 8x8 to 64x64 crossed
     meshes), so the default steps 0.9 / L sit at about 0.91 of the bound.
@@ -360,15 +360,15 @@ def estimate_operator_norm_sq(space, scale=1.0, lumped=False):
     return lam
 
 
-def _default_tau(ctx, sigma, scale):
+def _default_tau(ctx, sigma):
     """``params.tau`` if set, else 0.9 / (sigma * L) with L the norm
-    estimate, at ``scale``, of the operator the solver iterates (the
+    estimate, at ``ctx.scale``, of the operator the solver iterates (the
     lumped one for the l1 fidelity): inside the bound sigma * tau * L < 1
     of Chambolle & Pock (J. Math. Imaging Vis. 40, 2011) on any mesh."""
     if ctx.params.tau is not None:
         return ctx.params.tau
     return 0.9 / (sigma * estimate_operator_norm_sq(
-        ctx.space, scale, lumped=ctx.fidelity == "l1"))
+        ctx.space, ctx.scale, lumped=ctx.fidelity == "l1"))
 
 
 def gap(u: DgFunction, p, prob: ProblemSpec, context=None):
@@ -475,7 +475,7 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
     ctx = _Context(prob, params, space)
     params = ctx.params
     sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
-    tau = _default_tau(ctx, sigma, ctx.scale)
+    tau = _default_tau(ctx, sigma)
     denom = np.where(ctx.mask_dof, sigma, 0.0)
     sigma_f = denom * ctx.f
     denom += 1.0                # 1 + sigma on the data dofs, 1 elsewhere
@@ -511,18 +511,20 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
     """Semi-implicit dual projection iteration; requires s = 2 and data on
     every cell, and recovers u = div p + f at each step.
 
-    With its default tau this method is practical at r = 0 only: on a
-    16x16 smooth disc (eps_rel = 1e-3) it stops after 96 iterations at
-    r = 0, 6971 at r = 1 and not within 40000 at r = 2, where
-    ``chambolle_pock_l2`` takes 125 to 157.  Use that solver at r >= 1."""
+    It steps in the Y* metric of the run's scale.  On a 16x16 smooth disc
+    (eps_rel = 1e-3) it stops after 96 iterations at r = 0, 1355 at r = 1
+    and 2829 at r = 2, where ``chambolle_pock_l2`` takes 125 to 157, so
+    that solver is the faster one at r >= 1."""
     if prob.s != 2:
         raise ValueError("the projection algorithm is defined for s = 2")
     if prob.omega0 is not None and not prob.omega0.all():
         raise ValueError("the projection algorithm requires data on every cell")
     ctx = _Context(prob, params, space, huber=False)
     space = ctx.space
-    # a unit primal step: the update is written in the unscaled Y* metric
-    tau = _default_tau(ctx, 1.0, 1.0)
+    # a unit primal step in the Y* metric of ctx.scale, whose cell weights
+    # carry the scale: the cell dofs step by tau * scale
+    tau = _default_tau(ctx, 1.0)
+    tau_cell = tau * ctx.scale
     y = ctx.op.apply(ctx.f)                # Lambda u at u = div p + f, p = 0
 
     def step(u, p):
@@ -534,8 +536,8 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
         grads = space.y_cell_view(y)
         gamma_t = vector_norm(grads, 2) / prob.beta
         pc = space.y_cell_view(p)
-        pc[:] = ((pc + tau * space.cell_weights[..., None] * grads)
-                 / (1.0 + tau * gamma_t)[..., None])
+        pc[:] = ((pc + tau_cell * space.cell_weights[..., None] * grads)
+                 / (1.0 + tau_cell * gamma_t)[..., None])
         divp = divergence(ctx.op, p)
         u = divp + ctx.f
         y = ctx.op.apply(u)
@@ -558,7 +560,7 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
     ctx = _Context(prob, params, space, "l1")
     params = ctx.params
     sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
-    tau = _default_tau(ctx, sigma, ctx.scale)
+    tau = _default_tau(ctx, sigma)
     divp = divp_prev = np.zeros(ctx.space.dim_dg)
 
     def step(u, p):
@@ -651,12 +653,14 @@ def _iterate(ctx, report, step, reference):
     of div p at most 1.01 on the data dofs.  Either stop also needs
     the infeasibility of p under ``_INFEAS_CAP``.  That conjunct is tested
     last, so ``infeasibility`` runs once per candidate stop, not once per
-    step.  Four of the five steps return p projected onto beta*P, whose
-    infeasibility is at squared rounding (``test_projection_properties``
-    in tests/test_properties.py checks <= 1e-30 of the measure), so their
-    first candidate stops; the projection method's unprojected p meets
-    the same cap.  ``report.infeasibility`` is the value at the returned
-    p, computed once more when the run stops at ``max_iter``.
+    step.  Four of the five steps return p projected onto beta*P.  Its
+    infeasibility, the squared Y*-distance to its own projection, is at
+    squared rounding (``test_projection_properties`` in
+    tests/test_properties.py checks <= 1e-30 of the measure at s = 1, 2
+    and <= 1e-26 at s = inf), so their first candidate stops; the
+    projection method's unprojected p meets the same cap.
+    ``report.infeasibility`` is the value at the returned p, computed once
+    more when the run stops at ``max_iter``.
 
     ``report.stop_reason`` is ``gap``, ``stagnation`` or ``max_iter``.  A
     step that raises InnerSolveError ends the run with the exception,

@@ -149,6 +149,28 @@ def test_r2_edge_splitting_exact():
         assert edge_part == pytest.approx(dense, abs=1e-8)
 
 
+@pytest.mark.parametrize("nodal, exact", [
+    ((0.7, 0.7, 0.7), 0.7),                     # constant
+    ((0.0, 0.0, 0.0), 0.0),
+    ((-1.0, 1.0, 3.0), 1.25),                   # affine (a = 0), root 1/4
+    ((1.0, 0.0, 1.0), 1.0 / 3.0),               # 4 (t - 1/2)^2 touches 0
+    ((0.0, 1.0, 0.0), 2.0 / 3.0),               # 4 t (1 - t): roots 0, 1
+    ((-0.25, 0.0, 0.75), 0.25),                 # t^2 - 1/4: one sign change
+    ((0.1875, -0.0625, 0.1875), 0.0625),        # (t - 1/4) (t - 3/4): two
+    # a = 8.5e-21 against b = 1e-5: the root 1/4 is c/q, while q/a leaves
+    # (0, 1); the integral is that of 1e-5 t - 2.5e-6 to 1e-15
+    ((-2.5e-6, 2.5e-6 + 2.5e-21, 7.5e-6 + 1e-20), 3.125e-6),
+])
+def test_quadratic_edge_integral_degenerate_inputs(nodal, exact):
+    """The quadratic edge integrator against closed forms of integral
+    |v| over [0, 1] for v and -v, given the nodal values at 0, 1/2, 1."""
+    from fetv.dtv import _edge_abs_integral_quadratic
+
+    v0, vm, v1 = (np.array([x, -x]) for x in nodal)
+    got = _edge_abs_integral_quadratic(v0, vm, v1)
+    assert got == pytest.approx([exact, exact], rel=1e-14, abs=0.0)
+
+
 def _cell_part_only(space, u, s=2):
     """The r = 2 cell integral of tv_exact from the reference gradients of
     the P2 basis at the quadrature points, mapped by the Jacobian."""
@@ -351,9 +373,9 @@ def test_project_feasible_idempotent_and_bounds(spaces_2x2):
             assert np.abs(proj - again).max() <= 1e-14
             edge = space.y_edge_view(proj)
             assert (np.abs(edge) <= spec.edge_bounds + 1e-14).all()
-            if s in (1, 2):
-                # zero up to squared-ulp wobble of the radial scaling
-                assert infeasibility(proj, spec) <= 1e-25
+            # zero up to squared-ulp wobble of the radial scaling and the
+            # l1 threshold
+            assert infeasibility(proj, spec) <= 1e-25
             feasible = project_feasible(rng.standard_normal(space.dim_y) * 1e-9,
                                         spec)
             assert np.abs(
@@ -388,9 +410,8 @@ def test_dual_witness_attains_dtv(r, s, spaces_unit, spaces_2x2):
             # one weighted sum: the seminorm is the support function of P
             # (at s = 2 also the Huber form at eps = 0)
             assert support(ConstraintSetSpec(space, 1.0, s), y) == target
-            if s in (1, 2):
-                assert infeasibility(p, ConstraintSetSpec(space, 1.0, s=s)) \
-                    <= 1e-20
+            assert infeasibility(p, ConstraintSetSpec(space, 1.0, s=s)) \
+                <= 1e-20
 
 
 def test_dual_witness_constant_returns_zero(spaces_unit):
