@@ -242,6 +242,15 @@ class ConstraintSetSpec:
         the solvers that never project keep one edge vector less."""
         return -self.edge_bounds
 
+    @cached_property
+    def y_weights(self):
+        """The lumped Y weights at ``scale`` (``y_weight_vector``), read-only
+        and made once: ``infeasibility`` divides by them, and the solvers
+        share them as their Riesz map."""
+        w = self.space.y_weight_vector(self.scale)
+        w.setflags(write=False)
+        return w
+
 
 def _project_linf_ball(vecs, radius):
     return np.clip(vecs, -radius[..., None], radius[..., None], out=vecs)
@@ -311,4 +320,4 @@ def infeasibility(p, spec: ConstraintSetSpec):
     projection leaves every dof as it is, and NaN if p holds a NaN."""
     p = np.asarray(p, dtype=float)
     d = p - _project_in_place(p.copy(), spec)
-    return float(d @ (d / spec.space.y_weight_vector(spec.scale)))
+    return float(d @ (d / spec.y_weights))

@@ -4,13 +4,16 @@ subproblem solver.
 Every per-iteration kernel here is a sparse product on matrices built once:
 Lambda is applied in the factored form J * Lambda_ref (see
 :class:`GradJumpOperator`), the assembled product is stored once, as the
-CSR matrix of Lambda^T, and serves the divergence and the quadratic form
-K = Lambda^T W Lambda.  :class:`QuadraticSolver` splits K once into its
-dense cell blocks and the sparse couplings C between the two cells of each
-edge.  At each lam it writes the cell blocks B of the u-system
-F + lam * K = B + lam * C and their inverses, the block Jacobi
-preconditioner, in place; a CG iteration multiplies only lam * C and
-carries B times its search direction in the recurrence.
+CSR matrix of Lambda^T, and serves the divergence.  The quadratic form
+K = Lambda^T W Lambda is never formed as a sparse product:
+:class:`QuadraticSolver` builds its dense cell blocks by one GEMM with a
+per-degree table of reference gradient products, plus the edge weights on
+the diagonal, and the sparse couplings C between the two cells of each
+edge from the jump pairs of Lambda_ref.  At each lam it writes the cell
+blocks B of the u-system F + lam * K = B + lam * C and their inverses, the
+block Jacobi preconditioner, in place, inverting all blocks at once by
+Gauss-Jordan elimination over the cells; a CG iteration multiplies only
+lam * C and carries B times its search direction in the recurrence.
 
 Dual vector fields never appear as pointwise functions here: an RT function
 is represented solely by its integral dof vector, laid out exactly like a
@@ -218,32 +221,87 @@ def divergence(op, p, lumped=False):
     return out
 
 
-def _split_cell_blocks(k, n_k):
-    """The (n_t, n_k, n_k) cell blocks of the sparse matrix ``k`` (0 where
-    it stores nothing) and the CSR matrix of its entries off those blocks."""
-    k = k.tocoo()
-    cell, row = np.divmod(k.row, n_k)
-    inside = cell == k.col // n_k
-    blocks = np.zeros((k.shape[0] // n_k, n_k, n_k))
-    blocks[cell[inside], row[inside], k.col[inside] % n_k] = k.data[inside]
-    off = ~inside
-    return blocks, sp.coo_matrix((k.data[off], (k.row[off], k.col[off])),
-                                 shape=k.shape).tocsr()
+def _k_pieces(space, grad_op, scale):
+    """K = Lambda^T W Lambda as its (n_t, n_k, n_k) cell blocks and the CSR
+    matrix C of its couplings between cells, built from the per-degree
+    tables without a sparse product.
+
+    The cell rows of Lambda at node i of cell T are A_T g_i, with A_T the
+    inverse transposed Jacobian and g_i the (2, n_k) reference gradients,
+    so they add sum_i w_{T,i} g_i^T (A_T^T A_T) g_i to K_T: one GEMM of the
+    (n_t, 4 n_i) products w_{T,i} A_T^T A_T with the (4 n_i, n_k^2) table
+    of the g_i[d]^T g_i[e].  Each edge row of Lambda_ref is a +1/-1 pair of
+    dofs in the edge's two cells; its weight w adds to the diagonal entry
+    of both dofs, and C holds -w at the pair, both ways round."""
+    n_t = space.mesh.num_cells
+    n_k = space.dofs.n_cell_basis
+    n_i = space.dofs.n_sub_basis
+    grad = space.layout.grad_at_sub                 # g_i^T, (n_i, n_k, 2)
+    table = np.einsum("iad,ibe->ideab", grad, grad)
+    a = space.mesh.inv_jacobian_t
+    metric = (a[:, 0, :, None] * a[:, 0, None, :]
+              + a[:, 1, :, None] * a[:, 1, None, :])     # A_T^T A_T
+    weighted = (scale * space.cell_weights)[:, :, None, None] * metric[:, None]
+    blocks = (weighted.reshape(n_t, 4 * n_i)
+              @ table.reshape(4 * n_i, n_k * n_k)).reshape(n_t, n_k, n_k)
+
+    # each edge row of Lambda_ref stores its two entries, and the edge rows
+    # follow the edge nodes of the Y layout, weighted by edge_weights
+    ref = grad_op.factors[1].tocsr()
+    pairs = ref.indices[ref.indptr[space.dofs.dim_y_cell]:].reshape(-1, 2)
+    w = np.repeat(space.edge_weights.ravel(), 2)
+    blocks.reshape(n_t, n_k * n_k)[:, ::n_k + 1] += np.bincount(
+        pairs.ravel(), weights=w, minlength=n_t * n_k).reshape(n_t, n_k)
+    couplings = sp.coo_matrix((-w, (pairs.ravel(), pairs[:, ::-1].ravel())),
+                              shape=(n_t * n_k, n_t * n_k)).tocsr()
+    return blocks, couplings
+
+
+def _invert_spd_blocks(blocks, out):
+    """Write the inverses of the SPD (n_t, n, n) ``blocks`` into ``out`` and
+    return it: Gauss-Jordan elimination without pivoting, vectorized over
+    the cells, which sit on the last axis of the work array.  ``out`` holds
+    the pivots and row products until the result is written, so the work
+    array is the only temporary.  A pivot that is not > 0 (a block that is
+    not SPD, or a NaN) raises RuntimeError."""
+    a = np.moveaxis(blocks, 0, -1).copy()
+    n = a.shape[0]
+    row = out.reshape(-1)[:a[0].size].reshape(a[0].shape)
+    for k in range(n):
+        pivot = row[0]
+        pivot[:] = a[k, k]
+        if not (pivot > 0).all():
+            raise RuntimeError("singular cell block in preconditioner")
+        a[k, k] = 1.0
+        a[k] /= pivot
+        for i in range(n):
+            if i != k:
+                # row k times a_ik, then column k of row i is -a_ik / a_kk
+                np.multiply(a[i, k], a[k], out=row)
+                a[i] -= row
+                np.negative(row[k], out=a[i, k])
+    out[:] = np.moveaxis(a, -1, 0)
+    return out
 
 
 class QuadraticSolver:
     """Solver for the u-subproblems A(lam) u = rhs, A(lam) = F + lam * K.
 
-    K = Lambda^T W Lambda is split once into its dense (n_t, n_k, n_k) cell
-    blocks, the entries whose row and column fall in one cell, and the CSR
-    matrix C of its couplings, one -w entry per edge node between the
-    edge's two cells.  The fidelity block F is block diagonal and the
-    caller's: ``fidelity = (w, F_ref)`` means F_T = w_T * F_ref, by default
-    the mass (det B_T, mass_ref).  So A(lam) = B + lam * C with B the block
-    diagonal of the cell blocks B_T = w_T * F_ref + lam * K_T.  ``set_lam``
-    writes B, lam * C and the block Jacobi preconditioner B^-1 into storage
-    of fixed size, equal to a fresh build bit for bit.  ``matrix``, the
-    assembled A(lam), is built only when read.
+    K = Lambda^T W Lambda is built once, by ``_k_pieces``, as its dense
+    (n_t, n_k, n_k) cell blocks, the entries whose row and column fall in
+    one cell, and the CSR matrix C of its couplings, one -w entry per edge
+    node between the edge's two cells.  The cell blocks come from one GEMM
+    and a bincount of the edge weights, C from the jump pairs of
+    Lambda_ref; no sparse product is formed.  The fidelity block F is block
+    diagonal and the caller's: ``fidelity = (w, F_ref)`` means
+    F_T = w_T * F_ref, by default the mass (det B_T, mass_ref).  So
+    A(lam) = B + lam * C with B the block diagonal of the cell blocks
+    B_T = w_T * F_ref + lam * K_T.  ``set_lam`` writes B, lam * C and the
+    block Jacobi preconditioner B^-1 into storage of fixed size, equal to a
+    fresh build bit for bit; B^-1 comes from Gauss-Jordan elimination
+    without pivoting over all cells at once (``_invert_spd_blocks``), which
+    refuses a block that is not SPD.  ``matrix``, the assembled A(lam), is
+    built only when read.
 
     The system is SPD and solved by preconditioned CG.  With z = B^-1 r and
     p <- z + beta p, the product B p follows the recurrence q <- r + beta q
@@ -281,10 +339,7 @@ class QuadraticSolver:
 
         n_t = space.mesh.num_cells
         n_k = space.dofs.n_cell_basis
-        lmat = grad_op.matrix
-        self._k_blocks, self._couplings = _split_cell_blocks(
-            lmat.T @ lmat.multiply(space.y_weight_vector(scale)[:, None]),
-            n_k)
+        self._k_blocks, self._couplings = _k_pieces(space, grad_op, scale)
         c = self._couplings
         self._lam_couplings = sp.csr_matrix(
             (np.empty_like(c.data), c.indices, c.indptr), shape=c.shape)
@@ -311,12 +366,8 @@ class QuadraticSolver:
         blocks = self._block.data.reshape(self._k_blocks.shape)
         np.multiply(lam, self._k_blocks, out=blocks)
         blocks += self._fid_w[:, None, None] * self._fid_ref
-        try:
-            self._block_inv.data.reshape(blocks.shape)[:] = \
-                np.linalg.inv(blocks)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise RuntimeError("singular cell block in preconditioner") \
-                from exc
+        _invert_spd_blocks(blocks,
+                           out=self._block_inv.data.reshape(blocks.shape))
 
     @property
     def matrix(self):

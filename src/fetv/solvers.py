@@ -250,7 +250,7 @@ class _Context:
                       else DEFAULT_SCALE[prob.degree])
         self.cs = ConstraintSetSpec(self.space, beta=prob.beta, s=prob.s,
                                     scale=self.scale)
-        self.yw = self.space.y_weight_vector(self.scale)
+        self.yw = self.cs.y_weights
         # the per-dof weights of the mass norms over the data cells
         self._mass_w = self.space._det_weights(
             None if self.mask.all() else self.mask)

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from fetv.mesh import Mesh, build_crossed_mesh
-from fetv.operators import InnerSolveError, QuadraticSolver, divergence
+from fetv.operators import (InnerSolveError, QuadraticSolver,
+                            _invert_spd_blocks, divergence)
 from fetv.solvers import ProblemSpec, SolverParams, _Context
 from fetv.spaces import FeSpace
 
@@ -391,10 +392,12 @@ def _solver_variants(spaces_2x2):
 
 
 def test_quadratic_solver_blocks_match_fancy_indexing(spaces_2x2):
-    """The preconditioner is the inverse of the cell blocks picked out of
-    the matrix, bit for bit, and the masked and lumped systems do have
-    unstored block entries, which the read must fill with 0."""
+    """The preconditioner is the Gauss-Jordan inverse of the cell blocks
+    picked out of the matrix, bit for bit, and B_T B_T^-1 is within
+    2 n_k cond(B_T) eps of I in every entry; the masked and lumped systems
+    do have unstored block entries, which the read must fill with 0."""
     holes = 0
+    eps = np.finfo(float).eps
     for space, scale, mask, lumped in _solver_variants(spaces_2x2):
         qs = QuadraticSolver(space, space.grad_jump(), 1e-3, scale,
                              fidelity=_fidelity(space, mask, lumped, 1e-3,
@@ -404,32 +407,117 @@ def test_quadratic_solver_blocks_match_fancy_indexing(spaces_2x2):
         rows = np.broadcast_to(dof[:, :, None], (n_t, n_k, n_k)).ravel()
         cols = np.broadcast_to(dof[:, None, :], (n_t, n_k, n_k)).ravel()
         blocks = np.asarray(qs.matrix[rows, cols]).reshape(n_t, n_k, n_k)
-        expected = np.linalg.inv(blocks)
-        assert np.array_equal(qs._block_inv.data,
-                              expected.ravel()), (space.degree, mask, lumped)
+        case = (space.degree, mask, lumped)
+        inv = qs._block_inv.data.reshape(blocks.shape)
+        want = _invert_spd_blocks(blocks, np.empty_like(blocks))
+        assert np.array_equal(inv, want), case
+        err = np.abs(blocks @ inv - np.eye(n_k)).max(axis=(1, 2))
+        assert (err <= 2 * n_k * np.linalg.cond(blocks) * eps).all(), case
         stored = qs.matrix.copy()
         stored.data[:] = 1.0
         holes += rows.size - int(np.asarray(stored[rows, cols]).sum())
     assert holes > 0
 
 
+# the cell blocks of K (and of F + lam K) from one GEMM against the sparse
+# product Lambda^T W Lambda: each entry within this many ulps of its
+# block's largest entry, and exact at r = 0, where they are edge-weight sums
+_K_ULPS = 4
+
+
+def _check_system_against_product(space, scale, mask, lumped, lam):
+    """K's cell blocks and couplings, and every entry of the u-system
+    F + lam * K, against K = Lambda^T W Lambda formed by the sparse product
+    of the assembled Lambda and F_T = w_T * F_ref from the fidelity pair:
+    bit for bit at r = 0 and in the couplings, within ``_K_ULPS`` ulps of
+    each cell block's largest entry at r >= 1."""
+    w, f_ref = _fidelity(space, mask, lumped, lam, scale)
+    qs = QuadraticSolver(space, space.grad_jump(), lam, scale,
+                         fidelity=(w, f_ref))
+    lmat = space.grad_jump().matrix
+    k = (lmat.T @ lmat.multiply(space.y_weight_vector(scale)[:, None])
+         ).tocsr()
+    fid = sp.block_diag(list(f_ref[None] * w[:, None, None])).tocsr()
+    n_t, n_k = space.mesh.num_cells, space.dofs.n_cell_basis
+    case = (space.degree, n_t, mask is not None, lumped)
+
+    def split(m):
+        a = m.toarray().reshape(n_t, n_k, n_t, n_k)
+        cells = np.arange(n_t)
+        blocks = a[cells, :, cells, :].copy()
+        a[cells, :, cells, :] = 0.0
+        return blocks, a.reshape(n_t * n_k, -1)
+
+    k_blocks, k_off = split(k)
+    assert np.array_equal(qs._couplings.toarray(), k_off), case
+    assert np.array_equal(qs._couplings.indices, k_off.nonzero()[1]), case
+    want = (lam * k + fid).tocsr()
+    want.sort_indices()
+    want_blocks, want_off = split(want)
+    got_blocks, got_off = split(qs.matrix)
+    assert np.array_equal(got_off, want_off), case
+    if space.degree == 0:
+        assert np.array_equal(qs._k_blocks, k_blocks), case
+        assert np.array_equal(qs.matrix.indptr, want.indptr), case
+        assert np.array_equal(qs.matrix.indices, want.indices), case
+        assert np.array_equal(qs.matrix.data, want.data), case
+        return
+    for got, ref in ((qs._k_blocks, k_blocks), (got_blocks, want_blocks)):
+        ulp = np.spacing(np.abs(ref).max(axis=(1, 2)))
+        assert (np.abs(got - ref) <= _K_ULPS * ulp[:, None, None]).all(), \
+            case
+
+
 def test_quadratic_solver_matrix_is_f_plus_lam_k(spaces_2x2):
-    """Every stored entry of the u-system is F + lam * K with F built from
-    the fidelity pair passed in, F_T = w_T * F_ref (det B_T * mass_ref on
-    the data cells' blocks, or lam * scale * |T| times the reference lumped
-    weights), and K = Lambda^T W Lambda, bit for bit."""
-    lam = 3e-3
+    """Every entry of the u-system is F + lam * K with F built from the
+    fidelity pair passed in, F_T = w_T * F_ref (det B_T * mass_ref on the
+    data cells' blocks, or lam * scale * |T| times the reference lumped
+    weights), and K = Lambda^T W Lambda: bit for bit, stored pattern
+    included, at r = 0 and in the couplings; at r >= 1 within ``_K_ULPS``
+    ulps of each block's largest entry.  There an entry whose exact value
+    is 0 may be stored on one side as a rounding residue (~1e-21 beside
+    block entries of ~1e-2), so the patterns of the blocks may differ."""
     for space, scale, mask, lumped in _solver_variants(spaces_2x2):
-        w, f_ref = _fidelity(space, mask, lumped, lam, scale)
-        qs = QuadraticSolver(space, space.grad_jump(), lam, scale,
-                             fidelity=(w, f_ref))
-        lmat = space.grad_jump().matrix
-        k = (lmat.T @ lmat.multiply(space.y_weight_vector(scale)[:, None])
-             ).toarray()
-        fid = sp.block_diag(list(f_ref[None] * w[:, None, None])).toarray()
-        coo = qs.matrix.tocoo()
-        want = lam * k[coo.row, coo.col] + fid[coo.row, coo.col]
-        assert np.array_equal(coo.data, want), (space.degree, mask, lumped)
+        _check_system_against_product(space, scale, mask, lumped, 3e-3)
+
+
+def test_k_pieces_on_skewed_meshes(spaces_rotated):
+    """On the rotated two-cell squares, whose Jacobians are not exact in
+    floating point, K's cell blocks, its couplings and the u-system match
+    the sparse product Lambda^T W Lambda within the same bound, at r = 0,
+    1 and 2, with the mass and the lumped fidelity, with and without a
+    mask that keeps one cell."""
+    for space in spaces_rotated:
+        scale = 1e-2 if space.degree else 1.0
+        for mask in (None, np.array([False, True])):
+            for lumped in (False, True):
+                _check_system_against_product(space, scale, mask, lumped,
+                                              3e-3)
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_quadratic_solver_refuses_indefinite_blocks(spaces_2x2, r):
+    """A fidelity weight that leaves a cell block indefinite (w_T =
+    -10 det B_T on one cell) or NaN has no block Jacobi preconditioner:
+    the solver refuses it at construction, and ``set_lam`` refuses a
+    penalty too small to make the block positive definite again."""
+    space = spaces_2x2[r]
+    scale = 1e-2 if r else 1.0
+    w = space.mesh.det_jacobian.copy()
+    w[5] *= -10.0
+    fidelity = (w, space.mass_ref)
+    with pytest.raises(RuntimeError, match="singular cell block"):
+        QuadraticSolver(space, space.grad_jump(), 1e-3, scale,
+                        fidelity=fidelity)
+    qs = QuadraticSolver(space, space.grad_jump(), 1e6, scale,
+                         fidelity=fidelity)
+    with pytest.raises(RuntimeError, match="singular cell block"):
+        qs.set_lam(1e-3)
+    w = space.mesh.det_jacobian.copy()
+    w[5] = math.nan
+    with pytest.raises(RuntimeError, match="singular cell block"):
+        QuadraticSolver(space, space.grad_jump(), 1e-3, scale,
+                        fidelity=(w, space.mass_ref))
 
 
 @pytest.mark.parametrize("factors", [
