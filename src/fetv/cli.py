@@ -19,7 +19,7 @@ from . import images, mesh as mesh_mod, metrics
 from .dtv import dtv, tv_exact
 from .operators import DgFunction, InnerSolveError
 from .solvers import ALGORITHMS, ProblemSpec, SolverParams, solve
-from .spaces import FeSpace
+from .spaces import SUPPORTED_DEGREES, FeSpace
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -40,7 +40,8 @@ class _Parser(argparse.ArgumentParser):
 def _solver_arguments(sub):
     sub.add_argument("--algorithm", default="split-bregman",
                      choices=sorted(ALGORITHMS))
-    sub.add_argument("--degree", type=int, default=0, choices=(0, 1, 2))
+    sub.add_argument("--degree", type=int, default=0,
+                     choices=SUPPORTED_DEGREES)
     sub.add_argument("--s", type=int, default=2, choices=(1, 2),
                      help="anisotropy exponent of the TV integrand")
     sub.add_argument("--beta", type=float, default=1e-3)
@@ -88,7 +89,7 @@ def build_parser():
     p.add_argument("--mesh", default=None, help="mesh file input")
     p.add_argument("--coeffs", default=None,
                    help="coefficient file (one value per line)")
-    p.add_argument("--degree", type=int, default=0, choices=(0, 1, 2))
+    p.add_argument("--degree", type=int, default=0, choices=SUPPORTED_DEGREES)
     p.add_argument("--s", type=int, default=2, choices=(1, 2))
     p.set_defaults(run=_cmd_dtv)
 
@@ -153,9 +154,7 @@ def _cmd_solver(args, inpaint):
     space = clean.space
     f = metrics.add_noise(clean, noise)
 
-    masked = None
-    if inpaint:
-        masked = images.load_mask(args.mask, mesh)
+    masked = images.load_mask(args.mask, mesh) if inpaint else None
     omega0 = None if masked is None else ~masked
 
     prob = ProblemSpec(mesh=mesh, degree=args.degree, f=f.coeffs,
@@ -172,9 +171,8 @@ def _cmd_solver(args, inpaint):
         raise
 
     if inpaint:
-        baseline = f.copy()
-        baseline.coeffs = np.where(np.repeat(omega0, space.dofs.n_cell_basis),
-                                   baseline.coeffs, 0.0)
+        baseline = DgFunction(space, np.where(
+            np.repeat(omega0, space.dofs.n_cell_basis), f.coeffs, 0.0))
         report.extras["psnr_baseline"] = metrics.psnr(baseline, clean)
         report.extras["masked_cells"] = int(masked.sum())
 

@@ -23,7 +23,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from .operators import DgFunction
+from .operators import DgFunction, _check_real
 
 __all__ = [
     "vector_norm",
@@ -227,8 +227,8 @@ class ConstraintSetSpec:
     cell_bounds: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
+        _check_real("beta", self.beta)
+        _check_real("scale", self.scale)
         _check_s(self.s)
         space = self.space
         self.edge_bounds = (self.beta

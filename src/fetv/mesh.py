@@ -37,7 +37,7 @@ class MeshFormatError(ValueError):
 
 
 class MeshTopologyError(ValueError):
-    """Raised for degenerate cells, hanging nodes or non-manifold edges."""
+    """Degenerate or repeated cells, hanging nodes or non-manifold edges."""
 
 
 class Mesh:
@@ -51,9 +51,9 @@ class Mesh:
     Raises
     ------
     MeshTopologyError
-        for degenerate cells, edges shared by more than two cells, or
-        hanging nodes (a vertex lying in the interior of another cell's
-        facet).
+        for degenerate or repeated cells, edges shared by more than two
+        cells, or hanging nodes (a vertex lying in the interior of another
+        cell's facet).
     """
 
     def __init__(self, vertices, cells):
@@ -166,6 +166,15 @@ class Mesh:
         forward = np.column_stack([va[first] == lo[first],
                                    va[second] == lo[second]])
         self.edge_orientations = np.where(forward, 1, -1).astype(np.int8)
+        # two cells twinned at two facets repeat the same three vertices
+        twin = np.full(len(va), -1)
+        twin[first] = self.edge_cells[:, 1]
+        twin[second] = self.edge_cells[:, 0]
+        repeated = (twin[0::3] == twin[1::3]) & (twin[0::3] >= 0)
+        if repeated.any():
+            t = int(np.argmax(repeated))
+            raise MeshTopologyError(
+                f"cells {t} and {twin[3 * t]} repeat the same three vertices")
 
         p0 = self.vertices[self.edge_vertices[:, 0]]
         p1 = self.vertices[self.edge_vertices[:, 1]]

@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import _check_real
+
 __all__ = [
     "NoiseSpec",
     "random_words",
@@ -133,10 +135,7 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.sigma, (bool, np.bool_)) \
-                or not 0 <= self.sigma < math.inf:
-            raise ValueError(f"sigma must be nonnegative and finite, got "
-                             f"{self.sigma}")
+        _check_real("sigma", self.sigma, closed=True)
         if (isinstance(self.seed, bool)
                 or not isinstance(self.seed, numbers.Integral)
                 or not 0 <= int(self.seed) <= _MASK):

@@ -24,6 +24,9 @@ reference-to-world vector transform is ever computed.
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -51,16 +54,22 @@ class DgFunction:
         self.space = space
         self.coeffs = coeffs
 
-    @property
-    def degree(self):
-        return self.space.degree
-
-    @property
-    def mesh(self):
-        return self.space.mesh
-
     def copy(self):
         return DgFunction(self.space, self.coeffs.copy())
+
+
+def _check_real(name, value, low=0.0, high=math.inf, closed=False):
+    """The one rule for a numeric parameter: ValueError naming ``name``
+    unless ``value`` is a finite real, not a bool, in (low, high), or in
+    [low, high] if ``closed``; the bounds of the message assume low = 0."""
+    if not isinstance(value, (np.bool_, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value) \
+            or not (low <= value <= high if closed else low < value < high):
+        lo, hi = "[]" if closed else "()"
+        rule = (f"lie in {lo}{low:g}, {high:g}{hi}" if high < math.inf else
+                f"be {'nonnegative' if closed else 'positive'} and finite")
+        raise ValueError(f"{name} must {rule}, got {value}")
 
 
 class InnerSolveError(RuntimeError):
@@ -131,7 +140,7 @@ class GradJumpOperator:
     @property
     def matrix(self):
         """Assembled sparse Lambda (dim_y x dim_dg), the CSC view of
-        ``transpose``; used for the quadratic form Lambda^T W Lambda."""
+        ``transpose``; read by the bench's Lambda^T kernel and the tests."""
         return self.transpose.T
 
     def _assemble(self):
@@ -324,8 +333,6 @@ class QuadraticSolver:
     _MAX_ITER = 2000
 
     def __init__(self, space, grad_op, lam, scale, fidelity=None):
-        if not lam > 0:
-            raise ValueError("lam must be positive")
         if fidelity is None:
             fidelity = space.mesh.det_jacobian, space.mass_ref
         self._fid_w, self._fid_ref = fidelity
@@ -334,7 +341,6 @@ class QuadraticSolver:
                 "no data cells: the quadratic subproblem is singular on a "
                 "fully masked mesh"
             )
-        self.space = space
         self.iterations = 0
 
         n_t = space.mesh.num_cells
@@ -357,17 +363,22 @@ class QuadraticSolver:
     def set_lam(self, lam):
         """Change the penalty to ``lam``: the cell blocks of A(lam), lam * C
         and the block inverses are rewritten in their storage, and
-        ``matrix`` is reassembled on its next read."""
-        if not lam > 0:
-            raise ValueError("lam must be positive")
-        self.lam = lam
-        self._matrix = None
-        np.multiply(lam, self._couplings.data, out=self._lam_couplings.data)
+        ``matrix`` is reassembled on its next read.  A lam whose blocks are
+        not SPD is refused, with the old one rebuilt."""
+        _check_real("lam", lam)
         blocks = self._block.data.reshape(self._k_blocks.shape)
         np.multiply(lam, self._k_blocks, out=blocks)
         blocks += self._fid_w[:, None, None] * self._fid_ref
-        _invert_spd_blocks(blocks,
-                           out=self._block_inv.data.reshape(blocks.shape))
+        try:
+            _invert_spd_blocks(blocks,
+                               out=self._block_inv.data.reshape(blocks.shape))
+        except RuntimeError:
+            if hasattr(self, "lam"):    # not at construction
+                self.set_lam(self.lam)
+            raise
+        self.lam = lam
+        self._matrix = None
+        np.multiply(lam, self._couplings.data, out=self._lam_couplings.data)
 
     @property
     def matrix(self):

@@ -41,8 +41,8 @@ from .dtv import (ConstraintSetSpec, _project_in_place, infeasibility,
 from .dtv import project_feasible  # noqa: F401
 from .metrics import psnr
 from .operators import (DgFunction, InnerSolveError, QuadraticSolver,
-                        divergence)
-from .spaces import FeSpace
+                        _check_real, divergence)
+from .spaces import SUPPORTED_DEGREES, FeSpace
 
 __all__ = [
     "ProblemSpec",
@@ -121,19 +121,14 @@ class ProblemSpec:
     def __post_init__(self):
         if isinstance(self.degree, bool) \
                 or not isinstance(self.degree, numbers.Integral) \
-                or self.degree not in (0, 1, 2):
-            raise ValueError(f"degree must be an integer in {{0, 1, 2}}, "
-                             f"got {self.degree!r}")
-        if isinstance(self.beta, (bool, np.bool_)) \
-                or not 0 < self.beta < math.inf:
-            raise ValueError("beta must be positive and finite (beta = 0 "
-                             "reduces to u = f on the data region and is "
-                             "undefined elsewhere)")
+                or self.degree not in SUPPORTED_DEGREES:
+            raise ValueError("degree must be an integer in {%s}, got %r" % (
+                str(SUPPORTED_DEGREES)[1:-1], self.degree))
+        # beta = 0 reduces to u = f on the data region, undefined elsewhere
+        _check_real("beta", self.beta)
         if isinstance(self.s, (bool, np.bool_)) or self.s not in (1, 2):
             raise ValueError("solvers support s in {1, 2}")
-        if isinstance(self.huber_eps, (bool, np.bool_)) \
-                or not 0 <= self.huber_eps < math.inf:
-            raise ValueError("huber_eps must be nonnegative and finite")
+        _check_real("huber_eps", self.huber_eps, closed=True)
         if self.huber_eps > 0 and self.s != 2:
             raise ValueError("the Huber variant is defined for s = 2 only")
         if self.omega0 is not None:
@@ -157,20 +152,11 @@ class SolverParams:
     max_iter: int = 5000
 
     def __post_init__(self):
-        for name in ("lam", "sigma", "tau", "scale", "theta", "eps_rel"):
-            v = getattr(self, name)
-            unset = v is None and name not in ("theta", "eps_rel")
-            if not unset and (isinstance(v, bool)
-                              or not isinstance(v, numbers.Real)):
-                raise ValueError(f"{name} must be a real number, got {v!r}")
         for name in ("lam", "sigma", "tau", "scale"):
-            v = getattr(self, name)
-            if v is not None and not 0 < v < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not 0 <= self.eps_rel < math.inf:
-            raise ValueError("eps_rel must be nonnegative and finite")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
+            if getattr(self, name) is not None:     # unset: the default
+                _check_real(name, getattr(self, name))
+        _check_real("eps_rel", self.eps_rel, closed=True)
+        _check_real("theta", self.theta, high=1.0, closed=True)
         if isinstance(self.max_iter, bool) or not isinstance(
                 self.max_iter, (int, np.integer)) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer of at least 1")
@@ -364,11 +350,13 @@ def _default_tau(ctx, sigma):
     """``params.tau`` if set, else 0.9 / (sigma * L) with L the norm
     estimate, at ``ctx.scale``, of the operator the solver iterates (the
     lumped one for the l1 fidelity): inside the bound sigma * tau * L < 1
-    of Chambolle & Pock (J. Math. Imaging Vis. 40, 2011) on any mesh."""
+    of Chambolle & Pock (J. Math. Imaging Vis. 40, 2011) on any mesh; 1
+    where L = 0 (no interior edge at r = 0), as every step meets it."""
     if ctx.params.tau is not None:
         return ctx.params.tau
-    return 0.9 / (sigma * estimate_operator_norm_sq(
-        ctx.space, ctx.scale, lumped=ctx.fidelity == "l1"))
+    norm_sq = estimate_operator_norm_sq(ctx.space, ctx.scale,
+                                        lumped=ctx.fidelity == "l1")
+    return 0.9 / (sigma * norm_sq) if norm_sq else 1.0
 
 
 def gap(u: DgFunction, p, prob: ProblemSpec, context=None):

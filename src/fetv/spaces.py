@@ -125,7 +125,6 @@ class LagrangeLayout:
         if r not in SUPPORTED_DEGREES:
             raise ValueError(f"polynomial degree {r} not supported "
                              "(expected 0, 1 or 2)")
-        self.degree = r
         self.sub = lagrange_layout(r - 1) if r else None
 
         self._cell_exps = exps = _cell_monomials(r)
@@ -329,15 +328,10 @@ class FeSpace:
         return float(z.reshape(-1) @ det_weights)
 
     @cached_property
-    def full_weights(self):
-        """The C_{T,k}, made on first use: only the lumped (TV-L1) paths
-        read them, and a DG vector more per space raises peak memory."""
-        return self.mesh.cell_areas[:, None] * self.layout.cell_full
-
-    @property
     def lumped_weights(self):
-        """Flat vector of the C_{T,k} (lumped DG mass diagonal)."""
-        return self.full_weights.reshape(-1)
+        """Flat vector of the C_{T,k} (lumped DG mass diagonal), made on
+        first use, since only the lumped (TV-L1) paths read it."""
+        return (self.mesh.cell_areas[:, None] * self.layout.cell_full).ravel()
 
     def cell_node_coords(self):
         """Physical coordinates of all cell Lagrange nodes, (N_T, n_k, 2)."""

@@ -229,7 +229,7 @@ def oracle_lumped_divergence(space: FeSpace, p_dofs):
     qp, qw = _gauss_triangle()
     phi = space.layout.eval_cell(qp)
     out = np.zeros(space.dim_dg)
-    weights = space.full_weights
+    weights = space.cell_matrix(space.lumped_weights)
     for t in range(mesh.num_cells):
         pts = mesh.shift[t] + qp @ mesh.jacobian[t].T
         divvals = field.div(t, pts)

@@ -259,6 +259,22 @@ def test_dtv_command_takes_one_input(tmp_path, disc_image, capsys, extra):
         "fetv: error: dtv needs --input alone, or --mesh with --coeffs"]
 
 
+def test_dtv_command_rejects_repeated_cell(tmp_path, capsys):
+    """A mesh file that lists one triangle twice is one error line naming
+    both cells and exit code 1, not a seminorm of two copies."""
+    path = tmp_path / "twice.mesh"
+    path.write_text("fetv-mesh 1\nvertices 3\n0 0\n1 0\n0 1\n"
+                    "cells 2\n0 1 2\n0 2 1\n")
+    coeffs = tmp_path / "c.txt"
+    coeffs.write_text("0.5\n1.0\n")
+    code = main(["dtv", "--mesh", str(path), "--coeffs", str(coeffs)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [
+        "fetv: error: cells 0 and 1 repeat the same three vertices"]
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_dtv_command_rejects_non_finite_coeffs(tmp_path, capsys, bad):
     main(["make-mesh", "2", "2", "--output", str(tmp_path / "m.mesh")])

@@ -382,6 +382,25 @@ def test_project_feasible_idempotent_and_bounds(spaces_2x2):
                 project_feasible(feasible, spec) - feasible).max() == 0.0
 
 
+def test_constraint_set_refuses_bad_beta_and_scale(spaces_unit):
+    """beta and the Y* scale are positive finite reals: a bool, NaN, +-inf
+    or a value <= 0 would build NaN, infinite or empty bounds or weights."""
+    space = spaces_unit[0]
+    for name in ("beta", "scale"):
+        kwargs = {"beta": 1.0, "scale": 1.0}
+        for bad in (0.0, -1.0, math.nan, math.inf, -math.inf, True,
+                    np.True_):
+            kwargs[name] = bad
+            with pytest.raises(ValueError,
+                               match=f"{name} must be positive and finite"):
+                ConstraintSetSpec(space, **kwargs)
+        for bad in ("1", None, 1j):
+            kwargs[name] = bad
+            with pytest.raises(ValueError,
+                               match=f"{name} must be a real number"):
+                ConstraintSetSpec(space, **kwargs)
+
+
 def test_infeasibility_single_edge_violation(spaces_unit):
     space = spaces_unit[0]
     spec = ConstraintSetSpec(space, beta=0.5, s=2)

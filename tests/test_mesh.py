@@ -159,6 +159,30 @@ def test_edge_shared_by_three_cells(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("cells", [[(0, 1, 2), (0, 2, 1)],
+                                   [(0, 1, 2), (1, 2, 0)]],
+                         ids=["opposite", "same-orientation"])
+def test_repeated_cell_rejected(cells):
+    """A cell listed twice, in either orientation, would make two cells
+    joined by three interior edges; two distinct triangles share at most
+    one, so the mesh is refused, naming both cells.  (A repeated cell with
+    a neighbour already puts three cells on an edge.)"""
+    vertices = [(0, 0), (1, 0), (0, 1), (5, 5), (6, 5), (5, 6)]
+    with pytest.raises(MeshTopologyError, match="cells 0 and 1 repeat"):
+        Mesh(vertices[:3], cells)
+    with pytest.raises(MeshTopologyError, match="cells 1 and 2 repeat"):
+        Mesh(vertices, [(3, 4, 5)] + cells)
+
+
+def test_repeated_cell_line_in_mesh_file(tmp_path):
+    path = tmp_path / "repeated.mesh"
+    path.write_text(
+        "fetv-mesh 1\nvertices 6\n0 0\n1 0\n0 1\n5 5\n6 5\n5 6\n"
+        "cells 3\n0 1 2\n3 4 5\n0 1 2\n")
+    with pytest.raises(MeshTopologyError, match="cells 0 and 2 repeat"):
+        load_mesh(path)
+
+
 def test_hanging_node_rejected():
     vertices = [(0, 0), (2, 0), (0, 2), (1, 0), (1, -1)]
     cells = [(0, 1, 2), (0, 3, 4), (3, 1, 4)]

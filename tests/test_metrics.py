@@ -127,6 +127,9 @@ def test_noise_spec_validation():
     for sigma in (-0.1, -math.inf, math.inf, math.nan, True, np.True_):
         with pytest.raises(ValueError, match="nonnegative and finite"):
             NoiseSpec(sigma=sigma)
+    for sigma in ("1", "0.1", None, 1j):
+        with pytest.raises(ValueError, match="sigma must be a real number"):
+            NoiseSpec(sigma=sigma)
     assert NoiseSpec(sigma=0.0).sigma == 0.0
 
 

@@ -500,7 +500,9 @@ def test_quadratic_solver_refuses_indefinite_blocks(spaces_2x2, r):
     """A fidelity weight that leaves a cell block indefinite (w_T =
     -10 det B_T on one cell) or NaN has no block Jacobi preconditioner:
     the solver refuses it at construction, and ``set_lam`` refuses a
-    penalty too small to make the block positive definite again."""
+    penalty too small to make the block positive definite again.  The
+    refusal leaves lam, B, lam * C and B^-1 bit for bit as they were, so
+    a solve after it is the solve before it."""
     space = spaces_2x2[r]
     scale = 1e-2 if r else 1.0
     w = space.mesh.det_jacobian.copy()
@@ -511,8 +513,16 @@ def test_quadratic_solver_refuses_indefinite_blocks(spaces_2x2, r):
                         fidelity=fidelity)
     qs = QuadraticSolver(space, space.grad_jump(), 1e6, scale,
                          fidelity=fidelity)
+    b = np.random.default_rng(2).standard_normal(space.dim_dg)
+    before = [qs._block.data.copy(), qs._lam_couplings.data.copy(),
+              qs._block_inv.data.copy(), qs.solve(b)]
     with pytest.raises(RuntimeError, match="singular cell block"):
         qs.set_lam(1e-3)
+    assert qs.lam == 1e6
+    after = [qs._block.data, qs._lam_couplings.data, qs._block_inv.data,
+             qs.solve(b)]
+    for old, new in zip(before, after):
+        assert np.array_equal(old, new)
     w = space.mesh.det_jacobian.copy()
     w[5] = math.nan
     with pytest.raises(RuntimeError, match="singular cell block"):
@@ -605,15 +615,21 @@ def test_solve_is_the_textbook_pcg(spaces_2x2):
 
 
 def test_set_lam_rejects_zero(spaces_2x2):
-    """The penalty must be positive, at construction and after."""
+    """The penalty must be a positive finite real, at construction and
+    after; a refused one leaves lam as it was."""
     space = spaces_2x2[1]
-    for lam in (0.0, -1e-3, math.nan):
-        with pytest.raises(ValueError):
-            QuadraticSolver(space, space.grad_jump(), lam, 1e-2)
+    bad = {"be positive": (0.0, -1e-3, math.nan, math.inf, -math.inf, True,
+                           np.True_),
+           "be a real number": ("1", None, 1j)}
+    for rule, values in bad.items():
+        for lam in values:
+            with pytest.raises(ValueError, match=f"lam must {rule}"):
+                QuadraticSolver(space, space.grad_jump(), lam, 1e-2)
     qs = QuadraticSolver(space, space.grad_jump(), 1e-3, 1e-2)
-    for lam in (0.0, -1e-3, math.nan):
-        with pytest.raises(ValueError):
-            qs.set_lam(lam)
+    for rule, values in bad.items():
+        for lam in values:
+            with pytest.raises(ValueError, match=f"lam must {rule}"):
+                qs.set_lam(lam)
     assert qs.lam == 1e-3
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from fetv.dtv import (ConstraintSetSpec, dtv, infeasibility,
                       project_feasible, support, vector_norm)
-from fetv.mesh import build_crossed_mesh
+from fetv.mesh import Mesh, build_crossed_mesh
 from fetv.metrics import NoiseSpec, add_noise, psnr
 from fetv import solvers
 from fetv.operators import (DgFunction, InnerSolveError, QuadraticSolver,
@@ -72,14 +72,22 @@ def test_problem_spec_validation(unit_crossed):
     with pytest.raises(ValueError):
         solve(ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=1.0),
               "unknown-algorithm")
-    # a bool is no number here, though True == 1
-    for bad in (True, np.True_):
+    # a bool is no number here, though True == 1; it is out of range like
+    # NaN, +-inf and a value below the bound, and a non-real is no number
+    for bad in (True, np.True_, math.nan, math.inf, -math.inf, 0.0, -1.0):
         with pytest.raises(ValueError, match="beta must be positive"):
             ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=bad)
+    for bad in (True, np.True_):
         with pytest.raises(ValueError, match=r"s in \{1, 2\}"):
             ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=1.0, s=bad)
+    for bad in (True, np.True_, math.nan, math.inf, -math.inf, -1e-3):
         with pytest.raises(ValueError, match="huber_eps must be nonnegative"):
             ProblemSpec(mesh=unit_crossed, degree=0, f=f, huber_eps=bad)
+    for name in ("beta", "huber_eps"):
+        for bad in ("1", "1e-3", None, 1j):
+            with pytest.raises(ValueError,
+                               match=f"{name} must be a real number"):
+                ProblemSpec(mesh=unit_crossed, degree=0, f=f, **{name: bad})
     # the degree is one of the three the spaces are built for, and an int:
     # True and 1.0 would otherwise run as DG_1 and be echoed in the report
     for bad in (True, np.True_, 1.0, np.float64(0.0), 3, -1, "1", None):
@@ -571,10 +579,28 @@ def test_solver_input_validation(spaces_2x2):
     with pytest.raises(ValueError):
         SolverParams(lam=-1.0)
     for name, bad in (("theta", None), ("eps_rel", None), ("lam", "1"),
-                      ("sigma", "0.5"), ("tau", [1.0]), ("scale", True),
-                      ("theta", "1"), ("eps_rel", 1j)):
+                      ("sigma", "0.5"), ("tau", [1.0]), ("theta", "1"),
+                      ("eps_rel", 1j), ("lam", 1j), ("sigma", "1"),
+                      ("tau", 1j), ("scale", "1"), ("scale", 1j),
+                      ("eps_rel", "1"), ("theta", 1j)):
         with pytest.raises(ValueError, match=f"{name} must be a real number"):
             SolverParams(**{name: bad})
+    # a bool is out of range like NaN, +-inf and a value past a bound
+    rules = {"lam": "be positive", "sigma": "be positive",
+             "tau": "be positive", "scale": "be positive",
+             "eps_rel": "be nonnegative", "theta": r"lie in \[0, 1\]"}
+    for name, bad in (("scale", True), ("lam", 0.0), ("sigma", -1.0),
+                      ("tau", 0.0), ("scale", -0.5), ("eps_rel", -1e-3),
+                      ("theta", -0.1), ("theta", 1.5)):
+        with pytest.raises(ValueError, match=f"{name} must {rules[name]}"):
+            SolverParams(**{name: bad})
+    for name in rules:
+        for bad in (True, np.True_, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"{name} must {rules[name]}"):
+                SolverParams(**{name: bad})
+    # an unset step is the per-degree default, not an error
+    for name in ("lam", "sigma", "tau", "scale"):
+        assert getattr(SolverParams(**{name: None}), name) is None
     assert SolverParams(lam=np.float64(2.0), theta=1, eps_rel=0).theta == 1
     for max_iter in (2.5, 0, "10", None, True):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
@@ -837,6 +863,36 @@ def test_adaptive_penalty_converges_where_fixed_stalls(r, monkeypatch):
     assert adapted.psnr >= fixed.psnr
     assert 1 <= adapted.extras["penalty_changes"] <= 10
     assert adapted.extras["lam_final"] != 1e-4
+
+
+def test_adaptive_penalty_halves_a_large_start():
+    """From lam = 1 the dual residual dominates, so balancing halves lam
+    (to 1/32 on this instance) and the run still stops on the gap."""
+    mesh, space, _, noisy = _denoise_instance(n=8, r=0)
+    prob = ProblemSpec(mesh=mesh, degree=0, f=noisy.coeffs, beta=1e-3)
+    _, _, rep = split_bregman_l2(prob, SolverParams(lam=1.0), space=space)
+    assert rep.converged and rep.stop_reason == "gap"
+    assert rep.extras["lam_final"] < 1.0
+    assert rep.extras["penalty_changes"] >= 1
+
+
+def test_default_steps_without_interior_edges():
+    """On a lone triangle at r = 0, Lambda = 0 and its norm estimate is 0:
+    every step meets sigma * tau * L < 1, so the default tau is finite and
+    the solvers stop with u = f, the TV-L2 ones at iteration 1 and cp-l1
+    after the five steps its stagnation test counts."""
+    mesh = Mesh([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    space = FeSpace(mesh, 0)
+    assert estimate_operator_norm_sq(space) == 0.0
+    f = np.array([0.3])
+    prob = ProblemSpec(mesh=mesh, degree=0, f=f, beta=1e-2)
+    for solver, iterations in ((chambolle_pock_l2, 1),
+                               (chambolle_projection_l2, 1),
+                               (chambolle_pock_l1, 5)):
+        u, _, rep = solver(prob, space=space)
+        assert math.isfinite(rep.params["tau"]), solver
+        assert rep.converged and rep.iterations == iterations, solver
+        assert np.array_equal(u.coeffs, f), solver
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])
