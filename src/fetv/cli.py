@@ -154,7 +154,9 @@ def _cmd_solver(args, inpaint):
     space = clean.space
     f = metrics.add_noise(clean, noise)
 
-    masked = images.load_mask(args.mask, mesh) if inpaint else None
+    masked = None
+    if inpaint:
+        masked = images.load_mask(args.mask, mesh)
     omega0 = None if masked is None else ~masked
 
     prob = ProblemSpec(mesh=mesh, degree=args.degree, f=f.coeffs,
@@ -171,8 +173,9 @@ def _cmd_solver(args, inpaint):
         raise
 
     if inpaint:
-        baseline = DgFunction(space, np.where(
-            np.repeat(omega0, space.dofs.n_cell_basis), f.coeffs, 0.0))
+        baseline = f.copy()
+        baseline.coeffs = np.where(np.repeat(omega0, space.dofs.n_cell_basis),
+                                   baseline.coeffs, 0.0)
         report.extras["psnr_baseline"] = metrics.psnr(baseline, clean)
         report.extras["masked_cells"] = int(masked.sum())
 

@@ -58,17 +58,21 @@ class DgFunction:
         return DgFunction(self.space, self.coeffs.copy())
 
 
-def _check_real(name, value, low=0.0, high=math.inf, closed=False):
+def _check_real(name, value, high=math.inf, closed=False):
     """The one rule for a numeric parameter: ValueError naming ``name``
-    unless ``value`` is a finite real, not a bool, in (low, high), or in
-    [low, high] if ``closed``; the bounds of the message assume low = 0."""
+    unless ``value`` is a finite real, not a bool, in (0, high], or in
+    [0, high] if ``closed``."""
     if not isinstance(value, (np.bool_, numbers.Real)):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if isinstance(value, (bool, np.bool_)) or not math.isfinite(value) \
-            or not (low <= value <= high if closed else low < value < high):
-        lo, hi = "[]" if closed else "()"
-        rule = (f"lie in {lo}{low:g}, {high:g}{hi}" if high < math.inf else
-                f"be {'nonnegative' if closed else 'positive'} and finite")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if isinstance(value, (bool, np.bool_)) or not finite \
+            or not (0 <= value <= high if closed else 0 < value <= high):
+        rule = (f"be {'nonnegative' if closed else 'positive'} and finite"
+                if high == math.inf else
+                f"lie in {'[' if closed else '('}0, {high:g}]")
         raise ValueError(f"{name} must {rule}, got {value}")
 
 

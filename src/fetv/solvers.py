@@ -123,7 +123,7 @@ class ProblemSpec:
                 or not isinstance(self.degree, numbers.Integral) \
                 or self.degree not in SUPPORTED_DEGREES:
             raise ValueError("degree must be an integer in {%s}, got %r" % (
-                str(SUPPORTED_DEGREES)[1:-1], self.degree))
+                ", ".join(map(str, SUPPORTED_DEGREES)), self.degree))
         # beta = 0 reduces to u = f on the data region, undefined elsewhere
         _check_real("beta", self.beta)
         if isinstance(self.s, (bool, np.bool_)) or self.s not in (1, 2):

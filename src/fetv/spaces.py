@@ -123,8 +123,8 @@ class LagrangeLayout:
 
     def __init__(self, r):
         if r not in SUPPORTED_DEGREES:
-            raise ValueError(f"polynomial degree {r} not supported "
-                             "(expected 0, 1 or 2)")
+            raise ValueError(f"polynomial degree {r} not supported (expected "
+                             f"{', '.join(map(str, SUPPORTED_DEGREES))})")
         self.sub = lagrange_layout(r - 1) if r else None
 
         self._cell_exps = exps = _cell_monomials(r)

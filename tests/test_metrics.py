@@ -124,7 +124,8 @@ def test_add_noise_sigma_zero_identity(spaces_2x2):
 
 
 def test_noise_spec_validation():
-    for sigma in (-0.1, -math.inf, math.inf, math.nan, True, np.True_):
+    for sigma in (-0.1, -math.inf, math.inf, math.nan, True, np.True_,
+                  10**400):
         with pytest.raises(ValueError, match="nonnegative and finite"):
             NoiseSpec(sigma=sigma)
     for sigma in ("1", "0.1", None, 1j):

@@ -73,8 +73,10 @@ def test_problem_spec_validation(unit_crossed):
         solve(ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=1.0),
               "unknown-algorithm")
     # a bool is no number here, though True == 1; it is out of range like
-    # NaN, +-inf and a value below the bound, and a non-real is no number
-    for bad in (True, np.True_, math.nan, math.inf, -math.inf, 0.0, -1.0):
+    # NaN, +-inf, an int beyond the float range and a value below the
+    # bound, and a non-real is no number
+    for bad in (True, np.True_, math.nan, math.inf, -math.inf, 10**400, 0.0,
+                -1.0):
         with pytest.raises(ValueError, match="beta must be positive"):
             ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=bad)
     for bad in (True, np.True_):
@@ -595,7 +597,8 @@ def test_solver_input_validation(spaces_2x2):
         with pytest.raises(ValueError, match=f"{name} must {rules[name]}"):
             SolverParams(**{name: bad})
     for name in rules:
-        for bad in (True, np.True_, math.nan, math.inf, -math.inf):
+        for bad in (True, np.True_, math.nan, math.inf, -math.inf, 10**400,
+                    -10**400):
             with pytest.raises(ValueError, match=f"{name} must {rules[name]}"):
                 SolverParams(**{name: bad})
     # an unset step is the per-degree default, not an error
