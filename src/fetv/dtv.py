@@ -39,7 +39,7 @@ _PRIMAL_S = (1, 2, math.inf)
 
 
 def _check_s(s):
-    if s not in _PRIMAL_S:
+    if isinstance(s, (bool, np.bool_)) or s not in _PRIMAL_S:
         raise ValueError(f"anisotropy s={s!r} not supported here")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -261,6 +262,10 @@ def build_crossed_mesh(nx, ny, width, height):
     index iy*nx + ix) and own cells 4*s .. 4*s+3 in the order bottom, right,
     top, left triangle.
     """
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
+               for n in (nx, ny)):
+        raise ValueError(
+            f"grid dimensions must be integers, got {nx!r}, {ny!r}")
     nx, ny = int(nx), int(ny)
     if nx < 1 or ny < 1:
         raise ValueError("grid dimensions must be at least 1x1")

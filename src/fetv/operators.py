@@ -5,15 +5,8 @@ Every per-iteration kernel here is a sparse product on matrices built once:
 Lambda is applied in the factored form J * Lambda_ref (see
 :class:`GradJumpOperator`), the assembled product is stored once, as the
 CSR matrix of Lambda^T, and serves the divergence.  The quadratic form
-K = Lambda^T W Lambda is never formed as a sparse product:
-:class:`QuadraticSolver` builds its dense cell blocks by one GEMM with a
-per-degree table of reference gradient products, plus the edge weights on
-the diagonal, and the sparse couplings C between the two cells of each
-edge from the jump pairs of Lambda_ref.  At each lam it writes the cell
-blocks B of the u-system F + lam * K = B + lam * C and their inverses, the
-block Jacobi preconditioner, in place, inverting all blocks at once by
-Gauss-Jordan elimination over the cells; a CG iteration multiplies only
-lam * C and carries B times its search direction in the recurrence.
+K = Lambda^T W Lambda is never formed as a sparse product (see
+:class:`QuadraticSolver`).
 
 Dual vector fields never appear as pointwise functions here: an RT function
 is represented solely by its integral dof vector, laid out exactly like a
@@ -92,20 +85,24 @@ class GradJumpOperator:
     """Maps DG_r coefficients to the Y layout: per-cell gradient samples at
     the P_{r-1} nodes and scalar jumps at the edge Lagrange nodes.
 
-    Lambda is kept factored as J * Lambda_ref, both sparse and built once on
-    first use.  Lambda_ref holds the exact reference gradients of the cell
-    basis at the P_{r-1} nodes and the +-1 jump gathers (edge lattice nodes
-    coincide with cell lattice nodes); its rows sum to exactly zero, so it
-    maps constants to exactly zero.  J applies the per-node inverse-transposed
-    Jacobian to the cell rows, which keeps that zero.  The assembled product
-    does not: its rows sum only to rounding noise.  It is stored once, as the
-    CSR matrix of Lambda^T (``transpose``); ``matrix`` is its transposed view.
+    Lambda is kept factored as J * Lambda_ref, both sparse and assembled
+    at construction (``factors``).  Lambda_ref holds the exact reference
+    gradients of the cell basis at the P_{r-1} nodes and the +-1 jump
+    gathers of ``edge_pairs``, the (n_E, n_j, 2) table of the cell dofs on
+    the plus and minus side of each edge node; its rows sum to exactly
+    zero, so it maps constants to exactly zero.  J applies the per-node
+    inverse-transposed Jacobian to the cell rows, which keeps that zero; it
+    is None at r = 0, where Lambda is Lambda_ref, the view of ``transpose``.
+    The rows of the assembled product sum only to rounding noise.  It is
+    stored once, as the CSR matrix of Lambda^T (``transpose``, built on
+    first read); ``matrix`` is its transposed view.
     """
 
     def __init__(self, space):
         self.space = space
-        self._factors = None
-        self._transpose = None
+        jac, ref, self.edge_pairs = self._assemble()
+        self.factors = jac, ref
+        self._transpose = ref.T if jac is None else None
 
     def apply(self, coeffs):
         """Lambda u as a flat Y vector."""
@@ -117,26 +114,12 @@ class GradJumpOperator:
         return y
 
     @property
-    def factors(self):
-        """(J, Lambda_ref) as sparse matrices.  J covers only the cell rows,
-        the edge rows of Lambda_ref are final; J is None when there are no
-        cell rows (r = 0).  Then Lambda is Lambda_ref itself, kept once as
-        the CSR ``transpose`` and applied through its view."""
-        if self._factors is None:
-            jac, ref = self._assemble()
-            if jac is None:
-                self._transpose = ref.T.tocsr()
-                ref = self._transpose.T
-            self._factors = jac, ref
-        return self._factors
-
-    @property
     def transpose(self):
         """Assembled sparse Lambda^T = (J * Lambda_ref)^T as CSR (dim_dg x
         dim_y), the one stored assembled copy; serves the divergence and the
         right-hand sides Lambda^T W (d - b)."""
-        jac, ref = self.factors
         if self._transpose is None:
+            jac, ref = self.factors
             edge = sp.identity(ref.shape[0] - jac.shape[0])
             self._transpose = (sp.block_diag([jac, edge]) @ ref).T.tocsr()
         return self._transpose
@@ -187,8 +170,8 @@ class GradJumpOperator:
             np.concatenate([np.tile(np.bincount(grad_row, minlength=2 * n_i), n_t),
                             np.full(n_y_edge, 2)]),
             n_cols=dofs.dim_dg)
-        if not n_i:
-            return None, ref
+        if not n_i:     # Lambda_ref is Lambda, the CSC view of CSR Lambda^T
+            return None, ref.T.tocsr().T, ends
 
         # J: inv_jacobian_t[t] on the row pair (2m, 2m + 1) of each cell node
         # m, both rows with the columns 2m, 2m + 1
@@ -198,7 +181,7 @@ class GradJumpOperator:
             np.tile(pairs.reshape(-1, 2), 2).ravel(),
             np.full(n_y_cell, 2),
             n_cols=n_y_cell)
-        return jac, ref
+        return jac, ref, ends
 
 
 def _index_dtype(*sizes):
@@ -258,10 +241,9 @@ def _k_pieces(space, grad_op, scale):
     blocks = (weighted.reshape(n_t, 4 * n_i)
               @ table.reshape(4 * n_i, n_k * n_k)).reshape(n_t, n_k, n_k)
 
-    # each edge row of Lambda_ref stores its two entries, and the edge rows
-    # follow the edge nodes of the Y layout, weighted by edge_weights
-    ref = grad_op.factors[1].tocsr()
-    pairs = ref.indices[ref.indptr[space.dofs.dim_y_cell]:].reshape(-1, 2)
+    # the jump pairs follow the edge nodes of the Y layout, weighted by
+    # edge_weights
+    pairs = grad_op.edge_pairs.reshape(-1, 2)
     w = np.repeat(space.edge_weights.ravel(), 2)
     blocks.reshape(n_t, n_k * n_k)[:, ::n_k + 1] += np.bincount(
         pairs.ravel(), weights=w, minlength=n_t * n_k).reshape(n_t, n_k)
@@ -337,6 +319,7 @@ class QuadraticSolver:
     _MAX_ITER = 2000
 
     def __init__(self, space, grad_op, lam, scale, fidelity=None):
+        _check_real("scale", scale)
         if fidelity is None:
             fidelity = space.mesh.det_jacobian, space.mass_ref
         self._fid_w, self._fid_ref = fidelity

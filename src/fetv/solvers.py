@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -42,7 +41,7 @@ from .dtv import project_feasible  # noqa: F401
 from .metrics import psnr
 from .operators import (DgFunction, InnerSolveError, QuadraticSolver,
                         _check_real, divergence)
-from .spaces import SUPPORTED_DEGREES, FeSpace
+from .spaces import FeSpace, _check_degree
 
 __all__ = [
     "ProblemSpec",
@@ -119,11 +118,7 @@ class ProblemSpec:
     huber_eps: float = 0.0
 
     def __post_init__(self):
-        if isinstance(self.degree, bool) \
-                or not isinstance(self.degree, numbers.Integral) \
-                or self.degree not in SUPPORTED_DEGREES:
-            raise ValueError("degree must be an integer in {%s}, got %r" % (
-                ", ".join(map(str, SUPPORTED_DEGREES)), self.degree))
+        _check_degree(self.degree)
         # beta = 0 reduces to u = f on the data region, undefined elsewhere
         _check_real("beta", self.beta)
         if isinstance(self.s, (bool, np.bool_)) or self.s not in (1, 2):
@@ -317,10 +312,12 @@ def estimate_operator_norm_sq(space, scale=1.0, lumped=False):
     steps are stable when sigma * tau stays below 1/L; the projection
     iteration is stable for steps below 1/L at its scale, since ||div||^2
     from Y* to L2 is the squared norm of the adjoint.  A Rayleigh quotient
-    approaches L from below (0.7-1.5 % under it on 8x8 to 64x64 crossed
-    meshes), so the default steps 0.9 / L sit at about 0.91 of the bound.
-    The estimate is kept on the space, one per scale and mass, so later
-    solves on it reuse it."""
+    approaches L from below (0.7-2 % under it on 8x8 to 64x64 crossed
+    meshes), so the default steps 0.9 / L sit at about 0.91 of the bound,
+    and the check of given steps (``_default_tau``) passes a true ratio up
+    to about 1.02.  The estimate is kept on the space, one per scale and
+    mass, so later solves on it reuse it."""
+    _check_real("scale", scale)
     key = (scale, lumped)
     if key in space._norm_sq:
         return space._norm_sq[key]
@@ -347,16 +344,20 @@ def estimate_operator_norm_sq(space, scale=1.0, lumped=False):
 
 
 def _default_tau(ctx, sigma):
-    """``params.tau`` if set, else 0.9 / (sigma * L) with L the norm
-    estimate, at ``ctx.scale``, of the operator the solver iterates (the
-    lumped one for the l1 fidelity): inside the bound sigma * tau * L < 1
-    of Chambolle & Pock (J. Math. Imaging Vis. 40, 2011) on any mesh; 1
+    """(tau, L), L the norm estimate, at ``ctx.scale``, of the operator the
+    solver iterates (lumped for the l1 fidelity).  ``params.tau`` is refused
+    by a ValueError over the bound sigma * tau * L <= 1 of Chambolle & Pock
+    (J. Math. Imaging Vis. 40, 2011); unset, it is 0.9 / (sigma * L), or 1
     where L = 0 (no interior edge at r = 0), as every step meets it."""
-    if ctx.params.tau is not None:
-        return ctx.params.tau
     norm_sq = estimate_operator_norm_sq(ctx.space, ctx.scale,
                                         lumped=ctx.fidelity == "l1")
-    return 0.9 / (sigma * norm_sq) if norm_sq else 1.0
+    tau = ctx.params.tau
+    if tau is None:
+        return (0.9 / (sigma * norm_sq) if norm_sq else 1.0), norm_sq
+    if sigma * tau * norm_sq > 1:
+        raise ValueError(f"sigma * tau * L = {sigma * tau * norm_sq:.4g} is "
+                         f"over the stability bound 1 (L = {norm_sq:.6g})")
+    return tau, norm_sq
 
 
 def gap(u: DgFunction, p, prob: ProblemSpec, context=None):
@@ -367,7 +368,7 @@ def gap(u: DgFunction, p, prob: ProblemSpec, context=None):
     return ctx.eta(u.coeffs, p, y, divergence(ctx.op, p))[0]
 
 
-# -- the shared dual step -------------------------------------------------------
+# -- the shared dual and splitting steps --------------------------------------
 
 
 def _cp_dual_step(ctx, p, y, tau):
@@ -383,15 +384,25 @@ def _cp_dual_step(ctx, p, y, tau):
     return _project_in_place(candidate, ctx.cs)
 
 
+def _split_step(ctx, qs, fid_rhs, lam, u, p, d):
+    """The step split Bregman and ADMM share on the splitting d = Lambda u:
+    u solves the u-system for fid_rhs + Lambda^T (lam W d - p), a CG solve
+    warm-started at the last u (stop rule in :class:`QuadraticSolver`); p
+    takes the dual step with tau = lam, and d = y + (p - p_new) / (lam W),
+    y = Lambda u.  Returns (u, y, p_new, d)."""
+    u = qs.solve(fid_rhs + ctx.op.transpose.dot(lam * ctx.yw * d - p), x0=u)
+    y = ctx.op.apply(u)
+    p_new = _cp_dual_step(ctx, p, y, lam)
+    return u, y, p_new, y + (p - p_new) / (lam * ctx.yw)
+
+
 # -- split Bregman ---------------------------------------------------------------
 
 
 def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
                      space=None, reference=None):
     """Split Bregman iteration for the TV-L2 problem (any mask, s in {1,2}):
-    p = lam W b takes the dual step with tau = lam, d = Lambda u
-    + (p - p_new) / (lam W), and the u-system's right-hand side is
-    M f + Lambda^T (lam W d - p).
+    ``_split_step`` with p = lam W b and the fidelity's right-hand side M f.
 
     ``params.lam`` is the starting penalty, balanced on the residuals (He,
     Yang & Wang, JOTA 106, 2000; Boyd et al., ADMM, 2011, sec. 3.4.1):
@@ -400,10 +411,7 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     times the other, lam is doubled or halved (p is kept) and the u-system
     is evaluated at the new lam.  After ``_PENALTY_CHANGES`` (10) changes
     lam is frozen, so the fixed-penalty convergence argument holds from
-    then on; a budget of 0 gives the paper's fixed-lam iteration.  Each
-    u-subproblem is a CG solve warm-started at the previous u (stop rule
-    in :class:`QuadraticSolver`), ``extras["inner_iterations"]`` their
-    total CG iterations, a stalled solve's included."""
+    then on; a budget of 0 gives the paper's fixed-lam iteration."""
     ctx = _Context(prob, params, space, huber=False)
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1e-3
@@ -413,19 +421,12 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     mf = space.apply_mass(ctx.f, mask=ctx.mask)
     report = SolverReport(algorithm="split-bregman",
                           params=_echo_params(ctx, lam=lam),
-                          extras={"lam_final": lam, "penalty_changes": 0,
-                                  "inner_iterations": 0})
+                          extras={"lam_final": lam, "penalty_changes": 0})
 
     def step(u, p):
         nonlocal d, lam
-        try:
-            u = qs.solve(mf + ctx.op.transpose.dot(lam * ctx.yw * d - p),
-                         x0=u)
-        finally:    # a stalled solve's iterations count too
-            report.extras["inner_iterations"] = qs.iterations
-        y = ctx.op.apply(u)
-        p_new = _cp_dual_step(ctx, p, y, lam)
-        d_prev, d = d, y + (p - p_new) / (lam * ctx.yw)
+        d_prev = d
+        u, y, p_new, d = _split_step(ctx, qs, mf, lam, u, p, d)
         if report.extras["penalty_changes"] < _PENALTY_CHANGES:
             factor = _balance_factor(ctx, y - d, d - d_prev, lam)
             if factor != 1:
@@ -435,7 +436,10 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
                 report.extras["penalty_changes"] += 1
         return u, p_new, y, None
 
-    return _iterate(ctx, report, step, reference)
+    try:
+        return _iterate(ctx, report, step, reference)
+    finally:    # the CG iterations of every u-solve, a stalled one's too
+        report.extras["inner_iterations"] = qs.iterations
 
 
 def _balance_factor(ctx, primal, dual_step, lam):
@@ -463,7 +467,7 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
     ctx = _Context(prob, params, space)
     params = ctx.params
     sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
-    tau = _default_tau(ctx, sigma)
+    tau, norm_sq = _default_tau(ctx, sigma)
     denom = np.where(ctx.mask_dof, sigma, 0.0)
     sigma_f = denom * ctx.f
     denom += 1.0                # 1 + sigma on the data dofs, 1 elsewhere
@@ -486,8 +490,8 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
         divp_prev, divp = divp, divergence(ctx.op, p)
         return u, p, y, divp
 
-    report = SolverReport(algorithm="chambolle-pock",
-                          params=_echo_params(ctx, sigma=sigma, tau=tau))
+    report = SolverReport(algorithm="chambolle-pock", params=_echo_params(
+        ctx, sigma=sigma, tau=tau, norm_sq=norm_sq))
     return _iterate(ctx, report, step, reference)
 
 
@@ -511,7 +515,7 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
     space = ctx.space
     # a unit primal step in the Y* metric of ctx.scale, whose cell weights
     # carry the scale: the cell dofs step by tau * scale
-    tau = _default_tau(ctx, 1.0)
+    tau, norm_sq = _default_tau(ctx, 1.0)
     tau_cell = tau * ctx.scale
     y = ctx.op.apply(ctx.f)                # Lambda u at u = div p + f, p = 0
 
@@ -532,7 +536,7 @@ def chambolle_projection_l2(prob: ProblemSpec, params: SolverParams = None,
         return u, p, y, divp
 
     report = SolverReport(algorithm="chambolle-projection",
-                          params=_echo_params(ctx, tau=tau))
+                          params=_echo_params(ctx, tau=tau, norm_sq=norm_sq))
     return _iterate(ctx, report, step, reference)
 
 
@@ -548,7 +552,7 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
     ctx = _Context(prob, params, space, "l1")
     params = ctx.params
     sigma = params.sigma or CP_STEP_DEFAULTS[prob.degree]
-    tau = _default_tau(ctx, sigma)
+    tau, norm_sq = _default_tau(ctx, sigma)
     divp = divp_prev = np.zeros(ctx.space.dim_dg)
 
     def step(u, p):
@@ -560,8 +564,8 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
         divp_prev, divp = divp, divergence(ctx.op, p, lumped=True)
         return u, p, y, divp
 
-    report = SolverReport(algorithm="cp-l1",
-                          params=_echo_params(ctx, sigma=sigma, tau=tau))
+    report = SolverReport(algorithm="cp-l1", params=_echo_params(
+        ctx, sigma=sigma, tau=tau, norm_sq=norm_sq))
     return _iterate(ctx, report, step, reference)
 
 
@@ -570,11 +574,9 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
 
 def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
             reference=None):
-    """ADMM for TV-L1 with the double splitting d = Lambda u, e = u - f.
-    p and d take the dual step, and the u-subproblems are solved, as in
-    :func:`split_bregman_l2` (CG iterations in ``extras["inner_iterations"]``);
-    the u-system's fidelity block is lam * scale * C, C the lumped weights
-    on every cell."""
+    """ADMM for TV-L1 with the double splitting d = Lambda u, e = u - f:
+    ``_split_step``, then the shrink of e; the u-system's fidelity block is
+    lam * scale * C, C the lumped weights on every cell."""
     ctx = _Context(prob, params, space, "l1", huber=False)
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1.0
@@ -588,24 +590,20 @@ def admm_l1(prob: ProblemSpec, params: SolverParams = None, space=None,
 
     def step(u, p):
         nonlocal d, e, g
-        rhs = lam * ctx.scale * space.lumped_weights * (e + ctx.f - g) \
-            + ctx.op.transpose.dot(lam * ctx.yw * d - p)
-        try:
-            u = qs.solve(rhs, x0=u)
-        finally:    # a stalled solve's iterations count too
-            report.extras["inner_iterations"] = qs.iterations
-        y = ctx.op.apply(u)
-        p_new = _cp_dual_step(ctx, p, y, lam)
-        d = y + (p - p_new) / (lam * ctx.yw)
+        u, y, p_new, d = _split_step(
+            ctx, qs, lam * ctx.scale * space.lumped_weights * (e + ctx.f - g),
+            lam, u, p, d)
         z = u - ctx.f + g
         e = np.where(ctx.mask_dof, shrink(z, e_thr), z)
         g = g + u - ctx.f - e
         return u, p_new, y, None
 
     report = SolverReport(algorithm="admm-l1",
-                          params=_echo_params(ctx, lam=lam),
-                          extras={"inner_iterations": 0})
-    return _iterate(ctx, report, step, reference)
+                          params=_echo_params(ctx, lam=lam))
+    try:
+        return _iterate(ctx, report, step, reference)
+    finally:    # the CG iterations of every u-solve, a stalled one's too
+        report.extras["inner_iterations"] = qs.iterations
 
 
 ALGORITHMS = {

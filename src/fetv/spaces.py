@@ -30,6 +30,7 @@ same per-dof weights.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -47,6 +48,14 @@ __all__ = [
 ]
 
 SUPPORTED_DEGREES = (0, 1, 2)
+
+
+def _check_degree(r):
+    """ValueError unless ``r`` is an int, not a bool, in SUPPORTED_DEGREES."""
+    if not isinstance(r, numbers.Integral) or isinstance(r, bool) \
+            or r not in SUPPORTED_DEGREES:
+        raise ValueError("degree must be an integer in {%s}, got %r" % (
+            ", ".join(map(str, SUPPORTED_DEGREES)), r))
 
 
 def _cell_monomials(r):
@@ -122,9 +131,7 @@ class LagrangeLayout:
     """
 
     def __init__(self, r):
-        if r not in SUPPORTED_DEGREES:
-            raise ValueError(f"polynomial degree {r} not supported (expected "
-                             f"{', '.join(map(str, SUPPORTED_DEGREES))})")
+        _check_degree(r)
         self.sub = lagrange_layout(r - 1) if r else None
 
         self._cell_exps = exps = _cell_monomials(r)
@@ -236,8 +243,11 @@ class FeSpace:
     tables needed by the seminorm, the constraint set and the solvers."""
 
     def __init__(self, mesh, r):
+        # checked before the layout cache, and a plain int after: the cache
+        # keys np.int64(1) apart from 1 and would build a second layout
+        _check_degree(r)
         self.mesh = mesh
-        self.degree = r
+        self.degree = r = int(r)
         self.layout = lay = lagrange_layout(r)
         self.dofs = DofMap(mesh.num_cells, mesh.num_interior_edges,
                            lay.n_cell, lay.n_sub, lay.n_edge)

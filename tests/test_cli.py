@@ -1,5 +1,6 @@
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -417,15 +418,19 @@ def test_preset_null_value(tmp_path, disc_image, capsys, key):
     assert repr(key) in err[0]
 
 
-def _converges_on_disc(tmp_path, preset):
-    """``fetv denoise --preset`` on a 32x32 smooth disc exits 0 and
-    reports a converged run."""
-    n = 32
+def _smooth_disc_pgm(tmp_path, n):
     xs = (np.arange(n) + 0.5) / n
     xx, yy = np.meshgrid(xs, xs[::-1], indexing="xy")
     values = smooth_disc(np.column_stack([xx.ravel(), yy.ravel()]))
     image = tmp_path / "disc.pgm"
     save_pgm(Raster(n, n, values.reshape(n, n)), image)
+    return image
+
+
+def _converges_on_disc(tmp_path, preset):
+    """``fetv denoise --preset`` on a 32x32 smooth disc exits 0 and
+    reports a converged run."""
+    image = _smooth_disc_pgm(tmp_path, 32)
     report = tmp_path / "report.json"
     code = main(["denoise", "--input", str(image), "--preset",
                  str(PRESETS / preset), "--report", str(report)])
@@ -443,6 +448,46 @@ def test_shipped_sb_presets_converge(tmp_path, preset):
     p.name for p in PRESETS.glob("denoise_ball_cp_*.json")))
 def test_shipped_cp_denoise_presets_converge(tmp_path, preset):
     _converges_on_disc(tmp_path, preset)
+
+
+@pytest.mark.parametrize("preset", sorted(
+    p.name for p in PRESETS.glob("inpaint_ball_cp_*.json")))
+def test_shipped_cp_inpaint_presets_converge(tmp_path, preset):
+    """``fetv inpaint --preset`` on a 32x32 smooth disc with two thirds of
+    the pixels erased by a PGM mask exits 0 with a converged run that ends
+    above the PSNR of the zero-filled data."""
+    n = 32
+    image = _smooth_disc_pgm(tmp_path, n)
+    dark = np.random.default_rng(5).random((n, n)) < 2.0 / 3.0
+    mask = tmp_path / "mask.pgm"
+    save_pgm(Raster(n, n, (~dark).astype(float)), mask)
+    report = tmp_path / "report.json"
+    code = main(["inpaint", "--input", str(image), "--mask", str(mask),
+                 "--preset", str(PRESETS / preset), "--seed", "1",
+                 "--report", str(report)])
+    assert code == 0
+    data = json.loads(report.read_text())
+    assert data["converged"] is True
+    assert data["psnr"] > data["psnr_baseline"]
+
+
+def test_cp_preset_over_the_step_bound_is_refused(tmp_path, capsys):
+    """The r = 1 denoising preset holds the tau of the 64x64 mesh.  On a
+    128x128 image that puts sigma * tau * L near 2.5, over the bound 1, so
+    the run is refused at set-up: exit code 1, one error line naming the
+    ratio, and no report."""
+    image = _smooth_disc_pgm(tmp_path, 128)
+    report = tmp_path / "report.json"
+    code = main(["denoise", "--input", str(image), "--preset",
+                 str(PRESETS / "denoise_ball_cp_dg1.json"),
+                 "--report", str(report)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not report.exists()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert re.match(r"fetv: error: sigma \* tau \* L = 2\.\d+ is over the "
+                    r"stability bound 1 ", err[0]), err
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-0.1"])

@@ -382,6 +382,18 @@ def test_project_feasible_idempotent_and_bounds(spaces_2x2):
                 project_feasible(feasible, spec) - feasible).max() == 0.0
 
 
+def test_s_is_not_a_bool(spaces_unit):
+    """True == 1, but the anisotropy is a number: dtv, tv_exact and the
+    constraint set refuse a bool, as ProblemSpec does."""
+    space = spaces_unit[1]
+    u = DgFunction(space, space.interpolate(lambda p: p[:, 0]))
+    for bad in (True, np.True_, False):
+        for call in (lambda: dtv(u, bad), lambda: tv_exact(u, bad),
+                     lambda: ConstraintSetSpec(space, 1e-3, bad)):
+            with pytest.raises(ValueError, match="anisotropy"):
+                call()
+
+
 def test_constraint_set_refuses_bad_beta_and_scale(spaces_unit):
     """beta and the Y* scale are positive finite reals: a bool, NaN, +-inf
     or a value <= 0 would build NaN, infinite or empty bounds or weights."""

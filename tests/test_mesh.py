@@ -45,6 +45,14 @@ def test_crossed_rejects_bad_dims():
                           (1.0, -math.inf)):
         with pytest.raises(ValueError, match="positive and finite"):
             build_crossed_mesh(2, 2, width, height)
+    # the sizes are ints, not coerced: 2.7 would build 2 squares, "3" 3
+    # and True 1
+    for nx, ny in ((2.7, 3), ("3", "3"), (True, True), (3, np.True_),
+                   (None, 3)):
+        with pytest.raises(ValueError, match="grid dimensions must be "
+                                             "integers"):
+            build_crossed_mesh(nx, ny, 1.0, 1.0)
+    assert build_crossed_mesh(np.int64(2), 3, 1.0, 1.0).num_cells == 24
 
 
 def test_cell_areas_sum():

@@ -616,7 +616,8 @@ def test_solve_is_the_textbook_pcg(spaces_2x2):
 
 def test_set_lam_rejects_zero(spaces_2x2):
     """The penalty must be a positive finite real, at construction and
-    after; a refused one leaves lam as it was."""
+    after, and so must the scale; a refused penalty leaves lam as it
+    was."""
     space = spaces_2x2[1]
     bad = {"be positive": (0.0, -1e-3, math.nan, math.inf, -math.inf, True,
                            np.True_),
@@ -625,6 +626,9 @@ def test_set_lam_rejects_zero(spaces_2x2):
         for lam in values:
             with pytest.raises(ValueError, match=f"lam must {rule}"):
                 QuadraticSolver(space, space.grad_jump(), lam, 1e-2)
+            # the scale of K takes the same rule, before any block is built
+            with pytest.raises(ValueError, match=f"scale must {rule}"):
+                QuadraticSolver(space, space.grad_jump(), 1e-3, lam)
     qs = QuadraticSolver(space, space.grad_jump(), 1e-3, 1e-2)
     for rule, values in bad.items():
         for lam in values:

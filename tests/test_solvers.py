@@ -569,6 +569,13 @@ def test_solver_input_validation(spaces_2x2):
             solver(r2, space=quadratic)
     with pytest.raises(ValueError, match="vanish at degree 2"):
         estimate_operator_norm_sq(quadratic, lumped=True)
+    # a scale that is no positive finite real is refused, not cached
+    for rule, values in {"be positive": (0.0, -1.0, math.nan, math.inf, True),
+                         "be a real number": ("1", None)}.items():
+        for bad in values:
+            with pytest.raises(ValueError, match=f"scale must {rule}"):
+                estimate_operator_norm_sq(quadratic, bad)
+    assert quadratic._norm_sq == {}
     s1 = ProblemSpec(mesh=space.mesh, degree=0, f=f, beta=1.0, s=1)
     with pytest.raises(ValueError):
         chambolle_projection_l2(s1, space=space)
@@ -1092,19 +1099,33 @@ PRESETS = pathlib.Path(__file__).resolve().parents[1] / "presets"
 @pytest.mark.parametrize("path", sorted(PRESETS.glob("*_cp_*.json")),
                          ids=lambda p: p.stem)
 def test_cp_presets_within_step_bound(path):
-    """sigma * tau * L <= 0.95 on the 64x64 protocol mesh, L being the
-    operator norm estimate at the preset's scale."""
+    """sigma * tau * L <= 0.95, L being the operator norm estimate at the
+    preset's scale: for a preset with its own tau on the 64x64 protocol
+    mesh; for one without, with the tau the solver resolves on 32x32,
+    64x64 and 128x128 meshes, where L is reported in ``params``."""
     preset = json.loads(path.read_text())
     r = preset["degree"]
-    space = FeSpace(build_crossed_mesh(64, 64, 1.0, 1.0), r)
-    norm_sq = estimate_operator_norm_sq(
-        space, preset.get("scale", solvers.DEFAULT_SCALE[r]))
-    assert preset["sigma-step"] * preset["tau"] * norm_sq <= 0.95
+    scale = preset.get("scale", solvers.DEFAULT_SCALE[r])
+    for n in (64,) if "tau" in preset else (32, 64, 128):
+        mesh = build_crossed_mesh(n, n, 1.0, 1.0)
+        space = FeSpace(mesh, r)
+        norm_sq = estimate_operator_norm_sq(space, scale)
+        tau = preset.get("tau")
+        if tau is None:
+            prob = ProblemSpec(mesh=mesh, degree=r, f=np.zeros(space.dim_dg),
+                               beta=preset["beta"])
+            _, _, rep = chambolle_pock_l2(prob, SolverParams(
+                sigma=preset["sigma-step"], scale=scale, max_iter=1),
+                space=space)
+            assert rep.params["norm_sq"] == norm_sq
+            tau = rep.params["tau"]
+        assert preset["sigma-step"] * tau * norm_sq <= 0.95, n
 
 
 def test_cp_default_steps_are_the_denoising_presets():
-    """The denoising presets hold the default sigma and the default scale,
-    and their tau is the derived default on the 64x64 protocol mesh,
+    """The denoising presets hold the default sigma and the default scale.
+    The r = 0 and 2 presets leave tau to the mesh; the r = 1 one, which the
+    bench runs, holds the derived default on the 64x64 protocol mesh,
     rounded down to three significant digits."""
     mesh = build_crossed_mesh(64, 64, 1.0, 1.0)
     for r, sigma in solvers.CP_STEP_DEFAULTS.items():
@@ -1113,6 +1134,9 @@ def test_cp_default_steps_are_the_denoising_presets():
         assert preset["sigma-step"] == sigma
         assert preset.get("scale", solvers.DEFAULT_SCALE[r]) \
             == solvers.DEFAULT_SCALE[r]
+        if r != 1:
+            assert "tau" not in preset
+            continue
         space = FeSpace(mesh, r)
         prob = ProblemSpec(mesh=mesh, degree=r,
                            f=space.interpolate(smooth_disc), beta=1e-3)
@@ -1142,6 +1166,34 @@ def test_cp_default_steps_follow_the_mesh(r):
         assert rep.params["sigma"] * rep.params["tau"] * norm_sq \
             == pytest.approx(0.9, rel=1e-12)
         assert rep.params["sigma"] == solvers.CP_STEP_DEFAULTS[r]
+
+
+@pytest.mark.parametrize("solver, lumped", [
+    (chambolle_pock_l2, False), (chambolle_pock_l1, True),
+    (chambolle_projection_l2, False)], ids=["cp-l2", "cp-l1", "projection"])
+def test_explicit_steps_over_the_bound_are_refused(solver, lumped):
+    """A given tau with sigma * tau * L over 1, L the norm estimate of the
+    operator the solver iterates (lumped for TV-L1; sigma = 1 for the
+    projection method), is refused at set-up with one ValueError naming
+    the ratio and the bound.  Just under the bound the run goes on, and
+    the report carries L next to the steps."""
+    mesh = build_crossed_mesh(16, 16, 1.0, 1.0)
+    space = FeSpace(mesh, 1)
+    prob = ProblemSpec(mesh=mesh, degree=1, f=space.interpolate(smooth_disc),
+                       beta=1e-3)
+    norm_sq = estimate_operator_norm_sq(space, 1e-2, lumped=lumped)
+    sigma = 1.0 if solver is chambolle_projection_l2 else 0.025
+    for ratio in (1.001, 2.5):
+        params = SolverParams(sigma=0.025, tau=ratio / (sigma * norm_sq),
+                              max_iter=2)
+        with pytest.raises(ValueError, match=(
+                rf"^sigma \* tau \* L = {ratio:g} is over the stability "
+                r"bound 1 ")):
+            solver(prob, params, space=space)
+    tau = 0.999 / (sigma * norm_sq)
+    _, _, rep = solver(prob, SolverParams(sigma=0.025, tau=tau, max_iter=2),
+                       space=space)
+    assert rep.params["tau"] == tau and rep.params["norm_sq"] == norm_sq
 
 
 def test_cp_default_steps_converge_on_a_finer_mesh():

@@ -32,9 +32,15 @@ def test_reference_weights_r2():
     assert w.cell_full_exact == (F(0), F(0), F(0), F(1, 3), F(1, 3), F(1, 3))
 
 
-def test_reference_weights_rejects_degree():
+def test_reference_weights_rejects_degree(unit_crossed):
     with pytest.raises(ValueError):
         lagrange_layout(3)
+    # a bool is no degree, and an int of another type shares the one
+    # cached layout of its value
+    for bad in (True, np.True_, 1.0, "1", 3, None):
+        with pytest.raises(ValueError, match="degree must be an integer"):
+            FeSpace(unit_crossed, bad)
+    assert FeSpace(unit_crossed, np.int64(1)).layout is lagrange_layout(1)
 
 
 def test_weights_match_symbolic_integration():
