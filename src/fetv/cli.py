@@ -18,7 +18,8 @@ import numpy as np
 from . import images, mesh as mesh_mod, metrics
 from .dtv import dtv, tv_exact
 from .operators import DgFunction, InnerSolveError
-from .solvers import ALGORITHMS, ProblemSpec, SolverParams, solve
+from .solvers import (ALGORITHMS, DEFAULT_SCALE, ProblemSpec, SolverParams,
+                      solve)
 from .spaces import SUPPORTED_DEGREES, FeSpace
 
 EXIT_OK = 0
@@ -42,9 +43,9 @@ def _solver_arguments(sub):
                      choices=sorted(ALGORITHMS))
     sub.add_argument("--degree", type=int, default=0,
                      choices=SUPPORTED_DEGREES)
-    sub.add_argument("--s", type=int, default=2, choices=(1, 2),
+    sub.add_argument("--s", type=int, default=ProblemSpec.s, choices=(1, 2),
                      help="anisotropy exponent of the TV integrand")
-    sub.add_argument("--beta", type=float, default=1e-3)
+    sub.add_argument("--beta", type=float, default=ProblemSpec.beta)
     sub.add_argument("--lambda", dest="lam", type=float, default=None,
                      help="augmented Lagrangian weight (split Bregman / ADMM; "
                           "split Bregman starts from it and balances it on "
@@ -53,16 +54,17 @@ def _solver_arguments(sub):
                      help="primal step of the Chambolle-Pock iterations")
     sub.add_argument("--tau", type=float, default=None,
                      help="dual step size (default: 0.9 / (sigma * L))")
-    sub.add_argument("--theta", type=float, default=1.0)
+    sub.add_argument("--theta", type=float, default=SolverParams.theta)
     sub.add_argument("--scale", type=float, default=None,
-                     help="Y scaling parameter (default 1 for degree 0, "
-                          "1e-2 otherwise)")
-    sub.add_argument("--huber-eps", type=float, default=0.0)
-    sub.add_argument("--tol-rel", type=float, default=1e-3)
-    sub.add_argument("--max-iter", type=int, default=5000)
+                     help="Y scaling parameter (default by degree: %s)"
+                          % ", ".join(f"{r} -> {v:g}"
+                                      for r, v in DEFAULT_SCALE.items()))
+    sub.add_argument("--huber-eps", type=float, default=ProblemSpec.huber_eps)
+    sub.add_argument("--tol-rel", type=float, default=SolverParams.eps_rel)
+    sub.add_argument("--max-iter", type=int, default=SolverParams.max_iter)
     sub.add_argument("--noise-sigma", type=float, default=0.0,
                      help="add Gaussian noise to the ingested coefficients")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=int, default=metrics.NoiseSpec.seed)
     sub.add_argument("--preset", default=None,
                      help="JSON file with default option values")
     sub.add_argument("--input", required=True)
@@ -90,7 +92,7 @@ def build_parser():
     p.add_argument("--coeffs", default=None,
                    help="coefficient file (one value per line)")
     p.add_argument("--degree", type=int, default=0, choices=SUPPORTED_DEGREES)
-    p.add_argument("--s", type=int, default=2, choices=(1, 2))
+    p.add_argument("--s", type=int, default=ProblemSpec.s, choices=(1, 2))
     p.set_defaults(run=_cmd_dtv)
 
     p = subs.add_parser("make-mesh", help="generate a crossed-diagonal mesh")
@@ -106,8 +108,8 @@ def build_parser():
     p = subs.add_parser("add-noise", help="add Gaussian noise to a PGM image")
     p.add_argument("--input", required=True)
     p.add_argument("--output", required=True)
-    p.add_argument("--sigma", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sigma", type=float, default=metrics.NoiseSpec.sigma)
+    p.add_argument("--seed", type=int, default=metrics.NoiseSpec.seed)
     p.set_defaults(run=_cmd_add_noise)
     return parser
 

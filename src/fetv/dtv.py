@@ -38,9 +38,11 @@ __all__ = [
 _PRIMAL_S = (1, 2, math.inf)
 
 
-def _check_s(s):
-    if isinstance(s, (bool, np.bool_)) or s not in _PRIMAL_S:
-        raise ValueError(f"anisotropy s={s!r} not supported here")
+def _check_s(s, supported=_PRIMAL_S):
+    """ValueError unless ``s`` is one of ``supported``, not a bool."""
+    if isinstance(s, (bool, np.bool_)) or s not in supported:
+        raise ValueError("anisotropy s must be in {%s}, got %r"
+                         % (", ".join(map(str, supported)), s))
 
 
 def vector_norm(vecs, s):

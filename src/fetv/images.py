@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mesh import _text_lines, build_crossed_mesh
-from .operators import DgFunction
+from .operators import DgFunction, _check_int
 from .spaces import FeSpace
 
 __all__ = [
@@ -115,8 +115,7 @@ def load_pgm(path):
 
 def save_pgm(raster: Raster, path, maxval=255, binary=True):
     """Write a canonical PGM; values are quantized to round(v * maxval)."""
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval {maxval} out of range [1, 65535]")
+    maxval = _check_int("maxval", maxval, 1, 65535)
     q = np.clip(np.rint(np.clip(raster.values, 0.0, 1.0) * maxval),
                 0, maxval).astype(np.uint16)
     header = f"{'P5' if binary else 'P2'}\n{raster.width} {raster.height}\n" \

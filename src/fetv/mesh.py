@@ -10,10 +10,10 @@ the lower-indexed adjacent cell (``cell_plus``) into the higher-indexed one
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 
 import numpy as np
+
+from .operators import _check_int, _check_real
 
 __all__ = [
     "Mesh",
@@ -262,15 +262,9 @@ def build_crossed_mesh(nx, ny, width, height):
     index iy*nx + ix) and own cells 4*s .. 4*s+3 in the order bottom, right,
     top, left triangle.
     """
-    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool)
-               for n in (nx, ny)):
-        raise ValueError(
-            f"grid dimensions must be integers, got {nx!r}, {ny!r}")
-    nx, ny = int(nx), int(ny)
-    if nx < 1 or ny < 1:
-        raise ValueError("grid dimensions must be at least 1x1")
-    if not (0 < width < math.inf and 0 < height < math.inf):
-        raise ValueError("width and height must be positive and finite")
+    nx, ny = _check_int("nx", nx, 1), _check_int("ny", ny, 1)
+    _check_real("width", width)
+    _check_real("height", height)
 
     dx = width / nx
     dy = height / ny

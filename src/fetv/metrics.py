@@ -26,12 +26,11 @@ does not depend on how a numpy version casts Python integers.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _check_real
+from .operators import _check_int, _check_real
 
 __all__ = [
     "NoiseSpec",
@@ -136,11 +135,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         _check_real("sigma", self.sigma, closed=True)
-        if (isinstance(self.seed, bool)
-                or not isinstance(self.seed, numbers.Integral)
-                or not 0 <= int(self.seed) <= _MASK):
-            raise ValueError(f"seed must be an integer in [0, 2^64), got "
-                             f"{self.seed!r}")
+        _check_int("seed", self.seed, 0, _MASK)
 
 
 def add_noise(u, spec: NoiseSpec):

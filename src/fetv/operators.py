@@ -69,6 +69,17 @@ def _check_real(name, value, high=math.inf, closed=False):
         raise ValueError(f"{name} must {rule}, got {value}")
 
 
+def _check_int(name, value, low, high=None):
+    """The one rule for an integer parameter: ValueError naming ``name``
+    unless ``value`` is an integer, not a bool, in [low, high]; returns it
+    as an int."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+            or not low <= int(value) <= (math.inf if high is None else high):
+        bound = f"of at least {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
 class InnerSolveError(RuntimeError):
     """Inner linear solve failed to reach its tolerance."""
 

@@ -33,14 +33,14 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .dtv import (ConstraintSetSpec, _project_in_place, infeasibility,
-                  support, vector_norm)
+from .dtv import (ConstraintSetSpec, _check_s, _project_in_place,
+                  infeasibility, support, vector_norm)
 # project_feasible stays bound here for the benchmark tracer
 # (bench/spans.py), which hooks each module's binding
 from .dtv import project_feasible  # noqa: F401
 from .metrics import psnr
 from .operators import (DgFunction, InnerSolveError, QuadraticSolver,
-                        _check_real, divergence)
+                        _check_int, _check_real, divergence)
 from .spaces import FeSpace, _check_degree
 
 __all__ = [
@@ -118,11 +118,10 @@ class ProblemSpec:
     huber_eps: float = 0.0
 
     def __post_init__(self):
-        _check_degree(self.degree)
+        self.degree = _check_degree(self.degree)
         # beta = 0 reduces to u = f on the data region, undefined elsewhere
         _check_real("beta", self.beta)
-        if isinstance(self.s, (bool, np.bool_)) or self.s not in (1, 2):
-            raise ValueError("solvers support s in {1, 2}")
+        _check_s(self.s, (1, 2))
         _check_real("huber_eps", self.huber_eps, closed=True)
         if self.huber_eps > 0 and self.s != 2:
             raise ValueError("the Huber variant is defined for s = 2 only")
@@ -152,9 +151,7 @@ class SolverParams:
                 _check_real(name, getattr(self, name))
         _check_real("eps_rel", self.eps_rel, closed=True)
         _check_real("theta", self.theta, high=1.0, closed=True)
-        if isinstance(self.max_iter, bool) or not isinstance(
-                self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise ValueError("max_iter must be an integer of at least 1")
+        self.max_iter = _check_int("max_iter", self.max_iter, 1)
 
 
 @dataclass
@@ -182,7 +179,8 @@ class SolverReport:
     def to_json(self):
         """The report as RFC 8259 JSON: non-finite floats (the psnr of an
         exact reconstruction is inf) are written as null."""
-        text = json.dumps(self.to_dict())     # with Infinity / NaN tokens
+        # with Infinity / NaN tokens, and numpy scalars as Python numbers
+        text = json.dumps(self.to_dict(), default=lambda v: v.item())
         return json.dumps(json.loads(text, parse_constant=lambda _: None),
                           indent=2)
 

@@ -30,7 +30,6 @@ same per-dof weights.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -38,7 +37,7 @@ from math import factorial
 
 import numpy as np
 
-from .operators import GradJumpOperator
+from .operators import GradJumpOperator, _check_int
 
 __all__ = [
     "SUPPORTED_DEGREES",
@@ -51,11 +50,9 @@ SUPPORTED_DEGREES = (0, 1, 2)
 
 
 def _check_degree(r):
-    """ValueError unless ``r`` is an int, not a bool, in SUPPORTED_DEGREES."""
-    if not isinstance(r, numbers.Integral) or isinstance(r, bool) \
-            or r not in SUPPORTED_DEGREES:
-        raise ValueError("degree must be an integer in {%s}, got %r" % (
-            ", ".join(map(str, SUPPORTED_DEGREES)), r))
+    """``r`` as an int; ValueError unless it is in SUPPORTED_DEGREES (a
+    contiguous range)."""
+    return _check_int("degree", r, SUPPORTED_DEGREES[0], SUPPORTED_DEGREES[-1])
 
 
 def _cell_monomials(r):
@@ -243,11 +240,10 @@ class FeSpace:
     tables needed by the seminorm, the constraint set and the solvers."""
 
     def __init__(self, mesh, r):
-        # checked before the layout cache, and a plain int after: the cache
-        # keys np.int64(1) apart from 1 and would build a second layout
-        _check_degree(r)
+        # a plain int for the layout cache, which keys np.int64(1) apart
+        # from 1 and would build a second layout
+        self.degree = r = _check_degree(r)
         self.mesh = mesh
-        self.degree = r = int(r)
         self.layout = lay = lagrange_layout(r)
         self.dofs = DofMap(mesh.num_cells, mesh.num_interior_edges,
                            lay.n_cell, lay.n_sub, lay.n_edge)

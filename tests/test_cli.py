@@ -514,8 +514,8 @@ def test_add_noise_rejects_seeds_outside_64_bits(tmp_path, disc_image, capsys,
                  "--output", str(out), "--seed", seed])
     assert code == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"fetv: error: seed must be an integer in [0, 2^64), "
-                   f"got {seed}"]
+    assert err == [f"fetv: error: seed must be an integer in "
+                   f"[0, 18446744073709551615], got {seed}"]
     assert not out.exists()
 
 
@@ -531,7 +531,8 @@ def test_make_mesh_rejects_bad_size(tmp_path, capsys, size):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().splitlines() == [
-        "fetv: error: width and height must be positive and finite"]
+        f"fetv: error: {size[0][2:]} must be positive and finite, "
+        f"got {float(size[1])}"]
     assert not out.exists()
 
 
@@ -541,8 +542,9 @@ def test_make_mesh_rejects_empty_grid(tmp_path, capsys, dims):
     out = tmp_path / "m.mesh"
     code = main(["make-mesh", *dims, "--output", str(out)])
     assert code == 1
+    name, value = ("nx", dims[0]) if int(dims[0]) < 1 else ("ny", dims[1])
     assert capsys.readouterr().err.strip().splitlines() == [
-        "fetv: error: grid dimensions must be at least 1x1"]
+        f"fetv: error: {name} must be an integer of at least 1, got {value}"]
     assert not out.exists()
 
 

@@ -60,6 +60,21 @@ def test_p2_save_load(tmp_path):
     assert np.abs(again.values - raster.values).max() <= 0.5 / 100
 
 
+def test_save_pgm_refuses_bad_maxval(tmp_path):
+    """maxval is an integer in [1, 65535]; anything else, a float or a bool
+    too, would write a header load_pgm refuses, so nothing is written."""
+    raster = Raster(2, 2, np.full((2, 2), 0.5))
+    path = tmp_path / "bad.pgm"
+    for maxval in (0, 65536, -1, 2.5, 255.0, True, np.True_, "255", None):
+        with pytest.raises(ValueError, match=r"maxval must be an integer in "
+                                             r"\[1, 65535\]"):
+            save_pgm(raster, path, maxval=maxval)
+        assert not path.exists()
+    save_pgm(raster, path, maxval=np.int64(100), binary=False)
+    assert path.read_text().split()[3] == "100"
+    assert np.abs(load_pgm(path).values - 0.5).max() <= 0.5 / 100
+
+
 def test_pgm_header_errors(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_text("P3\n2 2\n255\n")

@@ -42,15 +42,18 @@ def test_crossed_rejects_bad_dims():
     with pytest.raises(ValueError):
         build_crossed_mesh(2, 2, 0.0, 1.0)
     for width, height in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0),
-                          (1.0, -math.inf)):
+                          (1.0, -math.inf), (True, 1.0), (1.0, np.True_)):
         with pytest.raises(ValueError, match="positive and finite"):
+            build_crossed_mesh(2, 2, width, height)
+    # a size that is no real number is refused like the grid dimensions
+    for width, height in (("1", 1.0), (None, 1.0), (1.0, "1")):
+        with pytest.raises(ValueError, match="(width|height) must be a real"):
             build_crossed_mesh(2, 2, width, height)
     # the sizes are ints, not coerced: 2.7 would build 2 squares, "3" 3
     # and True 1
     for nx, ny in ((2.7, 3), ("3", "3"), (True, True), (3, np.True_),
                    (None, 3)):
-        with pytest.raises(ValueError, match="grid dimensions must be "
-                                             "integers"):
+        with pytest.raises(ValueError, match="n[xy] must be an integer"):
             build_crossed_mesh(nx, ny, 1.0, 1.0)
     assert build_crossed_mesh(np.int64(2), 3, 1.0, 1.0).num_cells == 24
 

@@ -139,7 +139,7 @@ def test_noise_spec_takes_64_bit_seeds_only():
     anything else is an error, not reduced mod 2^64 or truncated."""
     for seed in (-1, 2**64, 2**65 + 7, 1.0, 7.5, "7", None, True):
         with pytest.raises(ValueError, match=r"seed must be an integer in "
-                                             r"\[0, 2\^64\)"):
+                                             r"\[0, 18446744073709551615\]"):
             NoiseSpec(seed=seed)
     for seed in (0, 2**64 - 1, np.uint64(2**64 - 1), np.int64(3)):
         assert NoiseSpec(seed=seed).seed == seed

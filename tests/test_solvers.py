@@ -80,7 +80,7 @@ def test_problem_spec_validation(unit_crossed):
         with pytest.raises(ValueError, match="beta must be positive"):
             ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=bad)
     for bad in (True, np.True_):
-        with pytest.raises(ValueError, match=r"s in \{1, 2\}"):
+        with pytest.raises(ValueError, match=r"s must be in \{1, 2\}"):
             ProblemSpec(mesh=unit_crossed, degree=0, f=f, beta=1.0, s=bad)
     for bad in (True, np.True_, math.nan, math.inf, -math.inf, -1e-3):
         with pytest.raises(ValueError, match="huber_eps must be nonnegative"):
@@ -94,7 +94,7 @@ def test_problem_spec_validation(unit_crossed):
     # True and 1.0 would otherwise run as DG_1 and be echoed in the report
     for bad in (True, np.True_, 1.0, np.float64(0.0), 3, -1, "1", None):
         with pytest.raises(ValueError, match=r"degree must be an integer in "
-                                             r"\{0, 1, 2\}"):
+                                             r"\[0, 2\]"):
             ProblemSpec(mesh=unit_crossed, degree=bad, f=f)
     for r in (0, 1, 2, np.int64(2)):
         assert ProblemSpec(mesh=unit_crossed, degree=r, f=f).degree == r
@@ -612,7 +612,7 @@ def test_solver_input_validation(spaces_2x2):
     for name in ("lam", "sigma", "tau", "scale"):
         assert getattr(SolverParams(**{name: None}), name) is None
     assert SolverParams(lam=np.float64(2.0), theta=1, eps_rel=0).theta == 1
-    for max_iter in (2.5, 0, "10", None, True):
+    for max_iter in (2.5, 0, "10", None, True, np.True_, 2.0, "3"):
         with pytest.raises(ValueError, match="max_iter must be an integer"):
             SolverParams(max_iter=max_iter)
     assert SolverParams(max_iter=np.int64(3)).max_iter == 3
@@ -716,6 +716,26 @@ def test_report_json_writes_non_finite_values_as_null():
     data = strict_json(report.to_json())
     assert data["psnr"] is None and data["trace"][1]["gap"] is None
     assert report.to_json() == _fixed_report(None, None).to_json()
+
+
+@pytest.mark.parametrize("spec, steps", [
+    ({"degree": np.int64(1)}, {}),
+    ({"beta": np.float32(1e-3)}, {"sigma": np.float32(0.02)}),
+    ({}, {"max_iter": np.int64(10)}),
+], ids=["degree", "beta-sigma", "max_iter"])
+def test_report_json_takes_numpy_scalars(spec, steps):
+    """Parameters given as numpy scalars are echoed in the report, and its
+    JSON reads them back as Python numbers of the same value."""
+    mesh = build_crossed_mesh(4, 4, 1.0, 1.0)
+    space = FeSpace(mesh, 1)
+    prob = ProblemSpec(mesh=mesh, f=np.linspace(0.0, 1.0, space.dim_dg),
+                       **{"degree": 1, **spec})
+    _, _, report = chambolle_pock_l2(
+        prob, SolverParams(**{"max_iter": 10, **steps}), space=space)
+    data = strict_json(report.to_json())["params"]
+    for name, value in {**spec, **steps}.items():
+        assert type(data[name]) is type(value.item())
+        assert data[name] == value
 
 
 def _sb_bench_instance():
