@@ -175,10 +175,8 @@ def _cmd_solver(args, inpaint):
         raise
 
     if inpaint:
-        baseline = f.copy()
-        baseline.coeffs = np.where(np.repeat(omega0, space.dofs.n_cell_basis),
-                                   baseline.coeffs, 0.0)
-        report.extras["psnr_baseline"] = metrics.psnr(baseline, clean)
+        report.extras["psnr_baseline"] = metrics.psnr(clean, np.where(
+            np.repeat(omega0, space.dofs.n_cell_basis), f.coeffs, 0.0))
         report.extras["masked_cells"] = int(masked.sum())
 
     if args.output:
@@ -209,7 +207,8 @@ def _cmd_dtv(args):
     elif args.mesh and args.coeffs and not args.input:
         mesh = mesh_mod.load_mesh(args.mesh)
         space = FeSpace(mesh, args.degree)
-        coeffs = np.loadtxt(args.coeffs, dtype=float).ravel()
+        coeffs = np.array([v for _, v in mesh_mod._line_values(
+            args.coeffs, "coefficient", float, "a number")])
         if not np.isfinite(coeffs).all():
             raise ValueError("coefficients hold NaN or infinite values")
         u = DgFunction(space, coeffs)

@@ -240,14 +240,14 @@ class ConstraintSetSpec:
 
     @cached_property
     def _edge_floor(self):
-        """-edge_bounds for the edge clip, made on the first projection:
-        the solvers that never project keep one edge vector less."""
+        """-edge_bounds for the edge clip, made on the first projection: the
+        sets that ``dtv()`` builds never project and keep one vector less."""
         return -self.edge_bounds
 
     @cached_property
     def y_weights(self):
         """The lumped Y weights at ``scale`` (``y_weight_vector``), read-only
-        and made once: ``infeasibility`` divides by them, and the solvers
+        and made once: ``_ystar_norm_sq`` divides by them, and the solvers
         share them as their Riesz map."""
         w = self.space.y_weight_vector(self.scale)
         w.setflags(write=False)
@@ -321,5 +321,9 @@ def infeasibility(p, spec: ConstraintSetSpec):
     weights at ``spec.scale``.  Exactly 0.0 for p in beta*P, where the
     projection leaves every dof as it is, and NaN if p holds a NaN."""
     p = np.asarray(p, dtype=float)
-    d = p - _project_in_place(p.copy(), spec)
-    return float(d @ (d / spec.y_weights))
+    return _ystar_norm_sq(p - _project_in_place(p.copy(), spec), spec)
+
+
+def _ystar_norm_sq(v, spec: ConstraintSetSpec):
+    """The squared Y*-norm of the RT dof vector v at ``spec.scale``."""
+    return float(v @ (v / spec.y_weights))

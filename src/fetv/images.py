@@ -10,11 +10,12 @@ pixel-constant functions, which undoes ingestion.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import _text_lines, build_crossed_mesh
+from .mesh import _line_values, build_crossed_mesh
 from .operators import DgFunction, _check_int
 from .spaces import FeSpace
 
@@ -46,30 +47,26 @@ class Raster:
             self.height, self.width)
 
 
-_WS = b" \t\r\n\x0b\x0c"
+# a token after whitespace (\s of a bytes pattern is PGM's set) and '#'
+# comments, which the lookahead keeps whole when no token follows them
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]+)")
+_MAXVAL = 65535
 
 
-def _tokens(data, start, count):
-    """Read ``count`` whitespace-separated tokens from ``data`` beginning at
-    ``start``, honoring '#' comments; returns the tokens and the absolute
-    offset one past the last token."""
+def _sample_dtype(maxval):     # big-endian 2-byte samples above 255
+    return np.dtype(">u2" if maxval > 255 else np.uint8)
+
+
+def _tokens(data, start, count, short="unexpected end of file in header"):
+    """``count`` tokens of ``_TOKEN`` from offset ``start`` of ``data`` and
+    the offset one past the last; PgmError(``short``) if there are fewer."""
     tokens = []
-    pos = start
-    n = len(data)
-    while len(tokens) < count:
-        while pos < n and data[pos] in _WS:
-            pos += 1
-        if pos < n and data[pos:pos + 1] == b"#":
-            nl = data.find(b"\n", pos)
-            pos = n if nl < 0 else nl + 1
-            continue
-        begin = pos
-        while pos < n and data[pos] not in _WS and data[pos:pos + 1] != b"#":
-            pos += 1
-        if begin == pos:
-            raise PgmError("unexpected end of file in header or payload")
-        tokens.append(data[begin:pos])
-    return tokens, pos
+    for _ in range(count):
+        if not (match := _TOKEN.match(data, start)):
+            raise PgmError(short)
+        tokens.append(match[1])
+        start = match.end()
+    return tokens, start
 
 
 def load_pgm(path):
@@ -87,24 +84,19 @@ def load_pgm(path):
         raise PgmError("non-numeric header field") from None
     if width <= 0 or height <= 0:
         raise PgmError("image dimensions must be positive")
-    if not 1 <= maxval <= 65535:
-        raise PgmError(f"maxval {maxval} out of range [1, 65535]")
+    if not 1 <= maxval <= _MAXVAL:
+        raise PgmError(f"maxval {maxval} out of range [1, {_MAXVAL}]")
 
     count = width * height
     if magic == b"P5":
         # exactly one whitespace byte separates maxval from the payload
         payload = data[pos + 1:]
-        dtype = ">u2" if maxval > 255 else np.uint8
-        itemsize = 2 if maxval > 255 else 1
-        if len(payload) < count * itemsize:
+        dtype = _sample_dtype(maxval)
+        if len(payload) < count * dtype.itemsize:
             raise PgmError("truncated P5 payload")
-        samples = np.frombuffer(payload[: count * itemsize], dtype=dtype)
-        samples = samples.astype(float)
+        samples = np.frombuffer(payload, dtype, count).astype(float)
     else:
-        try:
-            body, _ = _tokens(data, pos, count)
-        except PgmError:
-            raise PgmError("truncated P2 payload") from None
+        body, _ = _tokens(data, pos, count, "truncated P2 payload")
         try:
             samples = np.array([int(v) for v in body], dtype=float)
         except ValueError:
@@ -115,7 +107,7 @@ def load_pgm(path):
 
 def save_pgm(raster: Raster, path, maxval=255, binary=True):
     """Write a canonical PGM; values are quantized to round(v * maxval)."""
-    maxval = _check_int("maxval", maxval, 1, 65535)
+    maxval = _check_int("maxval", maxval, 1, _MAXVAL)
     q = np.clip(np.rint(np.clip(raster.values, 0.0, 1.0) * maxval),
                 0, maxval).astype(np.uint16)
     header = f"{'P5' if binary else 'P2'}\n{raster.width} {raster.height}\n" \
@@ -123,7 +115,7 @@ def save_pgm(raster: Raster, path, maxval=255, binary=True):
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
-            fh.write(q.astype(">u2" if maxval > 255 else np.uint8).tobytes())
+            fh.write(q.astype(_sample_dtype(maxval)).tobytes())
         else:
             for row in q:
                 fh.write((" ".join(str(int(v)) for v in row) + "\n")
@@ -187,14 +179,7 @@ def load_mask(path, mesh):
         dark = np.flipud(raster.values).ravel() < 0.5
         masked[:] = np.repeat(dark, 4)
         return masked
-    lines, _ = _text_lines(
-        path, lambda msg, line: ValueError(f"mask line {line}: {msg}"))
-    for no, text in lines:
-        try:
-            idx = int(text)
-        except ValueError:
-            raise ValueError(f"mask line {no}: not a cell index: {text!r}") \
-                from None
+    for no, idx in _line_values(path, "mask", int, "a cell index"):
         if not 0 <= idx < mesh.num_cells:
             raise ValueError(
                 f"mask line {no}: cell index {idx} out of range "

@@ -58,7 +58,7 @@ class Mesh:
     """
 
     def __init__(self, vertices, cells):
-        vertices = np.ascontiguousarray(vertices, dtype=float)
+        vertices = np.array(vertices, dtype=float, order="C")  # a copy: frozen below
         cells = np.ascontiguousarray(cells, dtype=np.int64)
         if vertices.ndim != 2 or vertices.shape[1] != 2:
             raise ValueError("vertices must be an (N_V, 2) array")
@@ -324,6 +324,19 @@ def _text_lines(path, error):
         if text:
             lines.append((no, text))
     return lines, len(raw)
+
+
+def _line_values(path, what, parse, kind):
+    """(number, parse(text)) for each line of a one-value-per-line file; an
+    error names "<what> line <number>", and a refused value is "not <kind>"."""
+    error = lambda msg, line: ValueError(f"{what} line {line}: {msg}")  # noqa: E731
+    out = []
+    for no, text in _text_lines(path, error)[0]:
+        try:
+            out.append((no, parse(text)))
+        except ValueError:
+            raise error(f"not {kind}: {text!r}", no) from None
+    return out
 
 
 def load_mesh(path):

@@ -33,17 +33,26 @@ __all__ = [
 
 
 class DgFunction:
-    """A DG_r function: its space and the nodal coefficient vector."""
+    """A DG_r function: its space and the nodal coefficient vector.  The one
+    check of coefficients on a space: a DgFunction on its mesh object and
+    degree, taken with no copy, or ``space.dim_dg`` values; anything else
+    is a ValueError that names both spaces."""
 
     def __init__(self, space, coeffs=None):
         if coeffs is None:
             coeffs = np.zeros(space.dim_dg)
-        coeffs = np.asarray(coeffs, dtype=float).ravel()
-        if coeffs.size != space.dim_dg:
-            raise ValueError(
-                f"coefficient vector has length {coeffs.size}, "
-                f"expected {space.dim_dg}"
-            )
+        if isinstance(coeffs, DgFunction):
+            other, coeffs = coeffs.space, coeffs.coeffs
+            same = other.mesh is space.mesh
+            fits = same and other.degree == space.degree
+            given = (f"a function of DG_{other.degree} on "
+                     f"{'' if same else 'another mesh of '}{other.mesh.num_cells} cells")
+        else:
+            coeffs = np.asarray(coeffs, dtype=float).ravel()
+            fits, given = coeffs.size == space.dim_dg, f"{coeffs.size} values"
+        if not fits:
+            raise ValueError(f"{given} given for DG_{space.degree} on "
+                             f"{space.mesh.num_cells} cells ({space.dim_dg} values)")
         self.space = space
         self.coeffs = coeffs
 
@@ -332,7 +341,7 @@ class QuadraticSolver:
     def __init__(self, space, grad_op, lam, scale, fidelity=None):
         _check_real("scale", scale)
         if fidelity is None:
-            fidelity = space.mesh.det_jacobian, space.mass_ref
+            fidelity = space.mesh.det_jacobian, space.layout.mass_ref
         self._fid_w, self._fid_ref = fidelity
         if not np.any(self._fid_w):
             raise ValueError(

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .dtv import (ConstraintSetSpec, _check_s, _project_in_place,
-                  infeasibility, support, vector_norm)
+                  _ystar_norm_sq, infeasibility, support, vector_norm)
 # project_feasible stays bound here for the benchmark tracer
 # (bench/spans.py), which hooks each module's binding
 from .dtv import project_feasible  # noqa: F401
@@ -217,11 +217,7 @@ class _Context:
         n_k = self.space.dofs.n_cell_basis
         self.mask_dof = np.repeat(self.mask, n_k)
 
-        f = prob.f.coeffs if isinstance(prob.f, DgFunction) else prob.f
-        f = np.asarray(f, dtype=float).ravel()
-        if f.size != self.space.dim_dg:
-            raise ValueError("data vector does not match the DG space")
-        self.f = np.where(self.mask_dof, f, 0.0)
+        self.f = np.where(self.mask_dof, DgFunction(self.space, prob.f).coeffs, 0.0)
         if not np.isfinite(self.f).all():
             raise ValueError("data holds NaN or infinite values on data cells")
 
@@ -270,9 +266,8 @@ class _Context:
         dual = 0.5 * self.data_norm_sq(divp + self.f)
         val = ((fid + dual) - 0.5 * self.f_norm_sq) + reg
         if self.prob.huber_eps > 0:
-            w = np.asarray(p).ravel()
             val += self.prob.huber_eps / (2.0 * self.prob.beta) \
-                * float(w @ (w / self.yw))
+                * _ystar_norm_sq(p, self.cs)
         return val, fid + reg
 
     def l2_converged(self, eta_val, divp):
@@ -296,10 +291,6 @@ class _Context:
         on = float(v[self.mask_dof].max()) if self.mask_dof.any() else 0.0
         off = float(v[~self.mask_dof].max()) if (~self.mask_dof).any() else 0.0
         return on, off
-
-    def ystar_norm(self, p):
-        p = np.asarray(p).ravel()
-        return math.sqrt(p @ (p / self.yw))
 
 
 def estimate_operator_norm_sq(space, scale=1.0, lumped=False):
@@ -362,8 +353,8 @@ def gap(u: DgFunction, p, prob: ProblemSpec, context=None):
     """Primal-dual gap for the TV-L2 problem (sum of both objectives minus
     the constant data term); nonnegative for feasible p."""
     ctx = context if context is not None else _Context(prob, space=u.space)
-    y = ctx.op.apply(u.coeffs)
-    return ctx.eta(u.coeffs, p, y, divergence(ctx.op, p))[0]
+    u = DgFunction(ctx.space, u).coeffs
+    return ctx.eta(u, p, ctx.op.apply(u), divergence(ctx.op, p))[0]
 
 
 # -- the shared dual and splitting steps --------------------------------------
@@ -414,7 +405,7 @@ def split_bregman_l2(prob: ProblemSpec, params: SolverParams = None,
     params, space = ctx.params, ctx.space
     lam = params.lam if params.lam is not None else 1e-3
     qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, fidelity=(
-        np.where(ctx.mask, prob.mesh.det_jacobian, 0.0), space.mass_ref))
+        np.where(ctx.mask, prob.mesh.det_jacobian, 0.0), space.layout.mass_ref))
     d = space.new_y()
     mf = space.apply_mass(ctx.f, mask=ctx.mask)
     report = SolverReport(algorithm="split-bregman",
@@ -654,6 +645,8 @@ def _iterate(ctx, report, step, reference):
     ``extras["monitor_s"]`` the time spent on the objective, the gap and
     the stop test; together they are at most ``report.seconds``."""
     params, space = ctx.params, ctx.space
+    if reference is not None:
+        reference = DgFunction(space, reference)
     l1 = ctx.fidelity == "l1"
     # the clock starts before the allocations: that interval, which the
     # split leaves out, keeps step_s + monitor_s <= seconds under rounding
@@ -684,8 +677,8 @@ def _iterate(ctx, report, step, reference):
             bounds = ctx.multiplier_bounds(divp)
             change = max(math.sqrt(space.l2_norm_sq(u - u_prev))
                          / (math.sqrt(ctx.f_norm_sq) + 1e-300),
-                         ctx.ystar_norm(p - p_prev)
-                         / max(ctx.ystar_norm(p), 1e-30))
+                         math.sqrt(_ystar_norm_sq(p - p_prev, ctx.cs))
+                         / max(math.sqrt(_ystar_norm_sq(p, ctx.cs)), 1e-30))
             stagnant = stagnant + 1 if change <= _CHANGE_TOL else 0
             _record(report, ctx.objective(u, y), None,
                     extras={"change": change, "multiplier_bound": bounds[0]})
@@ -710,11 +703,10 @@ def _iterate(ctx, report, step, reference):
     if l1:
         report.extras["multiplier_bound"] = bounds[0]
         report.extras["multiplier_bound_masked"] = bounds[1]
+    u = DgFunction(space, u)
     if reference is not None:
-        ref = reference.coeffs if isinstance(reference, DgFunction) else reference
-        report.psnr = psnr(DgFunction(space, u),
-                           DgFunction(space, np.asarray(ref, dtype=float)))
-    return DgFunction(space, u), p, report
+        report.psnr = psnr(u, reference)
+    return u, p, report
 
 
 def _record(report, objective, eta_val, extras=None):

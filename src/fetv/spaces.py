@@ -249,7 +249,6 @@ class FeSpace:
                            lay.n_cell, lay.n_sub, lay.n_edge)
         self.cell_weights = mesh.cell_areas[:, None] * lay.cell_interior  # c_{T,i}
         self.edge_weights = mesh.edge_lengths[:, None] * lay.edge
-        self.mass_ref = lay.mass_ref                 # per unit det B_T
         self._det_dof = np.repeat(mesh.det_jacobian, self.dofs.n_cell_basis)
         self._det_dof.setflags(write=False)
         self._grad_jump = None
@@ -311,7 +310,7 @@ class FeSpace:
     def apply_mass(self, coeffs, mask=None):
         """M u; with a cell mask, the mass of the kept cells only (the rows
         of masked cells are 0)."""
-        out = self._cell_product(coeffs, self.mass_ref).reshape(-1)
+        out = self._cell_product(coeffs, self.layout.mass_ref).reshape(-1)
         out *= self._det_weights(mask)
         return out
 

@@ -276,11 +276,26 @@ def test_dtv_command_rejects_repeated_cell(tmp_path, capsys):
         "fetv: error: cells 0 and 1 repeat the same three vertices"]
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
-def test_dtv_command_rejects_non_finite_coeffs(tmp_path, capsys, bad):
+_NON_FINITE = "coefficients hold NaN or infinite values"
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"nan\n" + b"0.5\n" * 15, _NON_FINITE),
+    (b"inf\n" + b"0.5\n" * 15, _NON_FINITE),
+    (b"", "0 values given for DG_0 on 16 cells (16 values)"),
+    (b"0.5\n0.5\nabc\n" + b"0.5\n" * 13,
+     "coefficient line 3: not a number: 'abc'"),
+    (b"\xff\n" + b"0.5\n" * 15,
+     "coefficient line 1: bytes that are not UTF-8 text"),
+    (b"0.5 0.5\n" * 8, "coefficient line 1: not a number: '0.5 0.5'"),
+], ids=["nan", "inf", "empty", "abc", "xff", "two-per-line"])
+def test_dtv_command_rejects_non_finite_coeffs(tmp_path, capsys, content,
+                                               message):
+    """A coefficient file that is not one finite value per line is one
+    error line that names the line, with no warning before it."""
     main(["make-mesh", "2", "2", "--output", str(tmp_path / "m.mesh")])
     coeffs = tmp_path / "c.txt"
-    coeffs.write_text("".join(f"{v}\n" for v in [bad] + [0.5] * 15))
+    coeffs.write_bytes(content)
     capsys.readouterr()
     code = main(["dtv", "--mesh", str(tmp_path / "m.mesh"),
                  "--coeffs", str(coeffs)])
@@ -288,7 +303,7 @@ def test_dtv_command_rejects_non_finite_coeffs(tmp_path, capsys, bad):
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.strip().splitlines()
-    assert err == ["fetv: error: coefficients hold NaN or infinite values"]
+    assert err == [f"fetv: error: {message}"]
 
 
 def test_add_noise_command(tmp_path, disc_image):

@@ -29,9 +29,11 @@ def test_load_p2_basic(tmp_path):
 
 def test_load_p2_with_comments(tmp_path):
     path = tmp_path / "img.pgm"
-    path.write_text("P2 # magic\n# a comment line\n2 1 # dims\n10\n5 10\n")
-    raster = load_pgm(path)
-    assert np.allclose(raster.values, [[0.5, 1.0]])
+    # the second file glues a comment to the last token
+    for last in ("10\n", "10#c\n"):
+        path.write_text(f"P2 # magic\n# a comment line\n2 1 # dims\n10\n5 {last}")
+        raster = load_pgm(path)
+        assert np.allclose(raster.values, [[0.5, 1.0]])
 
 
 def test_p5_roundtrip_byte_identical(tmp_path):
@@ -89,9 +91,11 @@ def test_pgm_header_errors(tmp_path):
     with pytest.raises(PgmError):
         load_pgm(trunc)
     short = tmp_path / "short.pgm"
-    short.write_text("P2\n2 2\n255\n1 2 3\n")
-    with pytest.raises(PgmError):
-        load_pgm(short)
+    # a sample missing from the payload is not read from a closing comment
+    for text in ("P2\n2 2\n255\n1 2 3\n", "P2\n2 2\n255\n1 2 3 # 4"):
+        short.write_text(text)
+        with pytest.raises(PgmError, match="truncated P2 payload"):
+            load_pgm(short)
 
 
 def test_raster_to_dg_constant():

@@ -244,6 +244,16 @@ def test_degenerate_cell_rejected():
         Mesh([(0, 0), (1, 0), (2, 0)], [(0, 1, 2)])
 
 
+def test_mesh_leaves_the_callers_vertices_writable():
+    """The mesh freezes its own copy of a float64 vertex array, not the
+    array it was given."""
+    v = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+    m = Mesh(v, [(0, 1, 2)])
+    assert m.vertices is not v and not m.vertices.flags.writeable
+    v[0, 0] = 5.0
+    assert m.vertices[0, 0] == 0.0
+
+
 # sha256 (conftest.array_digest) of every array of two crossed meshes, as
 # first built by a lexsort of the facets and a per-facet hanging-node loop
 _MESH_DIGESTS = {

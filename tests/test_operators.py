@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from fetv.dtv import _ystar_norm_sq
 from fetv.mesh import Mesh, build_crossed_mesh
 from fetv.operators import (InnerSolveError, QuadraticSolver,
                             _invert_spd_blocks, divergence)
@@ -174,7 +175,7 @@ def test_inner_products_compatible(spaces_2x2):
             right = float(d @ (w * e))
             assert left == pytest.approx(right, rel=1e-13)
             assert float(d @ (w * d)) > 0
-            assert ctx.ystar_norm(w * d) ** 2 == pytest.approx(
+            assert _ystar_norm_sq(w * d, ctx.cs) == pytest.approx(
                 float(d @ (w * d)), rel=1e-13)
 
 
@@ -239,7 +240,7 @@ def _fidelity(space, mask=None, lumped=False, lam=None, scale=None):
         return (lam * scale * space.mesh.cell_areas,
                 np.diag(space.layout.cell_full))
     det = space.mesh.det_jacobian
-    return (det if mask is None else np.where(mask, det, 0.0)), space.mass_ref
+    return (det if mask is None else np.where(mask, det, 0.0)), space.layout.mass_ref
 
 
 def test_quadratic_solver_sorted_indices(spaces_2x2):
@@ -507,7 +508,7 @@ def test_quadratic_solver_refuses_indefinite_blocks(spaces_2x2, r):
     scale = 1e-2 if r else 1.0
     w = space.mesh.det_jacobian.copy()
     w[5] *= -10.0
-    fidelity = (w, space.mass_ref)
+    fidelity = (w, space.layout.mass_ref)
     with pytest.raises(RuntimeError, match="singular cell block"):
         QuadraticSolver(space, space.grad_jump(), 1e-3, scale,
                         fidelity=fidelity)
@@ -527,7 +528,7 @@ def test_quadratic_solver_refuses_indefinite_blocks(spaces_2x2, r):
     w[5] = math.nan
     with pytest.raises(RuntimeError, match="singular cell block"):
         QuadraticSolver(space, space.grad_jump(), 1e-3, scale,
-                        fidelity=(w, space.mass_ref))
+                        fidelity=(w, space.layout.mass_ref))
 
 
 @pytest.mark.parametrize("factors", [

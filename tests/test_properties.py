@@ -112,11 +112,11 @@ def test_mass_scales_like_the_cell_broadcast(instance):
     u = np.random.default_rng(seed).standard_normal(space.dim_dg)
     cells = space.cell_matrix(u)
     det = space.mesh.det_jacobian
-    mass = cells @ space.mass_ref.T * det[:, None]
+    mass = cells @ space.layout.mass_ref.T * det[:, None]
     assert np.array_equal(space.apply_mass(u), mass.ravel())
-    masked = cells @ space.mass_ref.T * np.where(mask, det, 0.0)[:, None]
+    masked = cells @ space.layout.mass_ref.T * np.where(mask, det, 0.0)[:, None]
     assert np.array_equal(space.apply_mass(u, mask=mask), masked.ravel())
-    inverse = cells @ np.linalg.inv(space.mass_ref).T / det[:, None]
+    inverse = cells @ np.linalg.inv(space.layout.mass_ref).T / det[:, None]
     assert np.array_equal(space.apply_mass_inverse(u), inverse.ravel())
 
 

@@ -557,6 +557,66 @@ def test_non_finite_data_rejected():
     assert np.isfinite(u.coeffs).all() and np.isfinite(rep.gap)
 
 
+def _two_spaces_of_48_dofs():
+    """DG_1 on the 2x2 crossed mesh and DG_0 on the 2x6 crossed mesh: two
+    spaces with as many coefficients."""
+    a = FeSpace(build_crossed_mesh(2, 2, 1.0, 1.0), 1)
+    b = FeSpace(build_crossed_mesh(2, 6, 1.0, 3.0), 0)
+    assert a.dim_dg == b.dim_dg == 48
+    return a, b
+
+
+def test_a_function_of_another_space_is_refused():
+    """Coefficients are checked against the mesh object and the degree, not
+    the count alone: DgFunction, a solver's f, gap with a context and psnr
+    refuse a function of another space of 48 coefficients, while a function
+    on another space object of the same mesh and degree is taken as it
+    is."""
+    a, b = _two_spaces_of_48_dofs()
+    u_a = DgFunction(a, np.linspace(0.0, 1.0, 48))
+    u_b = DgFunction(b, np.linspace(0.0, 1.0, 48))
+    wrong = ("a function of DG_1 on another mesh of 16 cells given for DG_0 on "
+             r"48 cells \(48 values\)")
+    with pytest.raises(ValueError, match=wrong):
+        DgFunction(b, u_a)
+    with pytest.raises(ValueError, match="given for DG_1 on 16 cells"):
+        DgFunction(a, u_b)
+    assert DgFunction(FeSpace(a.mesh, 1), u_a).coeffs is u_a.coeffs
+    prob = ProblemSpec(mesh=b.mesh, degree=0, f=u_a, beta=1e-3)
+    with pytest.raises(ValueError, match=wrong):
+        chambolle_pock_l2(prob, SolverParams(max_iter=5), space=b)
+    own = ProblemSpec(mesh=b.mesh, degree=0, f=u_b, beta=1e-3)
+    ctx = solvers._Context(own, space=b)
+    with pytest.raises(ValueError, match=wrong):
+        gap(u_a, b.new_y(), own, context=ctx)
+    assert gap(u_b, b.new_y(), own, context=ctx) == gap(u_b, b.new_y(), own)
+    with pytest.raises(ValueError, match=wrong):
+        psnr(u_b, u_a)
+
+
+@pytest.mark.parametrize("solver", [chambolle_pock_l2, chambolle_pock_l1,
+                                    split_bregman_l2])
+def test_reference_is_checked_before_the_first_step(solver, monkeypatch):
+    """A reference of another space or length ends the run before any dual
+    step, not after max_iter of them; the run's own reference steps."""
+    a, b = _two_spaces_of_48_dofs()
+    calls = []
+    dual_step = solvers._cp_dual_step
+    monkeypatch.setattr(solvers, "_cp_dual_step",
+                        lambda *args: calls.append(1) or dual_step(*args))
+    prob = ProblemSpec(mesh=b.mesh, degree=0, f=np.linspace(0.0, 1.0, 48),
+                       beta=1e-3)
+    params = SolverParams(max_iter=3)
+    for reference, message in (
+            (DgFunction(a), "DG_1 on another mesh of 16 cells given for DG_0"),
+            (np.zeros(47), r"47 values given for DG_0 on 48 cells \(48 ")):
+        with pytest.raises(ValueError, match=message):
+            solver(prob, params, space=b, reference=reference)
+        assert calls == []
+    _, _, report = solver(prob, params, space=b, reference=DgFunction(b))
+    assert len(calls) == report.iterations > 0 and report.psnr is not None
+
+
 def test_solver_input_validation(spaces_2x2):
     space = spaces_2x2[0]
     f = np.zeros(space.dim_dg)
@@ -831,7 +891,7 @@ def _fixed_penalty_reference(prob, params, space):
     ctx = solvers._Context(prob, params, space=space)
     lam = params.lam
     qs = QuadraticSolver(space, ctx.op, lam, ctx.scale, fidelity=(
-        np.where(ctx.mask, space.mesh.det_jacobian, 0.0), space.mass_ref))
+        np.where(ctx.mask, space.mesh.det_jacobian, 0.0), space.layout.mass_ref))
     state = {"d": space.new_y(), "b": space.new_y()}
     mf = space.apply_mass(ctx.f, mask=ctx.mask)
 
