@@ -8,7 +8,7 @@ from .dtv import (
     project_feasible,
     tv_exact,
 )
-from .images import Raster, dg_to_raster, load_mask, load_pgm, raster_to_dg, save_pgm
+from .images import dg_to_raster, load_mask, load_pgm, raster_to_dg, save_pgm
 from .mesh import Mesh, build_crossed_mesh, load_mesh, save_mesh
 from .metrics import NoiseSpec, add_noise, psnr
 from .operators import DgFunction, GradJumpOperator, divergence

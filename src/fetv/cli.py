@@ -151,8 +151,8 @@ def _apply_preset(argv, parser):
 
 def _cmd_solver(args, inpaint):
     noise = metrics.NoiseSpec(sigma=args.noise_sigma, seed=args.seed)
-    raster = images.load_pgm(args.input)
-    mesh, clean = images.raster_to_dg(raster, args.degree)
+    image = images.load_pgm(args.input)
+    mesh, clean = images.raster_to_dg(image, args.degree)
     space = clean.space
     f = metrics.add_noise(clean, noise)
 
@@ -180,8 +180,8 @@ def _cmd_solver(args, inpaint):
         report.extras["masked_cells"] = int(masked.sum())
 
     if args.output:
-        out = images.dg_to_raster(u, raster.width, raster.height)
-        images.save_pgm(out, args.output)
+        images.save_pgm(images.dg_to_raster(u, *image.shape[::-1]),
+                        args.output)
     _write_report(args.report, report)
     print(f"algorithm={report.algorithm}")
     print(f"iterations={report.iterations}")
@@ -237,10 +237,8 @@ def _cmd_make_mesh(args):
 
 def _cmd_add_noise(args):
     noise = metrics.NoiseSpec(sigma=args.sigma, seed=args.seed)
-    raster = images.load_pgm(args.input)
-    noisy = metrics.add_noise(raster.values, noise)
-    images.save_pgm(images.Raster(raster.width, raster.height,
-                                  np.clip(noisy, 0.0, 1.0)), args.output)
+    images.save_pgm(metrics.add_noise(images.load_pgm(args.input), noise),
+                    args.output)
     return EXIT_OK
 
 

@@ -1,17 +1,17 @@
 """PGM raster ingestion/export and the image <-> DG_r bridge.
 
-Rasters ingest onto a crossed-diagonal mesh with one square per pixel and a
-unit-width domain (pixel side 1/nx), so regularization parameters keep the
-same meaning across resolutions.  Row 0 of a raster is the top scanline;
-square (ix, iy) of the mesh counts iy upward from the bottom.  A DG_r
-function on that mesh rasterizes to its pixel means, the L2 projection onto
+An image is a float array of shape (height, width) with values in [0, 1]
+and row 0 the top scanline.  It ingests onto a crossed-diagonal mesh with
+one square per pixel and a unit-width domain (pixel side 1/width), so
+regularization parameters keep the same meaning across resolutions; square
+(ix, iy) of the mesh counts iy upward from the bottom.  A DG_r function on
+that mesh rasterizes to its pixel means, the L2 projection onto
 pixel-constant functions, which undoes ingestion.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .operators import DgFunction, _check_int
 from .spaces import FeSpace
 
 __all__ = [
-    "Raster",
     "PgmError",
     "load_pgm",
     "save_pgm",
@@ -32,19 +31,6 @@ __all__ = [
 
 class PgmError(ValueError):
     """Malformed PGM header or truncated payload."""
-
-
-@dataclass
-class Raster:
-    """Grayscale image with row-major intensities in [0, 1] (row 0 on top)."""
-
-    width: int
-    height: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(
-            self.height, self.width)
 
 
 # a token after whitespace (\s of a bytes pattern is PGM's set) and '#'
@@ -70,8 +56,8 @@ def _tokens(data, start, count, short="unexpected end of file in header"):
 
 
 def load_pgm(path):
-    """Read a P2 (ASCII) or P5 (binary) PGM with maxval <= 65535; samples
-    are scaled by maxval and clamped to [0, 1]."""
+    """Read a P2 (ASCII) or P5 (binary) PGM with maxval <= 65535 as an
+    image; samples are scaled by maxval and clamped to [0, 1]."""
     with open(path, "rb") as fh:
         data = fh.read()
     (magic,), pos = _tokens(data, 0, 1)
@@ -101,17 +87,17 @@ def load_pgm(path):
             samples = np.array([int(v) for v in body], dtype=float)
         except ValueError:
             raise PgmError("non-numeric P2 sample") from None
-    values = np.clip(samples / maxval, 0.0, 1.0).reshape(height, width)
-    return Raster(width=width, height=height, values=values)
+    return np.clip(samples / maxval, 0.0, 1.0).reshape(height, width)
 
 
-def save_pgm(raster: Raster, path, maxval=255, binary=True):
-    """Write a canonical PGM; values are quantized to round(v * maxval)."""
+def save_pgm(image, path, maxval=255, binary=True):
+    """Write a 2-D array-like as a canonical PGM; values are clamped to
+    [0, 1] and quantized to round(v * maxval)."""
     maxval = _check_int("maxval", maxval, 1, _MAXVAL)
-    q = np.clip(np.rint(np.clip(raster.values, 0.0, 1.0) * maxval),
-                0, maxval).astype(np.uint16)
-    header = f"{'P5' if binary else 'P2'}\n{raster.width} {raster.height}\n" \
-             f"{maxval}\n"
+    image = np.asarray(image, dtype=float)
+    height, width = image.shape
+    q = np.rint(np.clip(image, 0.0, 1.0) * maxval).astype(np.uint16)
+    header = f"{'P5' if binary else 'P2'}\n{width} {height}\n{maxval}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         if binary:
@@ -122,21 +108,22 @@ def save_pgm(raster: Raster, path, maxval=255, binary=True):
                          .encode("ascii"))
 
 
-def raster_to_dg(raster: Raster, r):
-    """Ingest a raster as a DG_r function on the crossed-diagonal mesh with
-    one square per pixel: every Lagrange node of a pixel's four triangles
-    takes that pixel's value, so the function equals the image exactly."""
-    nx, ny = raster.width, raster.height
-    mesh = build_crossed_mesh(nx, ny, 1.0, ny / nx)
+def raster_to_dg(image, r):
+    """Ingest an image (any 2-D array-like) as a DG_r function on the crossed
+    mesh with one square per pixel: every Lagrange node of a pixel's four
+    triangles takes that pixel's value, so the function equals the image."""
+    image = np.asarray(image, dtype=float)
+    height, width = image.shape
+    mesh = build_crossed_mesh(width, height, 1.0, height / width)
     space = FeSpace(mesh, r)
-    square_vals = np.flipud(raster.values).ravel()      # (iy, ix) bottom-up
+    square_vals = np.flipud(image).ravel()      # (iy, ix) bottom-up
     coeffs = np.repeat(square_vals, 4 * space.dofs.n_cell_basis)
     return mesh, DgFunction(space, coeffs)
 
 
 def _check_pixel_mesh(mesh, width, height):
     """Raise ValueError unless ``mesh`` is the crossed mesh that
-    ``raster_to_dg`` builds for a width x height raster."""
+    ``raster_to_dg`` builds for a width x height image."""
     if mesh.num_cells != 4 * width * height:
         raise ValueError(f"mesh has {mesh.num_cells} cells, not the "
                          f"{4 * width * height} of a {width}x{height} raster")
@@ -151,32 +138,31 @@ def _check_pixel_mesh(mesh, width, height):
 
 
 def dg_to_raster(u: DgFunction, width, height):
-    """The pixel means of a function on the mesh ``raster_to_dg`` builds
-    for a width x height raster, clamped to [0, 1].  A cell's mean comes
-    from the exact integrals of its nodal basis; the four cells of a pixel
-    have equal area, so the pixel value is the plain mean of theirs.
+    """The image of pixel means of a function on the mesh ``raster_to_dg``
+    builds for a width x height image, clamped to [0, 1].  A cell's mean
+    comes from the exact integrals of its nodal basis; the four cells of a
+    pixel have equal area, so the pixel value is the plain mean of theirs.
     Raises ValueError on any other mesh."""
     _check_pixel_mesh(u.space.mesh, width, height)
     means = u.space.cell_matrix(u.coeffs) @ u.space.layout.cell_full
     # summed in pairs, so four equal cell means give that value exactly
     pixels = 0.25 * means.reshape(height, width, 2, 2).sum(axis=3).sum(axis=2)
-    return Raster(width=width, height=height,
-                  values=np.clip(np.flipud(pixels), 0.0, 1.0))
+    return np.clip(np.flipud(pixels), 0.0, 1.0)
 
 
 def load_mask(path, mesh):
     """Read an inpainting mask: either a text file with one 0-based cell
     index per line, or a PGM whose dark pixels (< 0.5) mark masked squares
     (all four sub-triangles of the pixel) and whose width and height are
-    those of ``mesh``'s raster.  Returns a boolean per-cell array with True
+    those of ``mesh``'s image.  Returns a boolean per-cell array with True
     on masked cells; the complement carries the data."""
     with open(path, "rb") as fh:
         head = fh.read(2)
     masked = np.zeros(mesh.num_cells, dtype=bool)
     if head in (b"P2", b"P5"):
-        raster = load_pgm(path)
-        _check_pixel_mesh(mesh, raster.width, raster.height)
-        dark = np.flipud(raster.values).ravel() < 0.5
+        image = load_pgm(path)
+        _check_pixel_mesh(mesh, *image.shape[::-1])
+        dark = np.flipud(image).ravel() < 0.5
         masked[:] = np.repeat(dark, 4)
         return masked
     for no, idx in _line_values(path, "mask", int, "a cell index"):

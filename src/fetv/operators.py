@@ -32,32 +32,37 @@ __all__ = [
 ]
 
 
+def _check_space(space, given, what="a function"):
+    """The one space rule: ValueError naming both unless ``given``, a space
+    or a ProblemSpec, has ``space``'s mesh object and degree."""
+    if not ((same := given.mesh is space.mesh) and given.degree == space.degree):
+        _misfit(space, f"{what} of DG_{given.degree} on "
+                f"{'' if same else 'another mesh of '}{given.mesh.num_cells} cells")
+
+
+def _misfit(space, given):
+    raise ValueError(f"{given} given for DG_{space.degree} on "
+                     f"{space.mesh.num_cells} cells ({space.dim_dg} values)")
+
+
 class DgFunction:
     """A DG_r function: its space and the nodal coefficient vector.  The one
-    check of coefficients on a space: a DgFunction on its mesh object and
-    degree, taken with no copy, or ``space.dim_dg`` values; anything else
-    is a ValueError that names both spaces."""
+    check of coefficients on a space: a DgFunction that passes
+    ``_check_space``, taken with no copy, or ``space.dim_dg`` values;
+    anything else is a ValueError that names both spaces."""
 
     def __init__(self, space, coeffs=None):
         if coeffs is None:
             coeffs = np.zeros(space.dim_dg)
         if isinstance(coeffs, DgFunction):
-            other, coeffs = coeffs.space, coeffs.coeffs
-            same = other.mesh is space.mesh
-            fits = same and other.degree == space.degree
-            given = (f"a function of DG_{other.degree} on "
-                     f"{'' if same else 'another mesh of '}{other.mesh.num_cells} cells")
+            _check_space(space, coeffs.space)
+            coeffs = coeffs.coeffs
         else:
             coeffs = np.asarray(coeffs, dtype=float).ravel()
-            fits, given = coeffs.size == space.dim_dg, f"{coeffs.size} values"
-        if not fits:
-            raise ValueError(f"{given} given for DG_{space.degree} on "
-                             f"{space.mesh.num_cells} cells ({space.dim_dg} values)")
+            if coeffs.size != space.dim_dg:
+                _misfit(space, f"{coeffs.size} values")
         self.space = space
         self.coeffs = coeffs
-
-    def copy(self):
-        return DgFunction(self.space, self.coeffs.copy())
 
 
 def _check_real(name, value, high=math.inf, closed=False):

@@ -40,7 +40,7 @@ from .dtv import (ConstraintSetSpec, _check_s, _project_in_place,
 from .dtv import project_feasible  # noqa: F401
 from .metrics import psnr
 from .operators import (DgFunction, InnerSolveError, QuadraticSolver,
-                        _check_int, _check_real, divergence)
+                        _check_int, _check_real, _check_space, divergence)
 from .spaces import FeSpace, _check_degree
 
 __all__ = [
@@ -203,10 +203,8 @@ class _Context:
         self.prob = prob
         self.params = params = params or SolverParams()
         self.fidelity = fidelity
-        self.space = space if space is not None else FeSpace(prob.mesh,
-                                                             prob.degree)
-        if self.space.mesh is not prob.mesh or self.space.degree != prob.degree:
-            raise ValueError("space does not match the problem spec")
+        self.space = FeSpace(prob.mesh, prob.degree) if space is None else space
+        _check_space(self.space, prob, "a problem")
         self.op = self.space.grad_jump()
         # every solver applies Lambda^T: assemble it at set-up, not in the
         # first step, where the iterates are already allocated
@@ -480,7 +478,7 @@ def chambolle_pock_l2(prob: ProblemSpec, params: SolverParams = None,
         return u, p, y, divp
 
     report = SolverReport(algorithm="chambolle-pock", params=_echo_params(
-        ctx, sigma=sigma, tau=tau, norm_sq=norm_sq))
+        ctx, sigma=sigma, theta=params.theta, tau=tau, norm_sq=norm_sq))
     return _iterate(ctx, report, step, reference)
 
 
@@ -554,7 +552,7 @@ def chambolle_pock_l1(prob: ProblemSpec, params: SolverParams = None,
         return u, p, y, divp
 
     report = SolverReport(algorithm="cp-l1", params=_echo_params(
-        ctx, sigma=sigma, tau=tau, norm_sq=norm_sq))
+        ctx, sigma=sigma, theta=params.theta, tau=tau, norm_sq=norm_sq))
     return _iterate(ctx, report, step, reference)
 
 
@@ -721,6 +719,7 @@ def _record(report, objective, eta_val, extras=None):
 
 
 def _echo_params(ctx, **resolved):
+    """The parameters the run reads (``eps_rel`` for TV-L2 alone)."""
     prob, params = ctx.prob, ctx.params
     out = {
         "beta": prob.beta,
@@ -728,10 +727,10 @@ def _echo_params(ctx, **resolved):
         "degree": prob.degree,
         "fidelity": ctx.fidelity,
         "huber_eps": prob.huber_eps,
-        "theta": params.theta,
-        "eps_rel": params.eps_rel,
         "infeas_cap": _INFEAS_CAP,
         "max_iter": params.max_iter,
     }
+    if ctx.fidelity == "l2":
+        out["eps_rel"] = params.eps_rel
     out.update(resolved, scale=ctx.scale)
     return out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fetv.cli import _apply_preset, build_parser, main
-from fetv.images import Raster, load_pgm, save_pgm
+from fetv.images import load_pgm, save_pgm
 from fetv.mesh import load_mesh
 from fetv.operators import QuadraticSolver
 from fetv.solvers import ALGORITHMS
@@ -25,7 +25,7 @@ def disc_image(tmp_path):
     pts = np.column_stack([xx.ravel(), yy.ravel()])
     values = smooth_disc(pts).reshape(n, n)
     path = tmp_path / "disc.pgm"
-    save_pgm(Raster(n, n, values), path)
+    save_pgm(values, path)
     return path
 
 
@@ -42,7 +42,7 @@ def test_denoise_runs_and_reports(tmp_path, disc_image):
     assert data["converged"] is True
     assert data["algorithm"] == "split-bregman"
     assert data["psnr"] > 20.0
-    assert load_pgm(out).width == 16
+    assert load_pgm(out).shape == (16, 16)
 
 
 def test_denoise_prints_final_lambda(tmp_path, disc_image, capsys):
@@ -103,7 +103,7 @@ def test_report_of_an_exact_reconstruction_is_strict_json(
     """A constant image is reconstructed exactly, so its PSNR is infinite:
     stdout prints psnr=inf and the report writes null."""
     image = tmp_path / "const.pgm"
-    save_pgm(Raster(8, 8, np.full(64, 0.5)), image)
+    save_pgm(np.full((8, 8), 0.5), image)
     report = tmp_path / "rep.json"
     code = main(["denoise", "--input", str(image), "--algorithm", algorithm,
                  "--report", str(report)])
@@ -187,9 +187,9 @@ def test_inpaint_with_mask(tmp_path, disc_image, capsys):
 
 def test_inpaint_rejects_a_mask_of_swapped_dimensions(tmp_path, capsys):
     image = tmp_path / "wide.pgm"
-    save_pgm(Raster(4, 2, np.full((2, 4), 0.5)), image)
+    save_pgm(np.full((2, 4), 0.5), image)
     mask = tmp_path / "tall.pgm"
-    save_pgm(Raster(2, 4, np.ones((4, 2))), mask)
+    save_pgm(np.ones((4, 2)), mask)
     code = main(["inpaint", "--input", str(image), "--mask", str(mask)])
     assert code == 1
     err = capsys.readouterr().err
@@ -207,7 +207,7 @@ def test_dtv_command(tmp_path, disc_image, capsys):
     assert float(out["difference"]) >= -1e-12
 
     const = tmp_path / "const.pgm"
-    save_pgm(Raster(4, 4, np.full((4, 4), 0.5)), const)
+    save_pgm(np.full((4, 4), 0.5), const)
     code = main(["dtv", "--input", str(const), "--degree", "0"])
     assert code == 0
     out = dict(line.split("=") for line in
@@ -438,7 +438,7 @@ def _smooth_disc_pgm(tmp_path, n):
     xx, yy = np.meshgrid(xs, xs[::-1], indexing="xy")
     values = smooth_disc(np.column_stack([xx.ravel(), yy.ravel()]))
     image = tmp_path / "disc.pgm"
-    save_pgm(Raster(n, n, values.reshape(n, n)), image)
+    save_pgm(values.reshape(n, n), image)
     return image
 
 
@@ -475,7 +475,7 @@ def test_shipped_cp_inpaint_presets_converge(tmp_path, preset):
     image = _smooth_disc_pgm(tmp_path, n)
     dark = np.random.default_rng(5).random((n, n)) < 2.0 / 3.0
     mask = tmp_path / "mask.pgm"
-    save_pgm(Raster(n, n, (~dark).astype(float)), mask)
+    save_pgm((~dark).astype(float), mask)
     report = tmp_path / "report.json"
     code = main(["inpaint", "--input", str(image), "--mask", str(mask),
                  "--preset", str(PRESETS / preset), "--seed", "1",

@@ -617,6 +617,42 @@ def test_reference_is_checked_before_the_first_step(solver, monkeypatch):
     assert len(calls) == report.iterations > 0 and report.psnr is not None
 
 
+@pytest.mark.parametrize("solver", [*ALGORITHMS.values(), gap])
+def test_a_space_of_another_problem_is_refused(solver):
+    """The space given with a problem passes the one space rule: one on
+    another mesh object of as many cells, or of another degree, is refused
+    by each solver and by gap with an error that names both."""
+    mesh = build_crossed_mesh(2, 2, 1.0, 1.0)
+    prob = ProblemSpec(mesh=mesh, degree=0, f=np.zeros(16), beta=1e-3)
+    for space, wrong in (
+            (FeSpace(build_crossed_mesh(2, 2, 1.0, 1.0), 0),
+             "a problem of DG_0 on another mesh of 16 cells given for DG_0 "
+             r"on 16 cells \(16 values\)"),
+            (FeSpace(mesh, 1), "a problem of DG_0 on 16 cells given for DG_1 "
+                               r"on 16 cells \(48 values\)")):
+        with pytest.raises(ValueError, match=wrong):
+            if solver is gap:
+                gap(DgFunction(space), space.new_y(), prob)
+            else:
+                solver(prob, SolverParams(max_iter=1), space=space)
+
+
+@pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
+def test_report_echoes_only_the_parameters_the_run_reads(algorithm):
+    """theta is echoed by the two Chambolle-Pock solvers alone, the ones
+    that extrapolate, and eps_rel by the TV-L2 runs alone, whose gap stop
+    reads it; the TV-L1 stagnation stop does not."""
+    mesh, space, _, noisy = _denoise_instance(n=4)
+    prob = ProblemSpec(mesh=mesh, degree=0, f=noisy, beta=1e-3)
+    params = SolverParams(theta=0.5, eps_rel=1e-4, max_iter=2)
+    _, _, rep = solve(prob, algorithm, params, space=space)
+    cp = algorithm in ("chambolle-pock", "cp-l1")
+    assert rep.params.get("theta") == (0.5 if cp else None)
+    l2 = rep.params["fidelity"] == "l2"
+    assert l2 == (algorithm not in ("cp-l1", "admm-l1"))
+    assert rep.params.get("eps_rel") == (1e-4 if l2 else None)
+
+
 def test_solver_input_validation(spaces_2x2):
     space = spaces_2x2[0]
     f = np.zeros(space.dim_dg)
